@@ -16,8 +16,8 @@ import numpy as np
 
 from laserspin import (BoundStateParams, LaserParams,
                        concurrence_product_analytic, modulus_from_params,
-                       product_state, spin_hamiltonian, wootters_concurrence)
-from laserspin.evolution import _propagate_grid
+                       product_state, propagate, spin_hamiltonian,
+                       wootters_concurrence)
 
 ALPHA, BETA = 0.0, 1.0
 ETA, EPSILON = 0.5, 0.3
@@ -31,8 +31,8 @@ def main(out_path="product_entanglement.csv"):
     kin = modulus_from_params(laser, 1.0)
     bound = BoundStateParams.from_gtildes(*GTILDES, g_coupling=G_COUPLING)
     times = np.linspace(0.0, PERIODS * 2.0 * math.pi, PERIODS * 40 + 1)
-    Us = _propagate_grid(lambda t: spin_hamiltonian(t, laser, kin, bound),
-                         list(times), 1e-8)
+    Us = propagate(lambda t: spin_hamiltonian(t, laser, kin, bound),
+                   times, 1e-8)
     rho0 = product_state(ALPHA, BETA)
     lines = ["t_over_period,concurrence_numeric,concurrence_leading_order"]
     for t, U in zip(times, Us):

@@ -16,8 +16,8 @@ import numpy as np
 
 from laserspin import (BoundStateParams, LaserParams,
                        concurrence_werner_analytic, modulus_from_params,
-                       spin_hamiltonian, werner_state, wootters_concurrence)
-from laserspin.evolution import _propagate_grid
+                       propagate, spin_hamiltonian, werner_state,
+                       wootters_concurrence)
 
 ETAS = [0.01, 0.02, 0.05, 0.1, 0.15, 0.2]
 PS = [0.4, 0.5, 0.65, 0.8, 0.95]
@@ -32,7 +32,7 @@ def main(out_path="werner_stability.csv"):
         laser = LaserParams(eta=eta, epsilon=0.0)
         kin = modulus_from_params(laser, 1.0)
         times = list(np.linspace(0.0, 2.0 * math.pi, 81))
-        Us = _propagate_grid(
+        Us = propagate(
             lambda t: spin_hamiltonian(t, laser, kin, bound), times, 1e-8)
         for p in PS:
             rho0 = werner_state(p)

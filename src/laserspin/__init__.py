@@ -10,9 +10,10 @@ from .evolution import (PrecessionAngles, euler_representation,
                         evolve_von_neumann, factorized_propagator,
                         interaction_picture_hamiltonian, interaction_term,
                         local_propagator, perturbative_delta_rho_werner,
-                        precession_angle, precession_angles, propagator_numeric,
-                        psi_integral, single_spin_propagator, theta_minus,
-                        time_ordered_X, validate_density_matrix)
+                        precession_angle, precession_angles, propagate,
+                        propagator_numeric, psi_integral,
+                        single_spin_propagator, theta_minus, time_ordered_X,
+                        validate_density_matrix)
 from .spinfield import (BoundStateParams, EffectiveField, effective_field,
                         interaction_hamiltonian, omega_first_principles,
                         spin_hamiltonian)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .errors import ConfigError
+from .evolution import TOL_BOUNDS
 from .spinfield import BoundStateParams
 from .trajectory import LaserParams
 
@@ -55,8 +57,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.samples < 2:
             raise ConfigError(f"samples must be >= 2, got {self.samples}")
-        if not (0.0 < self.tol < 1e-4):
-            raise ConfigError(f"tol must lie in (0, 1e-4), got {self.tol}")
+        if not (TOL_BOUNDS[0] < self.tol < TOL_BOUNDS[1]):
+            raise ConfigError(f"tol must lie in {TOL_BOUNDS}, got {self.tol}")
         if self.t_end <= 0.0 or math.isnan(self.t_end):
             raise ConfigError(f"t_end must be > 0, got {self.t_end}")
 
@@ -86,6 +88,9 @@ def _coerce(value, typ, where: str):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where} must be a number, got {value!r}")
+        # rejects NaN, +-Infinity and integers beyond the float range
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{where} must be finite, got {value!r}")
         return float(value)
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -117,10 +122,11 @@ def _parse_initial_state(raw: dict) -> InitialState:
     if kind == "explicit":
         got = _take(raw, "initial_state", {"type": str, "matrix": object})
         m = got["matrix"]
+        entry = lambda x: _coerce(x, float, "initial_state.matrix")
         try:
-            rows = tuple(tuple((float(e[0]), float(e[1])) for e in row)
+            rows = tuple(tuple((entry(e[0]), entry(e[1])) for e in row)
                          for row in m)
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, LookupError):
             raise ConfigError(
                 "initial_state.matrix must be 4 rows of 4 [re, im] pairs")
         if len(rows) != 4 or any(len(r) != 4 for r in rows):

@@ -2,12 +2,18 @@
 
 Numeric path
 ------------
-The propagator U(t) (not rho) is integrated with a commutator-free
-midpoint exponential stepper (second-order Magnus) under Richardson-style
-step control: each trial step is compared against two half steps and the
-finer result is accepted.  Every factor is the exponential of a Hermitian
-matrix, so U stays unitary to roundoff by construction and
-rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
+:func:`propagate` integrates the propagator dU/dt = -i H(t) U (not rho)
+by fourth-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+151 (2009)): over an interval of length h, with H0, Hm and H1 the values
+of H at its start, midpoint and end, U_step = exp(-i K) with
+
+    K = h/6 (H0 + 4 Hm + H1) + i h^2/12 [H0, H1].
+
+A step evaluates H at its quarter points and is checked against its two
+half steps.  Samples inside a step are dense output: K over [t, t_k]
+with H from the quartic through the five node values.  Every factor is
+the exponential of a Hermitian matrix, so U stays unitary to roundoff
+and rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
 structurally; only the step-control tolerance limits accuracy.
 
 Analytic path (linear polarization only)
@@ -22,19 +28,21 @@ with the precession angle the exact integral of the effective field,
     2 theta^(i) = eta (gtilde^(i) + 1) sn(u, mu)
                   - (eta gamma_z / mu) arcsin(mu sn(u, mu)).
 
-The residual factor obeys dX/dt = -i H'_I X with
-H'_I = W^+ H_I W, and splits further as X = exp(-i (g/4) psi(t) S) Y(t),
-S = sum_k sigma_k (x) sigma_k and psi(t) = int_0^t cos(theta_minus).
-Y is the time-ordered exponential of the rotating-frame coupling
+The residual factor obeys dX/dt = -i H'_I X with the closed form
+H'_I = W^+ H_I W, which :func:`time_ordered_X` integrates by
+:func:`propagate`.  For analysis, X splits further as
+X = exp(-i (g/4) psi(t) S) Y(t), S = sum_k sigma_k (x) sigma_k and
+psi(t) = int_0^t cos(theta_minus); Y is the time-ordered exponential of
+the rotating-frame coupling
 
     V(t) = (g/4) [ (1 - cos th_-) s1(x)s1
                    + sin th_- (cos(g psi) (s3(x)s2 - s2(x)s3)
                                - sin(g psi) (s1(x)1 - 1(x)s1)) ],
 
 which vanishes identically when the two rescaled gyromagnetic ratios are
-equal.  All of this is verified against the direct integration in the
-test suite; the closed forms must agree with brute force to 1e-6 or
-better over a full period.
+equal.  The factorization oracle of `laserspin validate` checks both
+U = W X against the direct integration of H_S and this split against
+the integration of V over a full period, to 1e-6.
 """
 
 from __future__ import annotations
@@ -45,11 +53,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elliptic import jacobi
+from .elliptic import complete_K, jacobi
 from .errors import DomainError, IntegratorError, InvalidStateError
 from .pauli import (IDENTITY4, PAULI, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
                     SIGMA_DOT_SIGMA, hermiticity_defect)
-from .spinfield import BoundStateParams, interaction_hamiltonian
+from .spinfield import BoundStateParams
 from .trajectory import KinematicParams, LaserParams, _asinc
 
 HamiltonianSource = Callable[[float], np.ndarray]
@@ -57,6 +65,15 @@ HamiltonianSource = Callable[[float], np.ndarray]
 _S11 = np.kron(PAULI[1], PAULI[1])
 _S22 = np.kron(PAULI[2], PAULI[2])
 _S33 = np.kron(PAULI[3], PAULI[3])
+
+# the tolerances every propagation accepts, exclusive bounds
+TOL_BOUNDS = (1e-14, 1e-4)
+# tolerance of the X factor, well below the 1e-6 gate of U = W X
+_X_TOL = 1e-12
+# Lagrange weights of the quartic through the nodes 0, 1/4, ..., 1: row j
+# of the inverse Vandermonde matrix holds the coefficients of s**j
+_QUARTIC = np.linalg.inv(np.vander(np.linspace(0.0, 1.0, 5), increasing=True))
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _TRACE_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -81,81 +98,105 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def expm_hermitian(H: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-1j * scale * H) for Hermitian H, via eigendecomposition."""
+def expm_hermitian(H: np.ndarray) -> np.ndarray:
+    """exp(-1j * H) for Hermitian H, or for each matrix of a stack of them,
+    via eigendecomposition."""
     w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * scale * w)) @ V.conj().T
+    return (V * np.exp(-1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def _check_tol(tol: float) -> float:
-    if not (1e-14 < tol < 1e-4):
-        raise DomainError(f"tolerance must lie in (1e-14, 1e-4), got {tol}")
+    if not (TOL_BOUNDS[0] < tol < TOL_BOUNDS[1]):
+        raise DomainError(f"tolerance must lie in {TOL_BOUNDS}, got {tol}")
     return float(tol)
 
 
-def _propagate_grid(H_of_t: HamiltonianSource, t_grid: Sequence[float],
-                    tol: float) -> list[np.ndarray]:
-    """Propagators U(t_k) for every grid time, t_grid[0] == 0."""
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid or t_grid[0] != 0.0:
-        raise DomainError("time grid must start at 0")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise DomainError("time grid must be strictly increasing")
+def _magnus4(h, H0: np.ndarray, Hm: np.ndarray, H1: np.ndarray) -> np.ndarray:
+    """Exponent K of the Magnus step exp(-i K) over an interval of length h
+    from H at its start, midpoint and end; broadcasts over leading axes."""
+    return (h / 6.0) * (H0 + 4.0 * Hm + H1) \
+        + (1j * h * h / 12.0) * (H0 @ H1 - H1 @ H0)
 
-    span = t_grid[-1] - t_grid[0]
-    U = IDENTITY4.copy()
-    out = [U.copy()]
-    if span == 0.0:
+
+def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
+              tol: float) -> np.ndarray:
+    """Propagators U(t_k) of dU/dt = -i H(t) U, U(0) = 1, on a time grid.
+
+    t_grid must start at 0 and increase strictly; the result has shape
+    (len(t_grid), 4, 4).  A step is accepted when its two half steps
+    differ from the full step by at most tol * h / t_grid[-1]; samples
+    inside a step come from dense output, so the H evaluations do not
+    depend on the number of samples.  Raises IntegratorError when the
+    step size underflows.
+    """
+    tol = _check_tol(tol)
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0.0:
+        raise DomainError("time grid must start at 0")
+    if not (np.all(np.diff(t_grid) > 0.0) and np.isfinite(t_grid[-1])):
+        raise DomainError("time grid must be strictly increasing and finite")
+    out = np.empty((t_grid.size, 4, 4), dtype=complex)
+    out[0] = U = IDENTITY4
+    if t_grid.size == 1:
         return out
 
+    span = t_grid[-1]
     h = span / 50.0
     h_min = span * 1e-13
-    rejections = 0
-    accepted = 0
-    t = 0.0
-    for t_stop in t_grid[1:]:
-        while t < t_stop:
-            h_try = min(h, t_stop - t)
-            full = expm_hermitian(H_of_t(t + 0.5 * h_try), h_try)
-            half1 = expm_hermitian(H_of_t(t + 0.25 * h_try), 0.5 * h_try)
-            half2 = expm_hermitian(H_of_t(t + 0.75 * h_try), 0.5 * h_try)
-            fine = half2 @ half1
-            err = float(np.abs(full - fine).max())
-            # per-unit-time budgeting, floored at the per-step roundoff scale
-            budget = max(tol * h_try / span, 4e-15)
-            if err <= budget:
-                U = fine @ U
-                t += h_try
-                rejections = 0
-                accepted += 1
-                if accepted % 128 == 0:
-                    # one Newton step of the polar projection keeps the
-                    # accumulated matmul roundoff from degrading unitarity
-                    U = 0.5 * U @ (3.0 * IDENTITY4 - U.conj().T @ U)
-                grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (budget / err) ** (1.0 / 3.0))
-                h = h_try * max(grow, 1.0)
-            else:
-                rejections += 1
-                h = h_try * max(0.2, 0.9 * (budget / err) ** (1.0 / 3.0))
-                if h < h_min or rejections > 60:
-                    raise IntegratorError(
-                        f"step size underflow at t = {t:.6g} (h = {h:.3e})"
-                    )
+    t, k, rejections = 0.0, 1, 0
+    H0 = H_of_t(0.0)
+    while k < t_grid.size:
+        last = h >= span - t
+        if last:
+            h = span - t
+        t_end = span if last else t + h
+        nodes = np.array([H0, H_of_t(t + 0.25 * h), H_of_t(t + 0.5 * h),
+                          H_of_t(t + 0.75 * h), H_of_t(t_end)])
+        full, half1, half2 = expm_hermitian(_magnus4(
+            np.array([h, 0.5 * h, 0.5 * h])[:, None, None],
+            nodes[[0, 0, 2]], nodes[[2, 1, 3]], nodes[[4, 2, 4]]))
+        fine = half2 @ half1
+        err = float(np.abs(full - fine).max())
+        # per-unit-time budgeting, floored at the per-step roundoff scale
+        budget = max(tol * h / span, 4e-15)
+        factor = 5.0 if err == 0.0 else 0.9 * (budget / err) ** 0.2
+        if not err <= budget:       # a NaN error rejects too
+            rejections += 1
+            h *= max(0.2, factor)
+            if h < h_min or rejections > 60:
+                raise IntegratorError(
+                    f"step size underflow at t = {t:.6g} (h = {h:.3e})")
+            continue
+
+        j = int(np.searchsorted(t_grid, t_end))
+        if j > k:
+            # dense output: the same step over [t, t_k], with H from the
+            # quartic through the five node values
+            dt = t_grid[k:j] - t
+            s = np.concatenate([0.5 * dt, dt]) / h
+            Hs = np.tensordot(np.vander(s, 5, increasing=True) @ _QUARTIC,
+                              nodes, axes=1)
+            out[k:j] = expm_hermitian(_magnus4(
+                dt[:, None, None], H0, Hs[:j - k], Hs[j - k:])) @ U
+        U = fine @ U
+        # one Newton step of the polar projection keeps the accumulated
+        # matmul roundoff from degrading unitarity
         U = 0.5 * U @ (3.0 * IDENTITY4 - U.conj().T @ U)
-        out.append(U.copy())
+        if j < t_grid.size and t_grid[j] == t_end:
+            out[j] = U
+            j += 1
+        t, k, H0, rejections = t_end, j, nodes[4], 0
+        h *= min(5.0, max(1.0, factor))
     return out
 
 
 def propagator_numeric(H_of_t: HamiltonianSource, t: float,
                        tol: float = 1e-9, t0: float = 0.0) -> np.ndarray:
     """Unitary propagator over [t0, t] by direct integration."""
-    tol = _check_tol(tol)
     if t < t0:
         raise DomainError("propagation requires t >= t0")
-    if t == t0:
-        return IDENTITY4.copy()
     shifted = lambda s: H_of_t(s + t0)
-    return _propagate_grid(shifted, [0.0, t - t0], tol)[-1]
+    return propagate(shifted, [0.0, t - t0] if t != t0 else [0.0], tol)[-1]
 
 
 def evolve_von_neumann(rho0: np.ndarray, H_of_t: HamiltonianSource,
@@ -167,10 +208,8 @@ def evolve_von_neumann(rho0: np.ndarray, H_of_t: HamiltonianSource,
     conjugating rho0 with the integrated propagator, so trace and
     spectrum are preserved structurally.
     """
-    tol = _check_tol(tol)
     rho0 = validate_density_matrix(rho0)
-    Us = _propagate_grid(H_of_t, t_grid, tol)
-    return [U @ rho0 @ U.conj().T for U in Us]
+    return [U @ rho0 @ U.conj().T for U in propagate(H_of_t, t_grid, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,36 +257,24 @@ def theta_minus(t: float, laser: LaserParams, kin: KinematicParams,
     return 0.5 * laser.eta * bound.Delta * sn
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float) -> float:
-    """Recursive adaptive Simpson quadrature with absolute tolerance."""
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        flm, frm = f(lm), f(rm)
-        left = simpson(x0, xm, f0, flm, f1)
-        right = simpson(xm, x2, f1, frm, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, xm, f0, flm, f1, left, eps / 2.0, depth - 1)
-                + recurse(xm, x2, f1, frm, f2, right, eps / 2.0, depth - 1))
-
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
-
-
 def psi_integral(t: float, laser: LaserParams, kin: KinematicParams,
-                 bound: BoundStateParams, tol: float = 1e-10) -> float:
-    """psi(t) = int_0^t cos(theta_minus(s)) ds, by adaptive Simpson."""
+                 bound: BoundStateParams) -> float:
+    """psi(t) = int_0^t cos(theta_minus(s)) ds, by composite Gauss-Legendre.
+
+    16 nodes per panel; a panel spans a quarter period of sn divided by
+    1 + eta |Delta| / 2, the amplitude of theta_minus, so that the
+    integrand's oscillations stay resolved at strong drive.
+    """
     _require_linear(laser)
-    return _adaptive_simpson(
-        lambda s: math.cos(theta_minus(s, laser, kin, bound)), 0.0, t, tol)
+    quarter = complete_K(kin.mu) / kin.omega_L_prime
+    amplitude = 0.5 * abs(laser.eta * bound.Delta)
+    n_panels = max(1, math.ceil(abs(t) / quarter * (1.0 + amplitude)))
+    edges = np.linspace(0.0, t, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_NODES
+    values = np.cos([theta_minus(float(s), laser, kin, bound)
+                     for s in nodes.ravel()]).reshape(nodes.shape)
+    return float(half * np.sum(values @ _GL_WEIGHTS))
 
 
 def precession_angles(t: float, laser: LaserParams, kin: KinematicParams,
@@ -321,67 +348,26 @@ def interaction_term(t: float, laser: LaserParams, kin: KinematicParams,
                                            - math.sin(g * psi) * SIGMA_10))
 
 
-def _default_x_step(laser: LaserParams, bound: BoundStateParams) -> float:
-    g = abs(bound.g_coupling)
-    h = 0.01 / laser.omega_L
-    if g > 0.0:
-        h = min(h, 0.01 / g)
-    return h
-
-
-def _ordered_product_x(t: float, laser: LaserParams, kin: KinematicParams,
-                       bound: BoundStateParams, n_steps: int) -> np.ndarray:
-    """X(t) = exp(-i (g/4) psi(t) S) * T-ordered product of exp(-i V h)."""
-    g = bound.g_coupling
-    h = t / n_steps
-    Y = IDENTITY4.copy()
-    psi = 0.0
-    cos_thm = lambda s: math.cos(theta_minus(s, laser, kin, bound))
-    for k in range(n_steps):
-        a = k * h
-        f0, fq, fm, f3, f1 = (cos_thm(a), cos_thm(a + 0.25 * h),
-                              cos_thm(a + 0.5 * h), cos_thm(a + 0.75 * h),
-                              cos_thm(a + h))
-        psi_mid = psi + (h / 12.0) * (f0 + 4.0 * fq + fm)
-        V = interaction_term(a + 0.5 * h, laser, kin, bound, psi=psi_mid)
-        Y = expm_hermitian(V, h) @ Y
-        psi += (h / 12.0) * (f0 + 4.0 * fq + 2.0 * fm + 4.0 * f3 + f1)
-    E = euler_representation(-0.25 * g * psi)
-    return E @ Y
-
-
 def time_ordered_X(t: float, laser: LaserParams, kin: KinematicParams,
-                   bound: BoundStateParams, step: float | None = None,
-                   return_error: bool = False):
-    """Interaction-picture factor X(t), eps = 0 only.
+                   bound: BoundStateParams) -> np.ndarray:
+    """Interaction-picture factor X(t) of U = W X, eps = 0 only.
 
-    Built as exp(-i (g/4) psi S) times the ordered product of midpoint
-    exponentials of V with step h = min(0.01/w_L, 0.01/|g|); the result
-    of the doubled (half-step) product is returned together with the
-    doubling error estimate when requested.
+    Integrates dX/dt = -i H'_I X, X(0) = 1, with the closed-form
+    :func:`interaction_picture_hamiltonian` by :func:`propagate` at
+    tolerance 1e-12.
     """
     _require_linear(laser)
     if t < 0.0:
         raise DomainError("time_ordered_X requires t >= 0")
-    if t == 0.0:
-        X = IDENTITY4.copy()
-        return (X, 0.0) if return_error else X
-    h = step if step is not None else _default_x_step(laser, bound)
-    n = max(1, math.ceil(t / h))
-    if t / n < 1e-12 * max(t, 1.0):
-        raise IntegratorError("ordered-product step underflow")
-    coarse = _ordered_product_x(t, laser, kin, bound, n)
-    fine = _ordered_product_x(t, laser, kin, bound, 2 * n)
-    err = float(np.abs(coarse - fine).max())
-    return (fine, err) if return_error else fine
+    H = lambda s: interaction_picture_hamiltonian(s, laser, kin, bound)
+    return propagate(H, [0.0, t] if t != 0.0 else [0.0], _X_TOL)[-1]
 
 
 def factorized_propagator(t: float, laser: LaserParams, kin: KinematicParams,
-                          bound: BoundStateParams,
-                          step: float | None = None) -> np.ndarray:
+                          bound: BoundStateParams) -> np.ndarray:
     """Analytic propagator U(t) = W(t) X(t), eps = 0 only."""
     return local_propagator(t, laser, kin, bound) @ time_ordered_X(
-        t, laser, kin, bound, step=step)
+        t, laser, kin, bound)
 
 
 def perturbative_delta_rho_werner(t: float, p: float, laser: LaserParams,

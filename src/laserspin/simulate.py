@@ -19,7 +19,7 @@ from .config import InitialState, ScenarioConfig, config_to_dict
 from .entanglement import (concurrence_product_analytic,
                            concurrence_werner_analytic, wootters_concurrence)
 from .errors import ConfigError
-from .evolution import _propagate_grid, validate_density_matrix
+from .evolution import propagate, validate_density_matrix
 from .pauli import IDENTITY4
 from .spinfield import spin_hamiltonian
 from .trajectory import modulus_from_params
@@ -75,7 +75,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     t_grid = np.linspace(0.0, cfg.t_end * period, cfg.samples)
 
     H = lambda t: spin_hamiltonian(t, cfg.laser, kin, cfg.bound)
-    Us = _propagate_grid(H, list(t_grid), cfg.tol)
+    Us = propagate(H, t_grid, cfg.tol)
 
     rows = []
     for t, U in zip(t_grid, Us):

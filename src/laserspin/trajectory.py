@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .elliptic import complete_K, jacobi, jacobi_am
 from .errors import DomainError
@@ -247,6 +246,7 @@ def generating_function(xi: float, Pi_perp: np.ndarray, Pi_z: float,
         for which this particle rides the closed-form trajectory.
     tol : absolute quadrature tolerance of the integral term.
     """
+    from scipy.integrate import quad
     if mass - Pi_z == 0.0:
         raise DomainError("m - Pi_z must be nonzero")
     if amplitude is None:

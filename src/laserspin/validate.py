@@ -12,16 +12,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .elliptic import jacobi
 from .entanglement import (concurrence_product_analytic,
                            concurrence_werner_analytic, product_state,
                            werner_state, wootters_concurrence)
 from .errors import ConfigError
-from .evolution import (_propagate_grid, euler_representation,
-                        factorized_propagator,
-                        perturbative_delta_rho_werner)
+from .evolution import (euler_representation, interaction_term,
+                        local_propagator, perturbative_delta_rho_werner,
+                        propagate, psi_integral, time_ordered_X)
 from .pauli import SIGMA_10, SIGMA_32, SIGMA_DOT_SIGMA
 from .spinfield import BoundStateParams, spin_hamiltonian
 from .trajectory import (KinematicParams, LaserParams, lorentz_residual,
@@ -113,28 +112,32 @@ def oracle_lorentz(mu_error: float = 0.0) -> OracleResult:
 # --- factorization oracle ----------------------------------------------------
 
 def oracle_factorization(tol_numeric: float = 1e-8) -> OracleResult:
-    """|| U - W X ||_max over one period on the small-parameter grid."""
+    """U = W X, and X = exp(-i g/4 psi S) Y[V], over one period."""
     worst = 0.0
     for eta in (0.1, 0.2):
         for delta in (0.5, 1.5):
             for g in (0.02, 0.08):
                 laser = LaserParams(eta=eta, epsilon=0.0)
-                kin = modulus_from_params(laser, 1.0)
-                bound = BoundStateParams.from_gtildes(
-                    2.0, 2.0 - delta, g_coupling=g)
+                a = (laser, modulus_from_params(laser, 1.0),
+                     BoundStateParams.from_gtildes(2.0, 2.0 - delta, g))
                 times = np.linspace(0.0, 2.0 * math.pi, 9)
-                H = lambda t: spin_hamiltonian(t, laser, kin, bound)
-                Us = _propagate_grid(H, list(times), tol_numeric)
-                for t, U in zip(times[1:], Us[1:]):
-                    WX = factorized_propagator(float(t), laser, kin, bound)
-                    worst = max(worst, float(np.abs(U - WX).max()))
-    return OracleResult("factorization", worst < 1e-6, worst, 1e-6,
-                        "analytic W*X vs direct integration")
+                Us = propagate(lambda t: spin_hamiltonian(t, *a), times,
+                               tol_numeric)
+                Ys = propagate(lambda t: interaction_term(t, *a), times,
+                               tol_numeric)
+                for t, U, Y in zip(times[1:].tolist(), Us[1:], Ys[1:]):
+                    X = time_ordered_X(t, *a)
+                    S = euler_representation(-g / 4 * psi_integral(t, *a))
+                    worst = max(worst, np.abs(X - S @ Y).max(),
+                                np.abs(U - local_propagator(t, *a) @ X).max())
+    return OracleResult("factorization", worst < 1e-6, float(worst), 1e-6,
+                        "U vs W*X and X vs exp(-i g/4 psi S) Y")
 
 
 # --- Eulerian representation oracle ------------------------------------------
 
 def oracle_euler(n: int = 100) -> OracleResult:
+    from scipy.linalg import expm
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for psi in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n):
@@ -182,7 +185,7 @@ def oracle_concurrence() -> OracleResult:
     bound = _fixture_bound()
     times = np.linspace(0.0, 2.0 * math.pi, 40)
     H = lambda t: spin_hamiltonian(t, laser, kin, bound)
-    Us = _propagate_grid(H, list(times), 1e-8)
+    Us = propagate(H, times, 1e-8)
     rho_w = werner_state(p)
     dev_w = max(abs(wootters_concurrence(U @ rho_w @ U.conj().T)
                     - concurrence_werner_analytic(p)) for U in Us)
@@ -199,7 +202,7 @@ def oracle_concurrence() -> OracleResult:
     for delta, label in ((3.0, "tracking"), (0.0, "null")):
         bound = BoundStateParams.from_gtildes(4.0, 4.0 - delta, g_coupling=g)
         H = lambda t: spin_hamiltonian(t, laser, kin, bound)
-        Us = _propagate_grid(H, list(times), 1e-8)
+        Us = propagate(H, times, 1e-8)
         cs = [wootters_concurrence(U @ rho0 @ U.conj().T) for U in Us]
         if label == "tracking":
             dev = max(abs(c - concurrence_product_analytic(

@@ -30,9 +30,8 @@ import pytest
 from laserspin import (BoundStateParams, LaserParams,
                        concurrence_product_analytic,
                        concurrence_werner_analytic, modulus_from_params,
-                       product_state, q_factor, spin_hamiltonian,
-                       werner_state, wootters_concurrence)
-from laserspin.evolution import _propagate_grid
+                       product_state, propagate, q_factor,
+                       spin_hamiltonian, werner_state, wootters_concurrence)
 from laserspin.pauli import SIGMA_10, SIGMA_32, hermiticity_defect
 from laserspin.simulate import run_sweep
 from laserspin.validate import (oracle_commutator, oracle_elliptic,
@@ -79,7 +78,7 @@ def test_acceptance_3_werner_stability():
         laser = LaserParams(eta=eta, epsilon=0.0)
         kin = modulus_from_params(laser, 1.0)
         times = list(np.linspace(0.0, 2.0 * math.pi, 41))
-        Us = _propagate_grid(
+        Us = propagate(
             lambda t: spin_hamiltonian(t, laser, kin, bound), times, 1e-8)
         for p in (0.5, 0.8):
             rho0 = werner_state(p)
@@ -104,8 +103,8 @@ def product_trace():
     bound = BoundStateParams.from_gtildes(4.0, 1.0, g_coupling=g)  # Delta = 3
     times = np.linspace(0.0, 10.0 * math.pi, 251)
     start = time.perf_counter()
-    Us = _propagate_grid(lambda t: spin_hamiltonian(t, laser, kin, bound),
-                         list(times), 1e-8)
+    Us = propagate(lambda t: spin_hamiltonian(t, laser, kin, bound),
+                   times, 1e-8)
     rho0 = product_state(alpha, beta)
     cs = np.array([wootters_concurrence(U @ rho0 @ U.conj().T) for U in Us])
     elapsed = time.perf_counter() - start
@@ -124,8 +123,8 @@ def onset_traces():
     traces = []
     for d in (delta, 0.0):
         bound = BoundStateParams.from_gtildes(2.0 + d, 2.0, g_coupling=g)
-        Us = _propagate_grid(lambda t: spin_hamiltonian(t, laser, kin, bound),
-                             list(times), 1e-8)
+        Us = propagate(lambda t: spin_hamiltonian(t, laser, kin, bound),
+                       times, 1e-8)
         traces.append(np.array([wootters_concurrence(U @ rho0 @ U.conj().T)
                                 for U in Us]))
     elapsed = time.perf_counter() - start
@@ -178,8 +177,8 @@ def test_acceptance_4c_negative_control():
     kin = modulus_from_params(laser, 1.0)
     bound = BoundStateParams.from_gtildes(4.0, 4.0, g_coupling=0.1)  # Delta = 0
     times = np.linspace(0.0, 10.0 * math.pi, 251)
-    Us = _propagate_grid(lambda t: spin_hamiltonian(t, laser, kin, bound),
-                         list(times), 1e-8)
+    Us = propagate(lambda t: spin_hamiltonian(t, laser, kin, bound),
+                   times, 1e-8)
     rho0 = product_state(0.999, 0.001)
     worst = max(wootters_concurrence(U @ rho0 @ U.conj().T) for U in Us)
     elapsed = time.perf_counter() - start
@@ -262,8 +261,8 @@ def test_acceptance_7_state_hygiene():
     for laser, gz, bound, rho0 in scenarios:
         kin = modulus_from_params(laser, gz)
         times = list(np.linspace(0.0, 3.0 * math.pi, 11))
-        Us = _propagate_grid(lambda t: spin_hamiltonian(t, laser, kin, bound),
-                             times, 1e-8)
+        Us = propagate(lambda t: spin_hamiltonian(t, laser, kin, bound),
+                       times, 1e-8)
         ref = np.sort(np.linalg.eigvalsh(rho0))
         for U in Us:
             rho = U @ rho0 @ U.conj().T

@@ -1,9 +1,15 @@
+import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import laserspin
 from laserspin.cli import main
 from laserspin.config import (config_from_dict, config_to_dict, load_config)
 from laserspin.errors import ConfigError
@@ -70,11 +76,69 @@ class TestConfig:
             initial_state={"type": "explicit", "matrix": m}))
         assert np.abs(cfg.initial_state.build() - np.eye(4) / 4).max() == 0.0
 
-    def test_bad_samples_and_tol(self):
+    def test_bad_samples_and_tol(self, tmp_path):
         with pytest.raises(ConfigError):
             config_from_dict(base_config(samples=1))
-        with pytest.raises(ConfigError):
-            config_from_dict(base_config(tol=1e-3))
+        for tol in (1e-3, 1e-4, 1e-14, 1e-15, 1e-300):
+            with pytest.raises(ConfigError):
+                config_from_dict(base_config(tol=tol))
+        # tolerances the propagator rejects stop at the config boundary
+        for tol in (1e-15, 1e-300):
+            path = write_config(tmp_path, base_config(tol=tol))
+            assert main(["simulate", "--config", path]) == 2
+
+
+_PRODUCT = {"type": "product", "alpha": 0.3, "beta": 0.2}
+_EXPLICIT = {"type": "explicit",
+             "matrix": [[[0.25, 0.0] if i == j else [0.0, 0.0]
+                         for j in range(4)] for i in range(4)]}
+# every float of the schema, as a key path into the raw config
+FLOAT_FIELDS = [
+    ("laser", "eta"), ("laser", "epsilon"), ("laser", "omega_L"),
+    *[("bound", key) for key in ("mass_n", "mass_p", "charge_n", "charge_p",
+                                 "g_n", "g_p", "g_coupling")],
+    ("gamma_z",), ("t_end",), ("tol",), ("initial_state", "p"),
+    ("initial_state", "alpha"), ("initial_state", "beta"),
+    ("initial_state", "matrix", 0, 0, 0), ("initial_state", "matrix", 2, 1, 1),
+]
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path", FLOAT_FIELDS,
+                             ids=[".".join(map(str, p)) for p in FLOAT_FIELDS])
+    def test_rejected_at_config_boundary(self, tmp_path, path, value):
+        state = {"alpha": _PRODUCT, "beta": _PRODUCT,
+                 "matrix": _EXPLICIT}.get(path[1] if len(path) > 1 else None)
+        raw = base_config(**({"initial_state": copy.deepcopy(state)}
+                             if state else {}))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict(raw)
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 2
+
+    @pytest.mark.parametrize("value", ["0.25", False], ids=["str", "bool"])
+    @pytest.mark.parametrize("path", [("gamma_z",),
+                                      ("initial_state", "matrix", 0, 0, 0),
+                                      ("initial_state", "matrix", 3, 2, 1)],
+                             ids=["gamma_z", "matrix.0.0.0", "matrix.3.2.1"])
+    def test_non_number_rejected(self, path, value):
+        raw = base_config(**({"initial_state": copy.deepcopy(_EXPLICIT)}
+                             if path[0] == "initial_state" else {}))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match="must be a number"):
+            config_from_dict(raw)
+
+    def test_integer_beyond_float_range(self):
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict(base_config(t_end=10**400))
 
 
 class TestRunScenario:
@@ -213,6 +277,17 @@ class TestMainExitCodes:
 
     def test_validate_unknown_filter_is_2(self, capsys):
         assert main(["validate", "--filter", "bogus"]) == 2
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(laserspin.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, laserspin.cli; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=60)
+        assert out.stdout.strip() == "[]"
 
     def test_validate_negative_control(self, capsys):
         # deliberately perturbed modulus must trip the lorentz oracle

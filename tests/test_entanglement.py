@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from laserspin import (BoundStateParams, DomainError, InvalidStateError,
                        LaserParams, concurrence_product_analytic,
                        concurrence_werner_analytic, modulus_from_params,
-                       product_state, q_factor, spin_hamiltonian,
-                       werner_state, wootters_concurrence)
-from laserspin.evolution import _propagate_grid
+                       product_state, propagate, q_factor,
+                       spin_hamiltonian, werner_state, wootters_concurrence)
 from laserspin.pauli import PAULI
 
 from conftest import random_unitary2
@@ -201,8 +200,8 @@ class TestLaserInducedEntanglement:
         max_q = max(abs(q_factor(float(t), 1.0, g)) for t in times)
         assert 4.0 * eta * abs(beta * g * delta) * max_q \
             > math.sqrt(1.0 - alpha**2)
-        Us = _propagate_grid(lambda t: spin_hamiltonian(t, laser, kin, bound),
-                             list(times), 1e-8)
+        Us = propagate(lambda t: spin_hamiltonian(t, laser, kin, bound),
+                       times, 1e-8)
         rho0 = product_state(alpha, beta)
         cs = [wootters_concurrence(U @ rho0 @ U.conj().T) for U in Us]
         assert max(cs) > 0.02
@@ -217,8 +216,8 @@ class TestLaserInducedEntanglement:
         kin = modulus_from_params(laser, 1.0)
         bound = BoundStateParams.from_gtildes(2.0, 2.0, g_coupling=0.5)
         times = np.linspace(0.0, 10.0 * math.pi, 180)
-        Us = _propagate_grid(lambda t: spin_hamiltonian(t, laser, kin, bound),
-                             list(times), 1e-8)
+        Us = propagate(lambda t: spin_hamiltonian(t, laser, kin, bound),
+                       times, 1e-8)
         rho0 = product_state(0.0, 1.0)
         assert max(wootters_concurrence(U @ rho0 @ U.conj().T)
                    for U in Us) < 1e-9

@@ -11,9 +11,10 @@ from laserspin import (BoundStateParams, DomainError, IntegratorError,
                        interaction_picture_hamiltonian, interaction_term,
                        local_propagator, modulus_from_params,
                        perturbative_delta_rho_werner, precession_angle,
-                       precession_angles, propagator_numeric, psi_integral,
-                       single_spin_propagator, spin_hamiltonian, theta_minus,
-                       time_ordered_X, validate_density_matrix, werner_state)
+                       precession_angles, propagate, propagator_numeric,
+                       psi_integral, single_spin_propagator, spin_hamiltonian,
+                       theta_minus, time_ordered_X, validate_density_matrix,
+                       werner_state)
 from laserspin.pauli import (IDENTITY4, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
                              SIGMA_DOT_SIGMA, hermiticity_defect)
 
@@ -148,6 +149,29 @@ class TestPropagator:
         U_b = propagator_numeric(H, t2, tol=1e-10, t0=t1)
         assert np.abs(U_b @ U_a - U_full).max() < 1e-9
 
+    def test_dense_output_matches_landing_runs(self):
+        # the elliptic drive of the long-run benchmark workload, two periods
+        laser = LaserParams(eta=0.5, epsilon=0.3)
+        kin = modulus_from_params(laser, 1.0)
+        bound = BoundStateParams.from_gtildes(6.0, 2.0, g_coupling=0.5)
+        calls = []
+
+        def H(t):
+            calls.append(t)
+            return spin_hamiltonian(t, laser, kin, bound)
+
+        counts = []
+        for n in (2, 33, 4001):
+            calls.clear()
+            grid = np.linspace(0.0, 4.0 * math.pi, n)
+            Us = propagate(H, grid, 1e-12)
+            counts.append(len(calls))
+        # steps ignore the samples, so their number costs no H calls
+        assert counts[0] == counts[1] == counts[2]
+        for k in (1, 1234, 2000, 3999):
+            landing = propagate(H, [0.0, grid[k]], 1e-12)[-1]
+            assert np.abs(Us[k] - landing).max() < 1e-10
+
 
 class TestPrecessionAngles:
     def test_zero_at_origin(self, linear_scenario):
@@ -233,6 +257,16 @@ class TestPrecessionAngles:
         psis = [psi_integral(float(t), laser, kin, bound)
                 for t in np.linspace(0.0, 6.0, 25)]
         assert all(b >= a for a, b in zip(psis, psis[1:]))
+
+    def test_psi_matches_adaptive_quadrature_at_strong_drive(self):
+        from scipy.integrate import quad
+        laser, kin, bound = linear(0.9, 41.0, 1.0, 0.1)   # Delta = 40
+        integrand = lambda s: math.cos(theta_minus(s, laser, kin, bound))
+        for t in (0.37, 2.9, 11.3):
+            ref, _ = quad(integrand, 0.0, t, epsabs=1e-13, epsrel=0.0,
+                          limit=1000)
+            assert psi_integral(t, laser, kin, bound) \
+                == pytest.approx(ref, abs=1e-12)
 
 
 class TestSingleSpinPropagator:
@@ -321,9 +355,27 @@ class TestTimeOrderedX:
 
     def test_unitary_with_small_doubling_error(self):
         laser, kin, bound = linear(0.2, 3.0, 2.0, 0.05)
-        X, err = time_ordered_X(4.0, laser, kin, bound, return_error=True)
+        t = 4.0
+        X = time_ordered_X(t, laser, kin, bound)
         assert np.abs(X @ X.conj().T - IDENTITY4).max() < 1e-10
-        assert err < 1e-8
+        # X = W^+ U, with U integrated directly from H_S
+        H = lambda s: spin_hamiltonian(s, laser, kin, bound)
+        U = propagator_numeric(H, t, tol=1e-12)
+        W = local_propagator(t, laser, kin, bound)
+        assert np.abs(X - W.conj().T @ U).max() < 1e-8
+
+    def test_euler_split_at_unequal_ratios(self):
+        # X = exp(-i g/4 psi S) Y, Y the ordered exponential of V(t);
+        # Delta = 1, where V carries its cos(g psi) and sin(g psi) terms
+        laser, kin, bound = linear(0.2, 3.0, 2.0, 0.05)
+        g = bound.g_coupling
+        V = lambda s: interaction_term(s, laser, kin, bound)
+        for t in (1.5, 4.0):
+            Y = propagate(V, [0.0, t], 1e-12)[-1]
+            psi = psi_integral(t, laser, kin, bound)
+            split = euler_representation(-0.25 * g * psi) @ Y
+            assert np.abs(split - time_ordered_X(t, laser, kin, bound)).max() \
+                < 1e-8
 
     def test_factorization_against_direct_integration(self):
         laser, kin, bound = linear(0.2, 3.0, 2.0, 0.05)
