@@ -31,14 +31,13 @@ def main(out_path="werner_stability.csv"):
     for eta in ETAS:
         laser = LaserParams(eta=eta, epsilon=0.0)
         kin = modulus_from_params(laser, 1.0)
-        times = list(np.linspace(0.0, 2.0 * math.pi, 81))
+        times = np.linspace(0.0, 2.0 * math.pi, 81)
         Us = propagate(
             lambda t: spin_hamiltonian(t, laser, kin, bound), times, 1e-8)
+        Us_dag = Us.conj().swapaxes(-1, -2)
         for p in PS:
-            rho0 = werner_state(p)
-            target = concurrence_werner_analytic(p)
-            dev = max(abs(wootters_concurrence(U @ rho0 @ U.conj().T) - target)
-                      for U in Us)
+            cs = wootters_concurrence(Us @ werner_state(p) @ Us_dag)
+            dev = np.abs(cs - concurrence_werner_analytic(p)).max()
             lines.append(f"{eta:.6g},{p:.6g},{dev:.6e},{10 * eta * eta:.6e}")
             print(lines[-1])
     with open(out_path, "w") as fh:

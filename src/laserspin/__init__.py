@@ -6,12 +6,10 @@ from .entanglement import (concurrence_product_analytic,
                            q_factor, werner_state, wootters_concurrence)
 from .errors import (ConfigError, DomainError, IntegratorError,
                      InvalidStateError)
-from .evolution import (PrecessionAngles, euler_representation,
-                        evolve_von_neumann, factorized_propagator,
+from .evolution import (euler_representation, evolve_von_neumann,
                         interaction_picture_hamiltonian, interaction_term,
                         local_propagator, perturbative_delta_rho_werner,
-                        precession_angle, precession_angles, propagate,
-                        propagator_numeric, psi_integral,
+                        precession_angle, propagate, psi_integral,
                         single_spin_propagator, theta_minus, time_ordered_X,
                         validate_density_matrix)
 from .spinfield import (BoundStateParams, EffectiveField, effective_field,

@@ -11,7 +11,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, DomainError, IntegratorError
-from .simulate import SWEEPABLE, rows_to_csv, run_scenario, run_sweep
+from .simulate import SWEEPABLE, run_sweep, scenario_csv
 from .validate import run_validate
 
 
@@ -42,22 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_rows(rows, tol: float) -> None:
-    for r in rows:
-        if not (0.0 <= r.concurrence_numeric <= 1.0):
-            raise IntegratorError(
-                f"concurrence {r.concurrence_numeric} outside [0, 1] "
-                f"at t = {r.t}")
-        if r.trace_error >= 10.0 * tol:
-            raise IntegratorError(
-                f"trace error {r.trace_error:.3e} exceeds 10*tol at t = {r.t}")
-
-
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    rows = run_scenario(cfg)
-    _check_rows(rows, cfg.tol)
-    text = rows_to_csv(rows)
+    text = scenario_csv(load_config(args.config))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

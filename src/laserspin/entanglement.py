@@ -64,22 +64,26 @@ def product_state(alpha: float, beta: float) -> np.ndarray:
                    + c_n * np.kron(PAULI[3], PAULI[0]))
 
 
-def wootters_concurrence(rho: np.ndarray) -> float:
+def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Concurrence of an arbitrary two-qubit density matrix.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots
     of the eigenvalues of rho (sy x sy) rho* (sy x sy).  Invariant under
-    local unitaries; 0 for separable states, 1 for Bell states.
+    local unitaries; 0 for separable states, 1 for Bell states.  A 4x4
+    rho gives a float; an (N, 4, 4) stack gives the (N,) array of the
+    concurrences of its samples.
     """
     rho = validate_density_matrix(rho)
     rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     ev = np.linalg.eigvals(rho @ rho_tilde).real
-    if ev.min() < -_CLAMP_TOL:
-        raise InvalidStateError(
-            f"spin-flip spectrum has eigenvalue {ev.min():.3e} < -1e-10"
-        )
-    lam = np.sqrt(np.clip(np.sort(ev)[::-1], 0.0, None))
-    return min(1.0, max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])))
+    low = ev.min(axis=-1)
+    InvalidStateError.unless(
+        low >= -_CLAMP_TOL,
+        f"spin-flip spectrum has eigenvalue {low.min():.3e} < -1e-10")
+    lam = np.sqrt(np.clip(np.sort(ev, axis=-1)[..., ::-1], 0.0, None))
+    c = np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3],
+                0.0, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def _sin2_over(delta: float, t: float, scale: float) -> float:

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: ConfigError -> 2, DomainError -> 3,
 IntegratorError -> 4.
 """
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """A physics parameter is outside the admissible domain."""
@@ -11,6 +13,16 @@ class DomainError(ValueError):
 
 class InvalidStateError(DomainError):
     """A density matrix violates Hermiticity, unit trace or positivity."""
+
+    @classmethod
+    def unless(cls, ok, message: str) -> None:
+        """Raise with message unless ok holds.  ok is one bool for a single
+        matrix, or one bool per sample of a stack, and then the message
+        names the first failing sample."""
+        ok = np.asarray(ok)
+        if not ok.all():
+            where = f" at sample {int(ok.argmin())}" if ok.ndim else ""
+            raise cls(message + where)
 
 
 class ConfigError(ValueError):

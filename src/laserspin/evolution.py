@@ -3,7 +3,8 @@
 Numeric path
 ------------
 :func:`propagate` integrates the propagator dU/dt = -i H(t) U (not rho)
-by fourth-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+over a time grid and returns the (N, 4, 4) stack of U(t_k), by
+fourth-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 151 (2009)): over an interval of length h, with H0, Hm and H1 the values
 of H at its start, midpoint and end, U_step = exp(-i K) with
 
@@ -15,6 +16,9 @@ with H from the quartic through the five node values.  Every factor is
 the exponential of a Hermitian matrix, so U stays unitary to roundoff
 and rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
 structurally; only the step-control tolerance limits accuracy.
+:func:`evolve_von_neumann` forms the whole stack of states in one
+broadcast product, and :func:`validate_density_matrix` checks a single
+state or every sample of such a stack.
 
 Analytic path (linear polarization only)
 ----------------------------------------
@@ -30,8 +34,9 @@ with the precession angle the exact integral of the effective field,
 
 The residual factor obeys dX/dt = -i H'_I X with the closed form
 H'_I = W^+ H_I W, which :func:`time_ordered_X` integrates by
-:func:`propagate`.  For analysis, X splits further as
-X = exp(-i (g/4) psi(t) S) Y(t), S = sum_k sigma_k (x) sigma_k and
+:func:`propagate` over a whole time grid at once.  For analysis, X
+splits further as X = exp(-i (g/4) psi(t) S) Y(t),
+S = sum_k sigma_k (x) sigma_k and
 psi(t) = int_0^t cos(theta_minus); Y is the time-ordered exponential of
 the rotating-frame coupling
 
@@ -48,7 +53,6 @@ the integration of V over a full period, to 1e-6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,18 +87,25 @@ _PSD_TOL = -1e-10
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check the two-qubit state invariants, returning rho as complex ndarray.
 
-    Raises InvalidStateError unless rho is 4x4, Hermitian to 1e-12,
-    unit-trace to 1e-12 and PSD to -1e-10.
+    rho is a 4x4 matrix or an (N, 4, 4) stack of them.  Raises
+    InvalidStateError unless every entry is finite and every matrix is
+    Hermitian to 1e-12, unit-trace to 1e-12 and PSD to -1e-10; for a
+    stack the message names the first failing sample.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidStateError(f"density matrix must be 4x4, got {rho.shape}")
-    if hermiticity_defect(rho) > _HERM_TOL:
-        raise InvalidStateError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
-        raise InvalidStateError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < _PSD_TOL:
-        raise InvalidStateError("density matrix has a negative eigenvalue")
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise InvalidStateError(
+            f"density matrix must be 4x4 or a stack of 4x4, got {rho.shape}")
+    InvalidStateError.unless(np.isfinite(rho).all(axis=(-2, -1)),
+                             "density matrix has a non-finite entry")
+    InvalidStateError.unless(hermiticity_defect(rho) <= _HERM_TOL,
+                             "density matrix is not Hermitian")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    InvalidStateError.unless((abs(trace.real - 1.0) <= _TRACE_TOL)
+                             & (abs(trace.imag) <= _TRACE_TOL),
+                             "density matrix trace differs from 1")
+    InvalidStateError.unless(np.linalg.eigvalsh(rho).min(axis=-1) >= _PSD_TOL,
+                             "density matrix has a negative eigenvalue")
     return rho
 
 
@@ -190,41 +201,27 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     return out
 
 
-def propagator_numeric(H_of_t: HamiltonianSource, t: float,
-                       tol: float = 1e-9, t0: float = 0.0) -> np.ndarray:
-    """Unitary propagator over [t0, t] by direct integration."""
-    if t < t0:
-        raise DomainError("propagation requires t >= t0")
-    shifted = lambda s: H_of_t(s + t0)
-    return propagate(shifted, [0.0, t - t0] if t != t0 else [0.0], tol)[-1]
-
-
 def evolve_von_neumann(rho0: np.ndarray, H_of_t: HamiltonianSource,
-                       t_grid: Sequence[float], tol: float = 1e-9) -> list[np.ndarray]:
+                       t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     """Solve d rho/dt = -i [H(t), rho] on the given time grid.
 
-    Returns one density matrix per grid time (the first grid time must be
-    0 and yields the validated initial state).  States are produced by
-    conjugating rho0 with the integrated propagator, so trace and
+    Returns the (len(t_grid), 4, 4) stack of density matrices, one per
+    grid time (the first grid time must be 0 and yields the validated
+    initial state, a single 4x4 matrix).  The states are rho0 conjugated
+    with the stack of propagators in one broadcast product, so trace and
     spectrum are preserved structurally.
     """
     rho0 = validate_density_matrix(rho0)
-    return [U @ rho0 @ U.conj().T for U in propagate(H_of_t, t_grid, tol)]
+    if rho0.ndim != 2:
+        raise InvalidStateError(
+            f"initial state must be one 4x4 matrix, got {rho0.shape}")
+    Us = propagate(H_of_t, t_grid, tol)
+    return Us @ rho0 @ Us.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
 # analytic factorization, linear polarization
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrecessionAngles:
-    """Single-spin angles, their difference and the accumulated psi."""
-
-    theta_n: float
-    theta_p: float
-    theta_minus: float
-    psi: float
-
 
 def _require_linear(laser: LaserParams) -> None:
     if laser.epsilon != 0.0:
@@ -277,15 +274,6 @@ def psi_integral(t: float, laser: LaserParams, kin: KinematicParams,
     return float(half * np.sum(values @ _GL_WEIGHTS))
 
 
-def precession_angles(t: float, laser: LaserParams, kin: KinematicParams,
-                      bound: BoundStateParams) -> PrecessionAngles:
-    """Bundle (theta_n, theta_p, theta_minus, psi) at time t."""
-    tn = precession_angle(t, "n", laser, kin, bound)
-    tp = precession_angle(t, "p", laser, kin, bound)
-    return PrecessionAngles(theta_n=tn, theta_p=tp, theta_minus=tn - tp,
-                            psi=psi_integral(t, laser, kin, bound))
-
-
 def single_spin_propagator(t: float, which: str, laser: LaserParams,
                            kin: KinematicParams,
                            bound: BoundStateParams) -> np.ndarray:
@@ -333,41 +321,32 @@ def euler_representation(psi: float) -> np.ndarray:
 
 
 def interaction_term(t: float, laser: LaserParams, kin: KinematicParams,
-                     bound: BoundStateParams, psi: float | None = None) -> np.ndarray:
+                     bound: BoundStateParams) -> np.ndarray:
     """Rotating-frame coupling V(t) whose ordered exponential is Y(t).
 
-    Identically zero when Delta = 0.  psi may be passed in when already
-    accumulated by the caller; otherwise it is integrated afresh.
+    Identically zero when Delta = 0.  psi(t) is integrated afresh on
+    every call.
     """
     g = bound.g_coupling
     thm = theta_minus(t, laser, kin, bound)
-    if psi is None:
-        psi = psi_integral(t, laser, kin, bound)
+    psi = psi_integral(t, laser, kin, bound)
     return (g / 4.0) * ((1.0 - math.cos(thm)) * _S11
                         + math.sin(thm) * (math.cos(g * psi) * SIGMA_32
                                            - math.sin(g * psi) * SIGMA_10))
 
 
-def time_ordered_X(t: float, laser: LaserParams, kin: KinematicParams,
-                   bound: BoundStateParams) -> np.ndarray:
-    """Interaction-picture factor X(t) of U = W X, eps = 0 only.
+def time_ordered_X(t_grid: Sequence[float], laser: LaserParams,
+                   kin: KinematicParams, bound: BoundStateParams) -> np.ndarray:
+    """Interaction-picture factor X of U = W X on a time grid, eps = 0 only.
 
-    Integrates dX/dt = -i H'_I X, X(0) = 1, with the closed-form
-    :func:`interaction_picture_hamiltonian` by :func:`propagate` at
-    tolerance 1e-12.
+    t_grid follows the rules of :func:`propagate` and the result is the
+    (len(t_grid), 4, 4) stack.  Integrates dX/dt = -i H'_I X, X(0) = 1,
+    with the closed-form :func:`interaction_picture_hamiltonian` in one
+    :func:`propagate` run at tolerance 1e-12.
     """
     _require_linear(laser)
-    if t < 0.0:
-        raise DomainError("time_ordered_X requires t >= 0")
     H = lambda s: interaction_picture_hamiltonian(s, laser, kin, bound)
-    return propagate(H, [0.0, t] if t != 0.0 else [0.0], _X_TOL)[-1]
-
-
-def factorized_propagator(t: float, laser: LaserParams, kin: KinematicParams,
-                          bound: BoundStateParams) -> np.ndarray:
-    """Analytic propagator U(t) = W(t) X(t), eps = 0 only."""
-    return local_propagator(t, laser, kin, bound) @ time_ordered_X(
-        t, laser, kin, bound)
+    return propagate(H, t_grid, _X_TOL)
 
 
 def perturbative_delta_rho_werner(t: float, p: float, laser: LaserParams,

@@ -29,5 +29,8 @@ SIGMA_32 = antisym(3, 2)
 SIGMA_10 = antisym(1, 0)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
+def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
+    """max |m - m^+| of a matrix (a float), or of each matrix of a stack
+    (an array over the leading axes)."""
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect

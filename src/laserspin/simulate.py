@@ -18,7 +18,7 @@ import numpy as np
 from .config import InitialState, ScenarioConfig, config_to_dict
 from .entanglement import (concurrence_product_analytic,
                            concurrence_werner_analytic, wootters_concurrence)
-from .errors import ConfigError
+from .errors import ConfigError, IntegratorError
 from .evolution import propagate, validate_density_matrix
 from .pauli import IDENTITY4
 from .spinfield import spin_hamiltonian
@@ -68,7 +68,11 @@ def _analytic_concurrence(cfg: ScenarioConfig, t: float) -> float | None:
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
-    """Evolve the configured initial state and report one row per sample."""
+    """Evolve the configured initial state and report one row per sample.
+
+    Raises IntegratorError when a concurrence leaves [0, 1] or a trace
+    error reaches 10 * tol, naming the first such sample time.
+    """
     kin = modulus_from_params(cfg.laser, cfg.gamma_z)
     rho0 = validate_density_matrix(cfg.initial_state.build())
     period = 2.0 * math.pi / cfg.laser.omega_L
@@ -76,19 +80,30 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
 
     H = lambda t: spin_hamiltonian(t, cfg.laser, kin, cfg.bound)
     Us = propagate(H, t_grid, cfg.tol)
+    unitarity_error = np.abs(Us @ Us.conj().swapaxes(-1, -2)
+                             - IDENTITY4).max(axis=(-2, -1))
+    rhos = Us @ rho0 @ Us.conj().swapaxes(-1, -2)
+    # free the propagators before the concurrence allocates its
+    # temporaries, so that a long trace peaks one (N, 4, 4) stack lower
+    del Us
+    concurrence = wootters_concurrence(rhos)
+    trace_error = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
+    outside = np.flatnonzero(~((concurrence >= 0.0) & (concurrence <= 1.0)))
+    if outside.size:
+        k = outside[0]
+        raise IntegratorError(f"concurrence {concurrence[k]} outside [0, 1] "
+                              f"at t = {float(t_grid[k])}")
+    drifted = np.flatnonzero(trace_error >= 10.0 * cfg.tol)
+    if drifted.size:
+        k = drifted[0]
+        raise IntegratorError(f"trace error {trace_error[k]:.3e} exceeds "
+                              f"10*tol at t = {float(t_grid[k])}")
 
-    rows = []
-    for t, U in zip(t_grid, Us):
-        rho = U @ rho0 @ U.conj().T
-        rows.append(ResultRow(
-            t=float(t),
-            concurrence_numeric=wootters_concurrence(rho),
-            concurrence_analytic=_analytic_concurrence(cfg, float(t)),
-            purity=float(np.trace(rho @ rho).real),
-            trace_error=abs(complex(np.trace(rho)) - 1.0),
-            unitarity_error=float(np.abs(U @ U.conj().T - IDENTITY4).max()),
-        ))
-    return rows
+    times = t_grid.tolist()
+    return [ResultRow(*row) for row in zip(
+        times, concurrence.tolist(), [_analytic_concurrence(cfg, t) for t in times],
+        np.trace(rhos @ rhos, axis1=-2, axis2=-1).real.tolist(),
+        trace_error.tolist(), unitarity_error.tolist())]
 
 
 def scenario_csv(cfg: ScenarioConfig) -> str:
@@ -144,6 +159,8 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
     """
     if not values:
         raise ConfigError("sweep value grid must be nonempty")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"sweep values must be finite, got {values}")
     if param not in SWEEPABLE:
         raise ConfigError(
             f"unknown sweep parameter '{param}'; choose from {', '.join(SWEEPABLE)}")

@@ -230,6 +230,33 @@ class TestSweep:
             apply_sweep_value(cfg, "mass_n", 2.0)
 
 
+class TestInvariantChecks:
+    """simulate and sweep reject the same invariant breaches."""
+
+    @pytest.fixture
+    def drifting(self, tmp_path, monkeypatch):
+        # propagators scaled by 1 + 2.5e-13 give a trace error of 5e-13 at
+        # every sample: above 10 * tol = 2e-13, inside the 1e-12 state checks
+        exact = laserspin.simulate.propagate
+        monkeypatch.setattr("laserspin.simulate.propagate",
+                            lambda *args: (1.0 + 2.5e-13) * exact(*args))
+        return write_config(tmp_path, base_config(t_end=2.0, samples=9,
+                                                  tol=2e-14))
+
+    def test_simulate_exits_4(self, drifting, capsys):
+        assert main(["simulate", "--config", drifting]) == 4
+        assert "trace error 5.000e-13 exceeds 10*tol" in capsys.readouterr().err
+
+    def test_sweep_exits_4(self, drifting, tmp_path, capsys):
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--config", drifting, "--param", "eta",
+                     "--values", "0.1", "--jobs", "1",
+                     "--out-dir", str(out_dir)]) == 4
+        status = json.loads((out_dir / "manifest.json").read_text())[0]["status"]
+        assert "IntegratorError: trace error 5.000e-13 exceeds 10*tol" in status
+        assert not (out_dir / "point_000.csv").exists()
+
+
 class TestMainExitCodes:
     def test_simulate_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(samples=5))
@@ -270,6 +297,15 @@ class TestMainExitCodes:
         path = write_config(tmp_path, base_config(samples=5))
         assert main(["sweep", "--config", path, "--param", "eta",
                      "--values", "0.1,zap"]) == 2
+
+    @pytest.mark.parametrize("values", ["nan,inf", "0.1,-inf"])
+    def test_sweep_non_finite_values_is_2(self, tmp_path, capsys, values):
+        path = write_config(tmp_path, base_config(samples=5))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--config", path, "--param", "eta",
+                     "--values", values, "--out-dir", str(out_dir)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out_dir / "manifest.json").exists()
 
     def test_validate_filter_pass(self, capsys):
         assert main(["validate", "--filter", "euler"]) == 0

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from laserspin import (BoundStateParams, DomainError, InvalidStateError,
                        LaserParams, concurrence_product_analytic,
-                       concurrence_werner_analytic, modulus_from_params,
-                       product_state, propagate, q_factor,
+                       concurrence_werner_analytic, evolve_von_neumann,
+                       modulus_from_params, product_state, propagate, q_factor,
                        spin_hamiltonian, werner_state, wootters_concurrence)
 from laserspin.pauli import PAULI
 
@@ -139,6 +139,20 @@ class TestWoottersConcurrence:
             rho = a @ a.conj().T
             rho /= np.trace(rho).real
             assert 0.0 <= wootters_concurrence(rho) <= 1.0
+
+    def test_stack_matches_per_matrix_loop(self, bound):
+        # the 4001 states of the dense-trace benchmark drive: Werner p = 0.8
+        # at eta 0.1, eps 0.2, gtilde (4, 1), g 0.1 over one period
+        laser = LaserParams(eta=0.1, epsilon=0.2)
+        kin = modulus_from_params(laser, 1.0)
+        rhos = evolve_von_neumann(
+            werner_state(0.8), lambda t: spin_hamiltonian(t, laser, kin, bound),
+            np.linspace(0.0, 2.0 * math.pi, 4001), 1e-6)
+        stacked = wootters_concurrence(rhos)
+        assert stacked.shape == (4001,)
+        loop = [wootters_concurrence(rho) for rho in rhos]
+        assert all(isinstance(c, float) for c in loop)
+        assert np.abs(stacked - loop).max() <= 1e-15
 
 
 class TestQFactor:

@@ -7,14 +7,14 @@ from scipy.linalg import expm
 from laserspin import (BoundStateParams, DomainError, IntegratorError,
                        InvalidStateError, KinematicParams, LaserParams,
                        euler_representation, evolve_von_neumann,
-                       factorized_propagator, interaction_hamiltonian,
+                       interaction_hamiltonian,
                        interaction_picture_hamiltonian, interaction_term,
                        local_propagator, modulus_from_params,
                        perturbative_delta_rho_werner, precession_angle,
-                       precession_angles, propagate, propagator_numeric,
-                       psi_integral, single_spin_propagator, spin_hamiltonian,
+                       propagate, psi_integral, single_spin_propagator,
+                       spin_hamiltonian,
                        theta_minus, time_ordered_X, validate_density_matrix,
-                       werner_state)
+                       werner_state, wootters_concurrence)
 from laserspin.pauli import (IDENTITY4, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
                              SIGMA_DOT_SIGMA, hermiticity_defect)
 
@@ -48,12 +48,79 @@ class TestStateValidation:
         with pytest.raises(InvalidStateError):
             validate_density_matrix(rho)
 
+    @pytest.mark.parametrize("defect, message", [
+        ("hermitian", "not Hermitian"),
+        ("trace", "trace differs"),
+        ("negative", "negative eigenvalue"),
+    ])
+    def test_stack_names_failing_sample(self, defect, message):
+        rng = np.random.default_rng(3)
+        stack = np.array([random_density_matrix(rng) for _ in range(5)])
+        assert validate_density_matrix(stack).shape == (5, 4, 4)
+        if defect == "hermitian":
+            stack[3, 0, 1] += 0.1
+        elif defect == "trace":
+            stack[3] *= 1.01
+        else:
+            stack[3] = np.diag([0.6, 0.5, -0.05, -0.05])
+        with pytest.raises(InvalidStateError, match=f"{message}.* sample 3"):
+            validate_density_matrix(stack)
+
+    def test_rejects_other_shapes(self):
+        for shape in ((2, 2), (4, 4, 4, 4), (4,)):
+            with pytest.raises(InvalidStateError):
+                validate_density_matrix(np.zeros(shape))
+
+    def test_hermiticity_defect_of_a_stack(self):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        assert isinstance(hermiticity_defect(stack[0]), float)
+        assert np.array_equal(hermiticity_defect(stack),
+                              [hermiticity_defect(m) for m in stack])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+class TestNonFiniteStates:
+    """A NaN or inf entry is rejected before any comparison or LAPACK call,
+    on its own and as sample 2 of a stack."""
+
+    @staticmethod
+    def states(bad):
+        rho = werner_state(0.5)
+        rho[1, 2] = bad
+        stack = np.array([werner_state(0.5)] * 4)
+        stack[2, 1, 2] = bad
+        return rho, stack
+
+    def test_validate_density_matrix(self, bad):
+        rho, stack = self.states(bad)
+        with pytest.raises(InvalidStateError, match="non-finite entry$"):
+            validate_density_matrix(rho)
+        with pytest.raises(InvalidStateError, match="non-finite.* sample 2"):
+            validate_density_matrix(stack)
+
+    def test_wootters_concurrence(self, bad):
+        rho, stack = self.states(bad)
+        with pytest.raises(InvalidStateError, match="non-finite entry$"):
+            wootters_concurrence(rho)
+        with pytest.raises(InvalidStateError, match="non-finite.* sample 2"):
+            wootters_concurrence(stack)
+
+    def test_evolve_von_neumann(self, bad):
+        rho, stack = self.states(bad)
+        H = lambda t: np.zeros((4, 4))
+        with pytest.raises(InvalidStateError, match="non-finite entry$"):
+            evolve_von_neumann(rho, H, [0.0, 1.0], tol=1e-9)
+        with pytest.raises(InvalidStateError, match="non-finite.* sample 2"):
+            evolve_von_neumann(stack, H, [0.0, 1.0], tol=1e-9)
+
 
 class TestVonNeumann:
     def test_free_hamiltonian_freezes_state(self):
         rho0 = werner_state(0.6)
         out = evolve_von_neumann(rho0, lambda t: np.zeros((4, 4)),
                                  [0.0, 1.0, 5.0], tol=1e-9)
+        assert out.shape == (3, 4, 4)
         for rho in out:
             assert np.abs(rho - rho0).max() < 1e-12
 
@@ -117,36 +184,36 @@ class TestVonNeumann:
         # noise-like gigantic Hamiltonian defeats any step size
         H = lambda t: 1e8 * math.sin(1e25 * t + 0.5) * np.kron(SIGMA1, SIGMA0)
         with pytest.raises(IntegratorError):
-            propagator_numeric(H, 1.0, tol=1e-9)
+            propagate(H, [0.0, 1.0], 1e-9)
 
 
 class TestPropagator:
     def test_identity_at_zero(self, linear_scenario):
         laser, kin, bound = linear_scenario
         H = lambda t: spin_hamiltonian(t, laser, kin, bound)
-        assert np.abs(propagator_numeric(H, 0.0, tol=1e-9) - IDENTITY4).max() == 0.0
+        assert np.abs(propagate(H, [0.0], 1e-9)[-1] - IDENTITY4).max() == 0.0
 
     def test_constant_hamiltonian_spectral_oracle(self, bound):
         Hc = interaction_hamiltonian(bound) + 0.3 * np.kron(SIGMA1, SIGMA0)
         t = 2.7
         w, V = np.linalg.eigh(Hc)
         exact = (V * np.exp(-1j * t * w)) @ V.conj().T
-        U = propagator_numeric(lambda s: Hc, t, tol=1e-10)
+        U = propagate(lambda s: Hc, [0.0, t], 1e-10)[-1]
         assert np.abs(U - exact).max() < 1e-10
 
     def test_unitarity(self, linear_scenario):
         laser, kin, bound = linear_scenario
         H = lambda t: spin_hamiltonian(t, laser, kin, bound)
-        U = propagator_numeric(H, 5.0, tol=1e-9)
+        U = propagate(H, [0.0, 5.0], 1e-9)[-1]
         assert np.abs(U @ U.conj().T - IDENTITY4).max() < 1e-10
 
     def test_composition(self, linear_scenario):
         laser, kin, bound = linear_scenario
         H = lambda t: spin_hamiltonian(t, laser, kin, bound)
         t1, t2 = 1.7, 4.1
-        U_full = propagator_numeric(H, t2, tol=1e-10)
-        U_a = propagator_numeric(H, t1, tol=1e-10)
-        U_b = propagator_numeric(H, t2, tol=1e-10, t0=t1)
+        U_full = propagate(H, [0.0, t2], 1e-10)[-1]
+        U_a = propagate(H, [0.0, t1], 1e-10)[-1]
+        U_b = propagate(lambda s: H(s + t1), [0.0, t2 - t1], 1e-10)[-1]
         assert np.abs(U_b @ U_a - U_full).max() < 1e-9
 
     def test_dense_output_matches_landing_runs(self):
@@ -240,9 +307,9 @@ class TestPrecessionAngles:
             sn = jacobi(kin.omega_L_prime * t, kin.mu).sn
             expected = 0.5 * laser.eta * bound.Delta * sn
             assert theta_minus(t, laser, kin, bound) == pytest.approx(expected)
-            angles = precession_angles(t, laser, kin, bound)
-            assert angles.theta_minus == pytest.approx(
-                angles.theta_n - angles.theta_p, abs=1e-15)
+            assert theta_minus(t, laser, kin, bound) == pytest.approx(
+                precession_angle(t, "n", laser, kin, bound)
+                - precession_angle(t, "p", laser, kin, bound), abs=1e-15)
 
     def test_psi_accumulation(self, linear_scenario):
         laser, kin, bound = linear_scenario
@@ -342,25 +409,25 @@ class TestEulerRepresentation:
 class TestTimeOrderedX:
     def test_identity_at_zero(self, linear_scenario):
         laser, kin, bound = linear_scenario
-        assert np.abs(time_ordered_X(0.0, laser, kin, bound) - IDENTITY4).max() \
-            == 0.0
+        assert np.abs(time_ordered_X([0.0], laser, kin, bound)[-1]
+                      - IDENTITY4).max() == 0.0
 
     def test_equal_ratios_close_analytically(self):
         # Delta = 0: V vanishes, psi = t, X = exp(-i (g/4) t Sigma)
         g = 0.08
         laser, kin, bound = linear(0.4, 2.0, 2.0, g)
         for t in (0.9, 5.3):
-            X = time_ordered_X(t, laser, kin, bound)
+            X = time_ordered_X([0.0, t], laser, kin, bound)[-1]
             assert np.abs(X - euler_representation(-0.25 * g * t)).max() < 1e-10
 
     def test_unitary_with_small_doubling_error(self):
         laser, kin, bound = linear(0.2, 3.0, 2.0, 0.05)
         t = 4.0
-        X = time_ordered_X(t, laser, kin, bound)
+        X = time_ordered_X([0.0, t], laser, kin, bound)[-1]
         assert np.abs(X @ X.conj().T - IDENTITY4).max() < 1e-10
         # X = W^+ U, with U integrated directly from H_S
         H = lambda s: spin_hamiltonian(s, laser, kin, bound)
-        U = propagator_numeric(H, t, tol=1e-12)
+        U = propagate(H, [0.0, t], 1e-12)[-1]
         W = local_propagator(t, laser, kin, bound)
         assert np.abs(X - W.conj().T @ U).max() < 1e-8
 
@@ -374,21 +441,45 @@ class TestTimeOrderedX:
             Y = propagate(V, [0.0, t], 1e-12)[-1]
             psi = psi_integral(t, laser, kin, bound)
             split = euler_representation(-0.25 * g * psi) @ Y
-            assert np.abs(split - time_ordered_X(t, laser, kin, bound)).max() \
-                < 1e-8
+            X = time_ordered_X([0.0, t], laser, kin, bound)[-1]
+            assert np.abs(split - X).max() < 1e-8
 
     def test_factorization_against_direct_integration(self):
         laser, kin, bound = linear(0.2, 3.0, 2.0, 0.05)
         H = lambda t: spin_hamiltonian(t, laser, kin, bound)
         for t in (1.5, 2.0 * math.pi):
-            U = propagator_numeric(H, t, tol=1e-9)
-            WX = factorized_propagator(t, laser, kin, bound)
+            U = propagate(H, [0.0, t], 1e-9)[-1]
+            WX = local_propagator(t, laser, kin, bound) @ time_ordered_X(
+                [0.0, t], laser, kin, bound)[-1]
             assert np.abs(U - WX).max() < 1e-6
+
+    def test_grid_matches_per_time_runs(self, monkeypatch):
+        # one run over a 9-point period grid gives every X(t_k), at the
+        # cost of the single run over [0, T]
+        laser, kin, bound = linear(0.2, 2.0, 0.5, 0.08)
+        calls = []
+        closed_form = interaction_picture_hamiltonian
+
+        def counted(*args):
+            calls.append(args[0])
+            return closed_form(*args)
+        monkeypatch.setattr("laserspin.evolution.interaction_picture_hamiltonian",
+                            counted)
+        grid = np.linspace(0.0, 2.0 * math.pi, 9)
+        Xs = time_ordered_X(grid, laser, kin, bound)
+        grid_calls = len(calls)
+        assert Xs.shape == (9, 4, 4)
+        calls.clear()
+        time_ordered_X([0.0, grid[-1]], laser, kin, bound)
+        assert grid_calls == len(calls)
+        for t, X in zip(grid[1:-1], Xs[1:-1]):
+            single = time_ordered_X([0.0, t], laser, kin, bound)[-1]
+            assert np.abs(X - single).max() < 1e-10
 
     def test_rejects_negative_time(self, linear_scenario):
         laser, kin, bound = linear_scenario
         with pytest.raises(DomainError):
-            time_ordered_X(-1.0, laser, kin, bound)
+            time_ordered_X([0.0, -1.0], laser, kin, bound)
 
 
 class TestPerturbativeWernerChange:
