@@ -2,9 +2,11 @@
 
 Everything is computed from scratch with the descending Landen / AGM
 recursion (absolute tolerance 1e-14, hard cap of 32 iterations), for a
-real argument u and a modulus mu in the fundamental domain 0 <= mu < 1.
-No special-function library is involved, so these routines can be checked
-against independent quadrature oracles.
+modulus mu in the fundamental domain 0 <= mu < 1 and a real argument u,
+a float (giving floats) or an ndarray (giving arrays of its shape): the
+recursion loops over the AGM levels of mu, not over the elements of u.
+No special-function library is involved, so these routines can be
+checked against independent quadrature oracles.
 
 Conventions: the modulus mu (not the parameter m = mu**2) is passed
 everywhere.  am(u) is returned unwrapped: am(u + 2K) = am(u) + pi with no
@@ -18,6 +20,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError
 
 _AGM_TOL = 1e-14
@@ -25,9 +29,9 @@ _AGM_MAX_ITER = 32
 
 
 class JacobiTriple(NamedTuple):
-    sn: float
-    cn: float
-    dn: float
+    sn: float | np.ndarray
+    cn: float | np.ndarray
+    dn: float | np.ndarray
 
 
 def _check_mu(mu: float) -> float:
@@ -65,59 +69,54 @@ def complete_K(mu: float) -> float:
     return _agm_table(mu)[2]
 
 
-def _am_core(u: float, mu: float) -> float:
-    """Amplitude for 0 <= u < 2K by descending Landen transformation."""
-    a_seq, c_seq, _ = _agm_table(mu)
-    n = len(a_seq) - 1
-    phi = (2.0 ** n) * a_seq[n] * u
-    for k in range(n, 0, -1):
-        s = c_seq[k] / a_seq[k] * math.sin(phi)
-        # roundoff can push |s| infinitesimally past 1
-        s = max(-1.0, min(1.0, s))
-        phi = 0.5 * (phi + math.asin(s))
-    return phi
+def _check(u, mu: float) -> tuple[np.ndarray, float]:
+    mu = _check_mu(mu)
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise DomainError(
+            f"argument u must be finite, got {u[~np.isfinite(u)][0]}")
+    return u, mu
 
 
-def _reduce(u: float, mu: float) -> tuple[int, float, float]:
-    """Split u = 2nK + u_r with u_r in [0, 2K); returns (n, u_r, K)."""
-    K = _agm_table(mu)[2]
-    n = math.floor(u / (2.0 * K))
-    u_r = u - 2.0 * n * K
-    return n, u_r, K
+def _landen(u: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """n and am(u_r) by descending Landen, for u = 2nK + u_r, 0 <= u_r < 2K."""
+    a_seq, c_seq, K = _agm_table(mu)
+    n = np.floor(u / (2.0 * K))
+    levels = len(a_seq) - 1
+    phi = (2.0 ** levels) * a_seq[levels] * (u - 2.0 * n * K)
+    for k in range(levels, 0, -1):
+        # no clamp: c_k / a_k = (a - b) / (a + b) < 1 in floating point, as
+        # b >= sqrt(1 - mu^2) >= 1.5e-8 for every accepted mu, and |sin| <= 1
+        phi = 0.5 * (phi + np.arcsin(c_seq[k] / a_seq[k] * np.sin(phi)))
+    return n, phi
 
 
-def jacobi_am(u: float, mu: float) -> float:
-    """Unwrapped Jacobi amplitude am(u, mu).
+def jacobi_am(u, mu: float):
+    """Unwrapped Jacobi amplitude am(u, mu), elementwise over u.
 
     Continuous and monotone increasing in u, am(0) = 0, and
     am(u + 2K) = am(u) + pi.  The half-period count is accumulated from
     floor(u / 2K) so no arcsin branch wrapping ever occurs.
     """
-    mu = _check_mu(mu)
-    u = float(u)
-    if math.isnan(u) or math.isinf(u):
-        raise DomainError(f"argument u must be finite, got {u}")
+    u, mu = _check(u, mu)
     if mu == 0.0:
-        return u
-    n, u_r, _ = _reduce(u, mu)
-    return n * math.pi + _am_core(u_r, mu)
+        return 1.0 * u      # a copy, never a view of the caller's array
+    n, phi = _landen(u, mu)
+    return n * np.pi + phi
 
 
-def jacobi(u: float, mu: float) -> JacobiTriple:
-    """Jacobi elliptic triple (sn, cn, dn) at argument u, modulus mu.
+def jacobi(u, mu: float) -> JacobiTriple:
+    """Jacobi elliptic triple (sn, cn, dn) at argument u, modulus mu,
+    elementwise over u.
 
     Satisfies sn**2 + cn**2 = 1 and dn**2 + mu**2 sn**2 = 1; sn is odd
     and cn, dn even in u; sn, cn have period 4K and dn period 2K.
     """
-    mu = _check_mu(mu)
-    u = float(u)
-    if math.isnan(u) or math.isinf(u):
-        raise DomainError(f"argument u must be finite, got {u}")
+    u, mu = _check(u, mu)
     if mu == 0.0:
-        return JacobiTriple(math.sin(u), math.cos(u), 1.0)
-    n, u_r, _ = _reduce(u, mu)
-    phi = _am_core(u_r, mu)
-    sign = -1.0 if n % 2 else 1.0
-    s, c = math.sin(phi), math.cos(phi)
-    dn = math.sqrt(1.0 - (mu * s) * (mu * s))
-    return JacobiTriple(sign * s, sign * c, dn)
+        return JacobiTriple(np.sin(u), np.cos(u), np.ones_like(u)[()])
+    n, phi = _landen(u, mu)
+    sign = 1.0 - 2.0 * (n % 2.0)
+    s = np.sin(phi)
+    dn = np.sqrt(1.0 - (mu * s) * (mu * s))
+    return JacobiTriple(sign * s, sign * np.cos(phi), dn)

@@ -231,9 +231,10 @@ def _require_linear(laser: LaserParams) -> None:
         )
 
 
-def precession_angle(t: float, which: str, laser: LaserParams,
-                     kin: KinematicParams, bound: BoundStateParams) -> float:
-    """Exact accumulated precession angle theta^(i)(t), eps = 0 only.
+def precession_angle(t, which: str, laser: LaserParams,
+                     kin: KinematicParams, bound: BoundStateParams):
+    """Exact accumulated precession angle theta^(i)(t), eps = 0 only,
+    at a float time or elementwise over an array of times.
 
     This is the running integral of the x-component of the effective
     field; at gamma_z = 1 it reduces to
@@ -246,9 +247,10 @@ def precession_angle(t: float, which: str, laser: LaserParams,
     return 0.5 * eta * ((gt + 1.0) * sn - gz * _asinc(mu, sn))
 
 
-def theta_minus(t: float, laser: LaserParams, kin: KinematicParams,
-                bound: BoundStateParams) -> float:
-    """Angle difference theta^(n) - theta^(p) = (eta Delta / 2) sn(u, mu)."""
+def theta_minus(t, laser: LaserParams, kin: KinematicParams,
+                bound: BoundStateParams):
+    """Angle difference theta^(n) - theta^(p) = (eta Delta / 2) sn(u, mu),
+    at a float time or elementwise over an array of times."""
     _require_linear(laser)
     sn = jacobi(kin.omega_L_prime * t, kin.mu).sn
     return 0.5 * laser.eta * bound.Delta * sn
@@ -266,11 +268,9 @@ def psi_integral(t: float, laser: LaserParams, kin: KinematicParams,
     quarter = complete_K(kin.mu) / kin.omega_L_prime
     amplitude = 0.5 * abs(laser.eta * bound.Delta)
     n_panels = max(1, math.ceil(abs(t) / quarter * (1.0 + amplitude)))
-    edges = np.linspace(0.0, t, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_NODES
-    values = np.cos([theta_minus(float(s), laser, kin, bound)
-                     for s in nodes.ravel()]).reshape(nodes.shape)
+    half = 0.5 * t / n_panels
+    nodes = half * (2.0 * np.arange(n_panels)[:, None] + 1.0 + _GL_NODES)
+    values = np.cos(theta_minus(nodes, laser, kin, bound))
     return float(half * np.sum(values @ _GL_WEIGHTS))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 from .config import InitialState, ScenarioConfig, config_to_dict
 from .entanglement import (concurrence_product_analytic,
                            concurrence_werner_analytic, wootters_concurrence)
-from .errors import ConfigError, IntegratorError
+from .errors import ConfigError, IntegratorError, InvalidStateError
 from .evolution import propagate, validate_density_matrix
 from .pauli import IDENTITY4
 from .spinfield import spin_hamiltonian
@@ -70,8 +71,9 @@ def _analytic_concurrence(cfg: ScenarioConfig, t: float) -> float | None:
 def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     """Evolve the configured initial state and report one row per sample.
 
-    Raises IntegratorError when a concurrence leaves [0, 1] or a trace
-    error reaches 10 * tol, naming the first such sample time.
+    Raises IntegratorError when a propagated state fails the state
+    checks, a concurrence leaves [0, 1] or a trace error reaches 10 * tol,
+    naming the first such sample.
     """
     kin = modulus_from_params(cfg.laser, cfg.gamma_z)
     rho0 = validate_density_matrix(cfg.initial_state.build())
@@ -86,7 +88,11 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     # free the propagators before the concurrence allocates its
     # temporaries, so that a long trace peaks one (N, 4, 4) stack lower
     del Us
-    concurrence = wootters_concurrence(rhos)
+    try:
+        concurrence = wootters_concurrence(rhos)
+    except InvalidStateError as exc:
+        # rho0 passed the same checks, so the propagation broke the state
+        raise IntegratorError(f"propagated state: {exc}") from exc
     trace_error = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
     outside = np.flatnonzero(~((concurrence >= 0.0) & (concurrence <= 1.0)))
     if outside.size:
@@ -155,7 +161,8 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
 
     Outputs are deterministic and independent of the parallelism degree:
     workers only compute CSV text, all files are written sequentially in
-    grid order by the caller.
+    grid order by the caller.  jobs > 1 runs the points in a process pool
+    of at most min(jobs, len(values), cpu count) workers.
     """
     if not values:
         raise ConfigError("sweep value grid must be nonempty")
@@ -172,7 +179,8 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
     if jobs <= 1:
         results = [_sweep_point(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(values), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     results.sort(key=lambda r: r[0])
 

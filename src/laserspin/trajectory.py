@@ -15,6 +15,10 @@ by gamma_z = 1 - v_z(0)) the laser phase seen by the particle is
 w_L xi(t) = am(u, mu), and the trajectory closes in terms of sn, cn, dn.
 The modulus is fixed by gamma_z^2 mu^2 = (1 - 2 eps^2) eta^2.
 
+A time t (or xi) is a float, giving a (3,) vector or a float, or an array
+of shape S, giving S + (3,) vectors or an S array; positions x carry
+their components on a last axis of length 3.
+
 Sign convention: the closed forms below require q * a = eta * M, i.e. the
 trajectory is written for amplitude a = eta * M / q.  The Lorentz residual
 and the first-principles precession cross-check both pin this choice.
@@ -103,23 +107,23 @@ def motion_period(kin: KinematicParams) -> float:
     return 4.0 * complete_K(kin.mu) / kin.omega_L_prime
 
 
-def _asinc(mu: float, s: float) -> float:
+def _asinc(mu: float, s):
     """arcsin(mu * s) / mu, stable through mu -> 0."""
     if mu < _MU_SERIES_TOL:
         m2 = mu * mu
         return s * (1.0 + m2 * s * s / 6.0 + 3.0 * m2 * m2 * s**4 / 40.0)
-    return math.asin(mu * s) / mu
+    return np.arcsin(mu * s) / mu
 
 
-def _logterm(mu: float, cn: float, dn: float) -> float:
+def _logterm(mu: float, cn, dn):
     """ln((mu*cn + dn)/(1 + mu)) / mu, stable through mu -> 0."""
     if mu < _MU_SERIES_TOL:
         sn2 = 1.0 - cn * cn
         return (cn - 1.0) + mu * mu * (cn * sn2 / 2.0 + cn**3 / 3.0 - 1.0 / 3.0)
-    return math.log((mu * cn + dn) / (1.0 + mu)) / mu
+    return np.log((mu * cn + dn) / (1.0 + mu)) / mu
 
 
-def com_position(t: float, laser: LaserParams, kin: KinematicParams) -> np.ndarray:
+def com_position(t, laser: LaserParams, kin: KinematicParams) -> np.ndarray:
     """Center-of-mass position (R_x, R_y, R_z) at lab time t, R(0) = 0.
 
     R_x and R_y are the arcsin/log closed forms of the transverse motion;
@@ -133,59 +137,58 @@ def com_position(t: float, laser: LaserParams, kin: KinematicParams) -> np.ndarr
     rx = -(eta * eps / (gz * w)) * _asinc(mu, sn)
     ry = (eta * math.sqrt(1.0 - eps * eps) / (gz * w)) * _logterm(mu, cn, dn)
     rz = t - jacobi_am(u, mu) / w
-    return np.array([rx, ry, rz])
+    return np.stack([rx, ry, rz], axis=-1)
 
 
-def com_velocity(t: float, laser: LaserParams, kin: KinematicParams) -> np.ndarray:
+def com_velocity(t, laser: LaserParams, kin: KinematicParams) -> np.ndarray:
     """Exact analytic time derivative of com_position."""
     eta, eps = laser.eta, laser.epsilon
     sn, cn, dn = jacobi(kin.omega_L_prime * t, kin.mu)
-    return np.array([
+    return np.stack([
         -eta * eps * cn,
         -eta * math.sqrt(1.0 - eps * eps) * sn,
         1.0 - kin.gamma_z * dn,
-    ])
+    ], axis=-1)
 
 
-def com_acceleration(t: float, laser: LaserParams, kin: KinematicParams) -> np.ndarray:
+def com_acceleration(t, laser: LaserParams, kin: KinematicParams) -> np.ndarray:
     """Exact analytic second derivative of com_position."""
     eta, eps = laser.eta, laser.epsilon
     wp, gz, mu = kin.omega_L_prime, kin.gamma_z, kin.mu
     sn, cn, dn = jacobi(wp * t, mu)
-    return np.array([
+    return np.stack([
         eta * eps * wp * sn * dn,
         -eta * math.sqrt(1.0 - eps * eps) * wp * cn * dn,
         gz * mu * mu * wp * sn * cn,
-    ])
+    ], axis=-1)
 
 
-def vector_potential(xi: float, laser: LaserParams, amplitude: float) -> np.ndarray:
+def vector_potential(xi, laser: LaserParams, amplitude: float) -> np.ndarray:
     """Transverse vector potential A(xi) of the wave, xi = t - z."""
     ph = laser.omega_L * xi
     eps = laser.epsilon
-    return np.array([
-        amplitude * eps * math.cos(ph),
-        amplitude * math.sqrt(1.0 - eps * eps) * math.sin(ph),
-        0.0,
-    ])
+    return np.stack([
+        amplitude * eps * np.cos(ph),
+        amplitude * math.sqrt(1.0 - eps * eps) * np.sin(ph),
+        np.zeros_like(ph),
+    ], axis=-1)
 
 
-def wave_fields(t: float, x: np.ndarray, laser: LaserParams,
+def wave_fields(t, x: np.ndarray, laser: LaserParams,
                 amplitude: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Electric and magnetic fields of the wave at event (t, x).
 
     E = -dA/dt, B = curl A; both depend on (t, x) only through xi = t - z,
     are transverse, equal in magnitude, and satisfy B = z_hat x E.
     """
-    xi = t - float(x[2])
-    ph = laser.omega_L * xi
+    ph = laser.omega_L * (t - np.asarray(x, dtype=float)[..., 2])
     eps = laser.epsilon
     e0 = amplitude * laser.omega_L
-    E = np.array([e0 * eps * math.sin(ph),
-                  -e0 * math.sqrt(1.0 - eps * eps) * math.cos(ph),
-                  0.0])
-    B = np.array([-E[1], E[0], 0.0])
-    return E, B
+    ex = e0 * eps * np.sin(ph)
+    ey = -e0 * math.sqrt(1.0 - eps * eps) * np.cos(ph)
+    zero = np.zeros_like(ex)
+    return (np.stack([ex, ey, zero], axis=-1),
+            np.stack([-ey, ex, zero], axis=-1))
 
 
 def field_amplitude(laser: LaserParams, total_mass: float, charge: float) -> float:
@@ -195,8 +198,7 @@ def field_amplitude(laser: LaserParams, total_mass: float, charge: float) -> flo
     return laser.eta * total_mass / charge
 
 
-def plane_wave_invariant(t: float, laser: LaserParams,
-                         kin: KinematicParams) -> float:
+def plane_wave_invariant(t, laser: LaserParams, kin: KinematicParams):
     """Light-front integral of motion of the Newtonian plane-wave dynamics.
 
     K = |v|^2 / 2 - v_z is exactly conserved by M dv/dt = q(E + v x B)
@@ -204,11 +206,10 @@ def plane_wave_invariant(t: float, laser: LaserParams,
     of the relativistic invariant c^2 [gamma(1 - v_z/c) - 1]).
     """
     v = com_velocity(t, laser, kin)
-    return 0.5 * float(v @ v) - float(v[2])
+    return 0.5 * np.sum(v * v, axis=-1) - v[..., 2]
 
 
-def lorentz_residual(t: float, laser: LaserParams, kin: KinematicParams,
-                     bound) -> float:
+def lorentz_residual(t, laser: LaserParams, kin: KinematicParams, bound):
     """Max-norm residual of M dv/dt = q(E + v x B) along the trajectory.
 
     `bound` is any record exposing the total mass M_B and net charge
@@ -224,7 +225,7 @@ def lorentz_residual(t: float, laser: LaserParams, kin: KinematicParams,
     acc = com_acceleration(t, laser, kin)
     E, B = wave_fields(t, pos, laser, a)
     force = (charge / mass) * (E + np.cross(v, B))
-    return float(np.abs(acc - force).max()) / laser.omega_L
+    return np.abs(acc - force).max(axis=-1) / laser.omega_L
 
 
 def generating_function(xi: float, Pi_perp: np.ndarray, Pi_z: float,
@@ -254,20 +255,18 @@ def generating_function(xi: float, Pi_perp: np.ndarray, Pi_z: float,
     px, py = float(Pi_perp[0]), float(Pi_perp[1])
     base = (mass - Pi_z) ** 2
 
-    def radicand(u: float) -> float:
+    def radicand(u):
         A = vector_potential(u, laser, amplitude)
-        W = -(charge**2) * (A[0]**2 + A[1]**2) + 2.0 * charge * (A[0]*px + A[1]*py)
+        ax, ay = A[..., 0], A[..., 1]
+        W = -(charge**2) * (ax**2 + ay**2) + 2.0 * charge * (ax*px + ay*py)
         return base + W
 
     # scan for a non-real integrand before spending quadrature effort
-    if xi != 0.0:
-        probes = np.linspace(0.0, xi, 257)
-        vals = [radicand(float(u)) for u in probes]
-        if min(vals) < 0.0:
-            raise DomainError(
-                "generating-function integrand is non-real: "
-                "W < -(m - Pi_z)^2 somewhere on [0, xi]"
-            )
+    if xi != 0.0 and radicand(np.linspace(0.0, xi, 257)).min() < 0.0:
+        raise DomainError(
+            "generating-function integrand is non-real: "
+            "W < -(m - Pi_z)^2 somewhere on [0, xi]"
+        )
     integral, _ = quad(lambda u: math.sqrt(max(radicand(u), 0.0)),
                        0.0, xi, epsabs=tol, epsrel=0.0, limit=400)
     return -(mass - Pi_z) * xi + integral

@@ -229,6 +229,34 @@ class TestSweep:
         with pytest.raises(ConfigError):
             apply_sweep_value(cfg, "mass_n", 2.0)
 
+    def test_pool_sized_by_work(self, tmp_path, monkeypatch):
+        # a serial stand-in records the pool size; no real pool is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("laserspin.simulate.ProcessPoolExecutor", SerialPool)
+        cfg = config_from_dict(base_config(samples=3))
+        five = [0.02, 0.04, 0.06, 0.08, 0.1]
+        for cpus, jobs, values in ((4, 100000, [0.1]), (4, 3, five),
+                                   (4, 100000, five), (None, 8, five[:2])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            manifest = run_sweep(cfg, "eta", values, jobs,
+                                 str(tmp_path / f"{cpus}_{jobs}_{len(values)}"))
+            assert all(m["status"] == "ok" for m in manifest)
+        assert sizes == [1, 3, 4, 1]
+
 
 class TestInvariantChecks:
     """simulate and sweep reject the same invariant breaches."""
@@ -255,6 +283,30 @@ class TestInvariantChecks:
         status = json.loads((out_dir / "manifest.json").read_text())[0]["status"]
         assert "IntegratorError: trace error 5.000e-13 exceeds 10*tol" in status
         assert not (out_dir / "point_000.csv").exists()
+
+    @pytest.fixture
+    def broken(self, tmp_path, monkeypatch):
+        # propagators scaled by 1 + 1e-11 give a trace error of 2e-11: far
+        # inside 10 * tol = 1e-5, outside the 1e-12 state checks
+        exact = laserspin.simulate.propagate
+        monkeypatch.setattr("laserspin.simulate.propagate",
+                            lambda *args: (1.0 + 1e-11) * exact(*args))
+        return write_config(tmp_path, base_config(t_end=2.0, samples=9,
+                                                  tol=1e-6))
+
+    def test_simulate_broken_state_exits_4(self, broken, capsys):
+        assert main(["simulate", "--config", broken]) == 4
+        assert ("integrator error: propagated state: density matrix trace "
+                "differs from 1 at sample 0") in capsys.readouterr().err
+
+    def test_sweep_broken_state_exits_4(self, broken, tmp_path, capsys):
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--config", broken, "--param", "eta",
+                     "--values", "0.1", "--jobs", "1",
+                     "--out-dir", str(out_dir)]) == 4
+        status = json.loads((out_dir / "manifest.json").read_text())[0]["status"]
+        assert ("IntegratorError: propagated state: density matrix trace "
+                "differs from 1 at sample 0") in status
 
 
 class TestMainExitCodes:

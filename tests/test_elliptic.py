@@ -149,3 +149,43 @@ class TestAmplitude:
         sn, cn, _ = jacobi(u, mu)
         assert math.sin(am) == pytest.approx(sn, abs=1e-11)
         assert math.cos(am) == pytest.approx(cn, abs=1e-11)
+
+
+GRID_MODULI = [0.0, 0.5, float(np.nextafter(1.0, 0.0))]
+
+
+class TestArrayArgument:
+    @pytest.mark.parametrize("mu", GRID_MODULI)
+    def test_grid_matches_per_element_calls(self, mu):
+        K = complete_K(mu)
+        u = np.linspace(-9.0 * K, 9.0 * K, 2001)
+        loop = np.array([jacobi(x, mu) for x in u.tolist()])
+        loop_am = np.array([jacobi_am(x, mu) for x in u.tolist()])
+        for grid in (u, u.reshape(23, 87)):
+            triple = jacobi(grid, mu)
+            am = jacobi_am(grid, mu)
+            assert all(f.shape == grid.shape for f in (*triple, am))
+            assert np.abs(np.stack(triple, axis=-1).reshape(-1, 3)
+                          - loop).max() <= 1e-15
+            assert np.abs(am.ravel() - loop_am).max() <= 1e-15
+
+    @pytest.mark.parametrize("mu", GRID_MODULI)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_element_rejected(self, mu, bad):
+        u = np.linspace(-3.0, 3.0, 7)
+        u[4] = bad
+        for fn in (jacobi, jacobi_am):
+            with pytest.raises(DomainError, match="finite"):
+                fn(u, mu)
+
+    def test_extreme_modulus_stays_finite(self):
+        # the Landen descent takes arcsin without a clamp; at the largest
+        # accepted mu its argument must still stay inside [-1, 1]
+        mu = GRID_MODULI[-1]
+        K = complete_K(mu)
+        u = np.concatenate([np.linspace(-9.0 * K, 9.0 * K, 2001),
+                            K * (1.0 + np.arange(-8, 9) * 2.0 ** -40)])
+        sn, cn, dn = jacobi(u, mu)
+        assert np.isfinite([sn, cn, dn, jacobi_am(u, mu)]).all()
+        assert np.abs(sn * sn + cn * cn - 1.0).max() <= 1e-15
+        assert np.abs(dn * dn + (mu * sn) ** 2 - 1.0).max() <= 1e-15

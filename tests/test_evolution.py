@@ -335,6 +335,31 @@ class TestPrecessionAngles:
             assert psi_integral(t, laser, kin, bound) \
                 == pytest.approx(ref, abs=1e-12)
 
+    def test_psi_integral_makes_one_jacobi_call(self, monkeypatch):
+        import laserspin.evolution
+        exact = laserspin.evolution.jacobi
+        shapes = []
+
+        def counting(u, mu):
+            shapes.append(np.shape(u))
+            return exact(u, mu)
+
+        monkeypatch.setattr(laserspin.evolution, "jacobi", counting)
+        laser, kin, bound = linear(0.2, 2.0, 0.5, 0.1)   # Delta = 1.5
+        psi_integral(2.0 * math.pi, laser, kin, bound)
+        assert len(shapes) == 1 and len(shapes[0]) == 2
+
+    def test_angles_on_a_grid_match_per_time_calls(self, linear_scenario):
+        laser, kin, bound = linear_scenario
+        t = np.linspace(-3.0, 9.0, 600).reshape(20, 30)
+        for angle in (lambda s: theta_minus(s, laser, kin, bound),
+                      lambda s: precession_angle(s, "n", laser, kin, bound),
+                      lambda s: precession_angle(s, "p", laser, kin, bound)):
+            grid = angle(t)
+            assert grid.shape == t.shape
+            loop = np.array([angle(s) for s in t.ravel().tolist()])
+            assert np.abs(grid.ravel() - loop).max() <= 1e-15
+
 
 class TestSingleSpinPropagator:
     def test_identity_at_zero(self, linear_scenario):

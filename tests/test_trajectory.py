@@ -231,6 +231,37 @@ class TestLorentzResidual:
             assert max(drifts) - min(drifts) < 2.0 * kin.mu**4
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("eta,eps,gz", [
+        (0.8, 0.3, 1.2),
+        (5e-5, 0.3, 1.0),      # mu < 1e-4: the series branch
+    ])
+    def test_grid_matches_per_time_calls(self, bound, eta, eps, gz):
+        laser = LaserParams(eta=eta, epsilon=eps)
+        kin = modulus_from_params(laser, gz)
+        t = np.linspace(0.0, motion_period(kin), 1000)
+        x = com_position(t, laser, kin)
+        fields = {
+            "position": lambda s: com_position(s, laser, kin),
+            "velocity": lambda s: com_velocity(s, laser, kin),
+            "acceleration": lambda s: com_acceleration(s, laser, kin),
+            "potential": lambda s: vector_potential(s, laser, 1.3),
+            "invariant": lambda s: plane_wave_invariant(s, laser, kin),
+            "residual": lambda s: lorentz_residual(s, laser, kin, bound),
+        }
+        for name, f in fields.items():
+            grid = f(t)
+            loop = np.array([f(s) for s in t.tolist()])
+            assert grid.shape == loop.shape == (
+                (1000,) if name in ("invariant", "residual") else (1000, 3)), name
+            assert np.abs(grid - loop).max() <= 1e-15, name
+        E, B = wave_fields(t, x, laser, 1.3)
+        loop = [wave_fields(s, xs, laser, 1.3) for s, xs in zip(t.tolist(), x)]
+        assert E.shape == B.shape == (1000, 3)
+        assert np.abs(E - np.array([e for e, _ in loop])).max() <= 1e-15
+        assert np.abs(B - np.array([b for _, b in loop])).max() <= 1e-15
+
+
 class TestWaveFields:
     def test_linear_x_polarization(self):
         laser = LaserParams(eta=0.4, epsilon=1.0)
