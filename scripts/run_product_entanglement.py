@@ -4,7 +4,9 @@
 Runs the antiparallel boundary product state (alpha = 0, beta = 1) under
 an elliptically polarized drive, where the exact evolution crosses the
 separability boundary within a few periods, and writes the concurrence
-trace together with the leading-order growth estimate.
+trace together with the leading-order growth estimate.  The drive is
+periodic in the motion period, so one motion period is integrated and
+the later samples are composed from it.
 
 Usage: python scripts/run_product_entanglement.py [out.csv]
 """
@@ -16,8 +18,8 @@ import numpy as np
 
 from laserspin import (BoundStateParams, LaserParams,
                        concurrence_product_analytic, evolve_von_neumann,
-                       modulus_from_params, product_state, spin_hamiltonian,
-                       wootters_concurrence)
+                       modulus_from_params, motion_period, product_state,
+                       spin_hamiltonian, wootters_concurrence)
 
 ALPHA, BETA = 0.0, 1.0
 ETA, EPSILON = 0.5, 0.3
@@ -33,7 +35,8 @@ def main(out_path="product_entanglement.csv"):
     times = np.linspace(0.0, PERIODS * 2.0 * math.pi, PERIODS * 40 + 1)
     cs = wootters_concurrence(evolve_von_neumann(
         product_state(ALPHA, BETA),
-        lambda t: spin_hamiltonian(t, laser, kin, bound), times, 1e-8))
+        lambda t: spin_hamiltonian(t, laser, kin, bound), times, 1e-8,
+        motion_period(kin)))
     lines = ["t_over_period,concurrence_numeric,concurrence_leading_order"]
     for t, c in zip(times.tolist(), cs.tolist()):
         ca = concurrence_product_analytic(t, ALPHA, BETA, ETA,

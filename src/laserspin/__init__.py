@@ -3,7 +3,8 @@
 from .elliptic import JacobiTriple, complete_K, jacobi, jacobi_am
 from .entanglement import (concurrence_product_analytic,
                            concurrence_werner_analytic, product_state,
-                           q_factor, werner_state, wootters_concurrence)
+                           q_factor, unitary_orbit_bound, werner_state,
+                           wootters_concurrence)
 from .errors import (ConfigError, DomainError, IntegratorError,
                      InvalidStateError)
 from .evolution import (euler_representation, evolve_von_neumann,

@@ -16,10 +16,10 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError
-from .evolution import TOL_BOUNDS
+from .errors import ConfigError, DomainError
+from .evolution import TOL_BOUNDS, period_tolerance
 from .spinfield import BoundStateParams
-from .trajectory import LaserParams
+from .trajectory import LaserParams, modulus_from_params, motion_period
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +61,24 @@ class ScenarioConfig:
             raise ConfigError(f"tol must lie in {TOL_BOUNDS}, got {self.tol}")
         if self.t_end <= 0.0 or math.isnan(self.t_end):
             raise ConfigError(f"t_end must be > 0, got {self.t_end}")
+        self._check_periods()
+
+    def _check_periods(self) -> None:
+        """A run beyond one motion period integrates that period at the
+        `period_tolerance` of tol; reject a t_end that puts it on the floor."""
+        try:
+            kin = modulus_from_params(self.laser, self.gamma_z)
+        except DomainError:
+            return      # reported as a physics-domain error by the run
+        # the same floating-point operations as run_scenario and propagate
+        span = self.t_end * (2.0 * math.pi / self.laser.omega_L)
+        period = motion_period(kin)
+        if span > period:
+            try:
+                period_tolerance(self.tol, period, span)
+            except DomainError as exc:
+                raise ConfigError(f"t_end = {self.t_end} laser periods at "
+                                  f"tol = {self.tol}: {exc}") from None
 
 
 def _take(mapping: dict, context: str, required: dict[str, type],

@@ -86,6 +86,19 @@ def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     return float(c) if c.ndim == 0 else c
 
 
+def unitary_orbit_bound(rho: np.ndarray) -> float:
+    """Largest concurrence of any U rho U^+, U a two-qubit unitary.
+
+    max(0, l1 - l3 - 2 sqrt(l2 l4)) with l the decreasing eigenvalues of
+    rho (Verstraete, Audenaert & De Moor, PRA 64, 012316 (2001)).  A
+    unitary evolution keeps the spectrum, so no sample of it can exceed
+    the bound of its initial state: (3p - 1)/2 for a Werner state, which
+    it attains, and 1/4 for the product state (0, 1).
+    """
+    l = np.linalg.eigvalsh(validate_density_matrix(rho))[::-1]
+    return max(0.0, float(l[0] - l[2] - 2.0 * math.sqrt(max(l[1] * l[3], 0.0))))
+
+
 def _sin2_over(delta: float, t: float, scale: float) -> float:
     """sin^2(delta t / 2) / delta with the removable delta -> 0 limit.
 

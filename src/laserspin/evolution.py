@@ -20,6 +20,30 @@ structurally; only the step-control tolerance limits accuracy.
 broadcast product, and :func:`validate_density_matrix` checks a single
 state or every sample of such a stack.
 
+Periodic drives
+---------------
+H_S(t) depends on t only through sn, cn and dn of u = w'_L t, so it has
+the exact motion period T = 4 K(mu) / w'_L, and so does H'_I.  Given T,
+:func:`propagate` integrates one period only and composes every later
+sample (Floquet; Shirley, Phys. Rev. 138, B979 (1965)):
+
+    U(n T + s) = U(s) U(T)^n,     n = ceil(t / T) - 1,  0 < s <= T,
+
+so a sample at a multiple of T closes the period before it and a run
+that stays within [0, T] is the direct run unchanged.  The offsets s and
+T itself are the samples of that one run, served by dense output.  Its
+error builds up to e_T at T and to (s / T) e_T at s, so U(n T + s)
+carries (n + s / T) e_T.  The period is therefore integrated at
+tol T / t_end: the direct run's error budget per unit time, which keeps
+the global error within tol while the cost grows only like
+(t_end / T)^(1/4).  The powers U(T)^n are matrix products, never an
+eigendecomposition, because at Delta = 0 U(T) has a degenerate triplet
+whose eigenvectors `eig` need not return orthogonal: the squares
+U(T)^(2^b), then the distinct n in increasing order, each from the one
+before.  A Newton step of the polar projection after every product keeps
+unitarity at roundoff, so only the phases carry the roundoff of n
+products, about n 1e-16.
+
 Analytic path (linear polarization only)
 ----------------------------------------
 For eps = 0 the single-spin precessions factor out exactly:
@@ -129,8 +153,24 @@ def _magnus4(h, H0: np.ndarray, Hm: np.ndarray, H1: np.ndarray) -> np.ndarray:
         + (1j * h * h / 12.0) * (H0 @ H1 - H1 @ H0)
 
 
+def period_tolerance(tol: float, period: float, span: float) -> float:
+    """Tolerance of the one-period run that composes a run over span > period.
+
+    tol * period / span, the direct run's error budget per unit time:
+    U(T) then carries tol T / span, so U(n T + s) carries
+    (n + s / T) tol T / span <= tol.  Raises DomainError when it is not
+    above the floor TOL_BOUNDS[0].
+    """
+    tol_period = tol * (period / span)
+    if not tol_period > TOL_BOUNDS[0]:
+        raise DomainError(
+            f"{span / period:.6g} periods leave tol * T / t_end = "
+            f"{tol_period:.3g} for one, not above {TOL_BOUNDS[0]}")
+    return tol_period
+
+
 def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
-              tol: float) -> np.ndarray:
+              tol: float, period: float | None = None) -> np.ndarray:
     """Propagators U(t_k) of dU/dt = -i H(t) U, U(0) = 1, on a time grid.
 
     t_grid must start at 0 and increase strictly; the result has shape
@@ -139,6 +179,13 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     inside a step come from dense output, so the H evaluations do not
     depend on the number of samples.  Raises IntegratorError when the
     step size underflows.
+
+    With the period T of H given, only [0, T] is integrated, at
+    tol * T / t_grid[-1], and a sample n whole periods in is composed as
+    U(n T + s) = U(s) U(T)^n (module docstring).  When no sample lies
+    beyond T the result is the one without a period, bit for bit.
+    Raises DomainError when tol * T / t_grid[-1] is not above the
+    tolerance floor (:func:`period_tolerance`).
     """
     tol = _check_tol(tol)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -146,6 +193,45 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
         raise DomainError("time grid must start at 0")
     if not (np.all(np.diff(t_grid) > 0.0) and np.isfinite(t_grid[-1])):
         raise DomainError("time grid must be strictly increasing and finite")
+    if period is not None and not (period > 0.0 and math.isfinite(period)):
+        raise DomainError(f"period must be positive and finite, got {period}")
+    if period is None or t_grid[-1] <= period:
+        return _propagate_grid(H_of_t, t_grid, tol)
+
+    tol_period = period_tolerance(tol, period, t_grid[-1])
+    # whole periods before each sample, a multiple of T closing the period
+    # before it; n < t / T in exact arithmetic, so the rounded n T never
+    # exceeds t, and roundoff can put an offset only just above T
+    n = np.maximum(np.ceil(t_grid / period) - 1.0, 0.0).astype(np.int64)
+    offsets = t_grid - n * period
+    inner, where = np.unique(np.append(offsets, period), return_inverse=True)
+    Us = _propagate_grid(H_of_t, inner, tol_period)
+    # U(T)^n from the projected squares U(T)^(2^b), each distinct n from
+    # the one before; no eig, which the Delta = 0 triplet defeats
+    levels, level_of = np.unique(n, return_inverse=True)
+    squares = [Us[where[-1]]]
+    while 1 << len(squares) <= levels[-1]:
+        squares.append(_polar_step(squares[-1] @ squares[-1]))
+    powers = np.empty((levels.size, 4, 4), dtype=complex)
+    power, done = IDENTITY4, 0
+    for j, m in enumerate(levels.tolist()):
+        gap = m - done
+        for b in range(gap.bit_length()):
+            if gap >> b & 1:
+                power = _polar_step(power @ squares[b])
+        powers[j], done = power, m
+    return Us[where[:-1]] @ powers[level_of]
+
+
+def _polar_step(U: np.ndarray) -> np.ndarray:
+    """One Newton step of the polar projection of a near-unitary U: it
+    keeps the roundoff of a long matmul chain from degrading unitarity."""
+    return 0.5 * U @ (3.0 * IDENTITY4 - U.conj().T @ U)
+
+
+def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """The Magnus steps of :func:`propagate` over a checked time grid."""
     out = np.empty((t_grid.size, 4, 4), dtype=complex)
     out[0] = U = IDENTITY4
     if t_grid.size == 1:
@@ -189,10 +275,7 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
                               nodes, axes=1)
             out[k:j] = expm_hermitian(_magnus4(
                 dt[:, None, None], H0, Hs[:j - k], Hs[j - k:])) @ U
-        U = fine @ U
-        # one Newton step of the polar projection keeps the accumulated
-        # matmul roundoff from degrading unitarity
-        U = 0.5 * U @ (3.0 * IDENTITY4 - U.conj().T @ U)
+        U = _polar_step(fine @ U)
         if j < t_grid.size and t_grid[j] == t_end:
             out[j] = U
             j += 1
@@ -202,20 +285,22 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
 
 
 def evolve_von_neumann(rho0: np.ndarray, H_of_t: HamiltonianSource,
-                       t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
+                       t_grid: Sequence[float], tol: float = 1e-9,
+                       period: float | None = None) -> np.ndarray:
     """Solve d rho/dt = -i [H(t), rho] on the given time grid.
 
     Returns the (len(t_grid), 4, 4) stack of density matrices, one per
     grid time (the first grid time must be 0 and yields the validated
     initial state, a single 4x4 matrix).  The states are rho0 conjugated
     with the stack of propagators in one broadcast product, so trace and
-    spectrum are preserved structurally.
+    spectrum are preserved structurally.  period, the period of H, is
+    passed to :func:`propagate`.
     """
     rho0 = validate_density_matrix(rho0)
     if rho0.ndim != 2:
         raise InvalidStateError(
             f"initial state must be one 4x4 matrix, got {rho0.shape}")
-    Us = propagate(H_of_t, t_grid, tol)
+    Us = propagate(H_of_t, t_grid, tol, period)
     return Us @ rho0 @ Us.conj().swapaxes(-1, -2)
 
 

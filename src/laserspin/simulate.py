@@ -18,12 +18,13 @@ import numpy as np
 
 from .config import InitialState, ScenarioConfig, config_to_dict
 from .entanglement import (concurrence_product_analytic,
-                           concurrence_werner_analytic, wootters_concurrence)
+                           concurrence_werner_analytic, unitary_orbit_bound,
+                           wootters_concurrence)
 from .errors import ConfigError, IntegratorError, InvalidStateError
 from .evolution import propagate, validate_density_matrix
 from .pauli import IDENTITY4
 from .spinfield import spin_hamiltonian
-from .trajectory import modulus_from_params
+from .trajectory import modulus_from_params, motion_period
 
 CSV_HEADER = ("t,concurrence_numeric,concurrence_analytic,"
               "purity,trace_error,unitarity_error")
@@ -71,8 +72,11 @@ def _analytic_concurrence(cfg: ScenarioConfig, t: float) -> float | None:
 def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     """Evolve the configured initial state and report one row per sample.
 
-    Raises IntegratorError when a propagated state fails the state
-    checks, a concurrence leaves [0, 1] or a trace error reaches 10 * tol,
+    The drive is periodic in the motion period, so a run of many periods
+    integrates one of them (see :func:`propagate`).  Raises
+    IntegratorError when a propagated state fails the state checks, a
+    concurrence leaves [0, 1], a trace error reaches 10 * tol or a
+    concurrence exceeds the unitary-orbit bound of rho0 by 10 * tol,
     naming the first such sample.
     """
     kin = modulus_from_params(cfg.laser, cfg.gamma_z)
@@ -81,7 +85,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     t_grid = np.linspace(0.0, cfg.t_end * period, cfg.samples)
 
     H = lambda t: spin_hamiltonian(t, cfg.laser, kin, cfg.bound)
-    Us = propagate(H, t_grid, cfg.tol)
+    Us = propagate(H, t_grid, cfg.tol, motion_period(kin))
     unitarity_error = np.abs(Us @ Us.conj().swapaxes(-1, -2)
                              - IDENTITY4).max(axis=(-2, -1))
     rhos = Us @ rho0 @ Us.conj().swapaxes(-1, -2)
@@ -104,6 +108,13 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
         k = drifted[0]
         raise IntegratorError(f"trace error {trace_error[k]:.3e} exceeds "
                               f"10*tol at t = {float(t_grid[k])}")
+    bound = unitary_orbit_bound(rho0)
+    above = np.flatnonzero(concurrence > bound + 10.0 * cfg.tol)
+    if above.size:
+        k = above[0]
+        raise IntegratorError(f"concurrence {concurrence[k]} exceeds the "
+                              f"unitary-orbit bound {bound:.6g} of the initial "
+                              f"state at t = {float(t_grid[k])}")
 
     times = t_grid.tolist()
     return [ResultRow(*row) for row in zip(

@@ -87,6 +87,20 @@ class TestConfig:
             path = write_config(tmp_path, base_config(tol=tol))
             assert main(["simulate", "--config", path]) == 2
 
+    def test_long_run_tolerance_floor(self, tmp_path, capsys):
+        # one motion period is integrated at tol T_m / t_end, which 1e9
+        # laser periods at tol 1e-6 put below the floor 1e-14
+        path = write_config(tmp_path, base_config(t_end=1e9))
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "t_end = 1000000000.0" in err and "tol = 1e-06" in err
+        for t_end in (1e300, 1.7e308):
+            with pytest.raises(ConfigError, match="not above 1e-14"):
+                config_from_dict(base_config(t_end=t_end))
+        # 1e5 periods leave 1e-11 and run in about a second
+        path = write_config(tmp_path, base_config(t_end=1e5, samples=3))
+        assert main(["simulate", "--config", path]) == 0
+
 
 _PRODUCT = {"type": "product", "alpha": 0.3, "beta": 0.2}
 _EXPLICIT = {"type": "explicit",
@@ -307,6 +321,35 @@ class TestInvariantChecks:
         status = json.loads((out_dir / "manifest.json").read_text())[0]["status"]
         assert ("IntegratorError: propagated state: density matrix trace "
                 "differs from 1 at sample 0") in status
+
+    @pytest.fixture
+    def beyond_orbit(self, tmp_path, monkeypatch):
+        # 2 |Phi+><00| carries I/4 to |Phi+><Phi+|: unit trace, PSD and
+        # C = 1, but the unitary orbit of the Werner p = 0 state holds only
+        # separable states
+        phi = np.zeros((4, 4), dtype=complex)
+        phi[[0, 3], 0] = math.sqrt(2.0)
+
+        def propagate(H, t_grid, tol, period=None):
+            Us = np.repeat(phi[None], len(t_grid), axis=0)
+            Us[0] = np.eye(4)
+            return Us
+        monkeypatch.setattr("laserspin.simulate.propagate", propagate)
+        return write_config(tmp_path, base_config(
+            initial_state={"type": "werner", "p": 0.0}, samples=5))
+
+    def test_simulate_beyond_unitary_orbit_exits_4(self, beyond_orbit, capsys):
+        assert main(["simulate", "--config", beyond_orbit]) == 4
+        assert ("exceeds the unitary-orbit bound 0 of the initial state at "
+                "t = 1.57") in capsys.readouterr().err
+
+    def test_sweep_beyond_unitary_orbit_exits_4(self, beyond_orbit, tmp_path):
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--config", beyond_orbit, "--param", "eta",
+                     "--values", "0.1", "--jobs", "1",
+                     "--out-dir", str(out_dir)]) == 4
+        status = json.loads((out_dir / "manifest.json").read_text())[0]["status"]
+        assert "exceeds the unitary-orbit bound" in status
 
 
 class TestMainExitCodes:

@@ -9,10 +9,11 @@ from laserspin import (BoundStateParams, DomainError, InvalidStateError,
                        LaserParams, concurrence_product_analytic,
                        concurrence_werner_analytic, evolve_von_neumann,
                        modulus_from_params, product_state, propagate, q_factor,
-                       spin_hamiltonian, werner_state, wootters_concurrence)
+                       spin_hamiltonian, unitary_orbit_bound, werner_state,
+                       wootters_concurrence)
 from laserspin.pauli import PAULI
 
-from conftest import random_unitary2
+from conftest import random_density_matrix, random_unitary2
 
 
 def q_factor_raw(t, omega, g):
@@ -154,6 +155,35 @@ class TestWoottersConcurrence:
         assert all(isinstance(c, float) for c in loop)
         assert np.abs(stacked - loop).max() <= 1e-15
 
+
+class TestUnitaryOrbitBound:
+    @pytest.mark.parametrize("p", [-1.0 / 3.0, 0.0, 1.0 / 3.0, 0.5, 0.8, 1.0])
+    def test_werner_bound_is_its_concurrence(self, p):
+        assert unitary_orbit_bound(werner_state(p)) == pytest.approx(
+            concurrence_werner_analytic(p), abs=1e-15)
+
+    @pytest.mark.parametrize("alpha, beta, bound", [
+        (0.0, 1.0, 0.25), (0.0, 0.0, 0.0), (1.0, 1.0, 0.5)])
+    def test_product_states(self, alpha, beta, bound):
+        assert unitary_orbit_bound(product_state(alpha, beta)) \
+            == pytest.approx(bound, abs=1e-15)
+
+    def test_no_unitary_exceeds_it_and_some_reaches_it(self):
+        # the spectrum arranged as l1 on |Phi+>, l2 on |01>, l3 on |Phi->
+        # and l4 on |10> attains the bound
+        rng = np.random.default_rng(11)
+        bell = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, -1],
+                         [0, 0, 1, 0]]) / np.array([[math.sqrt(2)], [1],
+                                                    [math.sqrt(2)], [1]])
+        for _ in range(20):
+            rho = random_density_matrix(rng)
+            bound = unitary_orbit_bound(rho)
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            u = np.linalg.qr(a)[0]
+            assert wootters_concurrence(u @ rho @ u.conj().T) <= bound + 1e-12
+            l = np.linalg.eigvalsh(rho)[::-1]
+            best = bell.T @ np.diag(l) @ bell
+            assert wootters_concurrence(best) == pytest.approx(bound, abs=1e-12)
 
 class TestQFactor:
     def test_zero_time(self):

@@ -9,9 +9,10 @@ from laserspin import (BoundStateParams, DomainError, IntegratorError,
                        euler_representation, evolve_von_neumann,
                        interaction_hamiltonian,
                        interaction_picture_hamiltonian, interaction_term,
-                       local_propagator, modulus_from_params,
+                       local_propagator, modulus_from_params, motion_period,
                        perturbative_delta_rho_werner, precession_angle,
-                       propagate, psi_integral, single_spin_propagator,
+                       product_state, propagate, psi_integral,
+                       single_spin_propagator,
                        spin_hamiltonian,
                        theta_minus, time_ordered_X, validate_density_matrix,
                        werner_state, wootters_concurrence)
@@ -238,6 +239,87 @@ class TestPropagator:
         for k in (1, 1234, 2000, 3999):
             landing = propagate(H, [0.0, grid[k]], 1e-12)[-1]
             assert np.abs(Us[k] - landing).max() < 1e-10
+
+
+
+def counted_drive(eta, eps, gtilde_n, gtilde_p, g):
+    """H_S of a drive at gamma_z = 1 that records its calls, and its
+    motion period."""
+    laser = LaserParams(eta=eta, epsilon=eps)
+    kin = modulus_from_params(laser, 1.0)
+    bound = BoundStateParams.from_gtildes(gtilde_n, gtilde_p, g_coupling=g)
+    calls = []
+
+    def H(t):
+        calls.append(t)
+        return spin_hamiltonian(t, laser, kin, bound)
+    return H, motion_period(kin), calls
+
+
+class TestPeriodComposition:
+    """propagate(..., period=T): U(n T + s) = U(s) U(T)^n."""
+
+    # the onset drive of acceptance 4a, its Delta = 0 control (U(T) with a
+    # degenerate triplet) and the drive of acceptance 4b and 4c
+    DRIVES = [(0.5, 0.3, 6.0, 2.0, 0.5), (0.5, 0.3, 2.0, 2.0, 0.5),
+              (0.3, 0.0, 4.0, 1.0, 0.1)]
+
+    @pytest.mark.parametrize("drive", DRIVES)
+    def test_five_periods_match_direct_integration(self, drive):
+        H, T, _ = counted_drive(*drive)
+        times = np.linspace(0.0, 10.0 * math.pi, 251)
+        assert times[-1] > 4.7 * T
+        composed = propagate(H, times, 1e-8, T)
+        reference = propagate(H, times, 1e-12)
+        assert np.abs(composed - reference).max() <= 1e-9
+
+    def test_first_period_is_the_direct_run_bit_for_bit(self):
+        H, T, _ = counted_drive(*self.DRIVES[0])
+        for end in (0.6 * T, T):
+            times = np.linspace(0.0, end, 17)
+            assert np.array_equal(propagate(H, times, 1e-8, T),
+                                  propagate(H, times, 1e-8))
+        rho0 = product_state(0.0, 1.0)
+        times = np.linspace(0.0, T, 9)
+        assert np.array_equal(evolve_von_neumann(rho0, H, times, 1e-8, T),
+                              evolve_von_neumann(rho0, H, times, 1e-8))
+
+    def test_samples_at_and_one_ulp_off_multiples_of_the_period(self):
+        H, T, _ = counted_drive(*self.DRIVES[2])
+        edges = [k * T for k in range(1, 5)]
+        times = np.array([0.0] + [np.nextafter(e, d) for e in edges
+                                  for d in (-np.inf, e, np.inf)])
+        assert np.all(np.diff(times) > 0.0)
+        composed = propagate(H, times, 1e-8, T)
+        reference = propagate(H, times, 1e-12)
+        assert np.abs(composed - reference).max() <= 1e-9
+
+    def test_cost_of_fifty_periods_is_near_that_of_five(self):
+        H, T, calls = counted_drive(*self.DRIVES[0])
+        counts = []
+        for n in (5, 50):
+            calls.clear()
+            propagate(H, np.linspace(0.0, n * T + 0.5, 20 * n + 1), 1e-8, T)
+            counts.append(len(calls))
+        # direct integration grows like span^1.25, about 18 times as many
+        assert counts[1] < 3 * counts[0]
+
+    def test_powers_stay_unitary_over_many_periods(self):
+        # the powers of U(T) come from products that are projected back
+        # onto the unitaries; unprojected, roundoff grows with n
+        H, T, _ = counted_drive(*self.DRIVES[1])
+        Us = propagate(H, np.linspace(0.0, 1e5 * T + 0.3, 9), 9e-5, T)
+        defect = np.abs(Us @ Us.conj().swapaxes(-1, -2) - IDENTITY4).max()
+        assert defect < 1e-14
+
+    def test_tolerance_floor_per_period(self):
+        H, T, calls = counted_drive(*self.DRIVES[0])
+        with pytest.raises(DomainError, match="not above 1e-14"):
+            propagate(H, [0.0, 1e9], 1e-6, T)
+        for period in (0.0, -T, math.nan, math.inf):
+            with pytest.raises(DomainError, match="period must be positive"):
+                propagate(H, [0.0, 2.0 * T], 1e-6, period)
+        assert not calls
 
 
 class TestPrecessionAngles:
