@@ -13,7 +13,7 @@ from .evolution import (euler_representation, evolve_von_neumann,
                         precession_angle, propagate, psi_integral,
                         single_spin_propagator, theta_minus, time_ordered_X,
                         validate_density_matrix)
-from .spinfield import (BoundStateParams, EffectiveField, effective_field,
+from .spinfield import (BoundStateParams, effective_field,
                         interaction_hamiltonian, omega_first_principles,
                         spin_hamiltonian)
 from .trajectory import (KinematicParams, LaserParams, com_acceleration,

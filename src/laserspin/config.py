@@ -22,6 +22,8 @@ from .spinfield import BoundStateParams
 from .trajectory import LaserParams, modulus_from_params, motion_period
 
 SCHEMA_VERSION = 1
+# samples per scenario; at about 1.3 kB each a run stays near 1.3 GB
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,9 @@ class ScenarioConfig:
     tol: float
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ConfigError(f"samples must be >= 2, got {self.samples}")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"samples must lie in [2, {MAX_SAMPLES}], "
+                              f"got {self.samples}")
         if not (TOL_BOUNDS[0] < self.tol < TOL_BOUNDS[1]):
             raise ConfigError(f"tol must lie in {TOL_BOUNDS}, got {self.tol}")
         if self.t_end <= 0.0 or math.isnan(self.t_end):
@@ -65,7 +68,8 @@ class ScenarioConfig:
 
     def _check_periods(self) -> None:
         """A run beyond one motion period integrates that period at the
-        `period_tolerance` of tol; reject a t_end that puts it on the floor."""
+        `period_tolerance` of tol; reject a t_end that puts it on the floor,
+        or a time span that is not finite."""
         try:
             kin = modulus_from_params(self.laser, self.gamma_z)
         except DomainError:
@@ -79,6 +83,9 @@ class ScenarioConfig:
             except DomainError as exc:
                 raise ConfigError(f"t_end = {self.t_end} laser periods at "
                                   f"tol = {self.tol}: {exc}") from None
+        if not math.isfinite(span):
+            raise ConfigError(f"t_end = {self.t_end} laser periods at omega_L "
+                              f"= {self.laser.omega_L} span {span} time units")
 
 
 def _take(mapping: dict, context: str, required: dict[str, type],
@@ -180,32 +187,6 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         initial_state=state, t_end=top["t_end"],
         samples=top["samples"], tol=top["tol"],
     )
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    state: dict[str, Any] = {"type": cfg.initial_state.kind}
-    if cfg.initial_state.kind == "werner":
-        state["p"] = cfg.initial_state.p
-    elif cfg.initial_state.kind == "product":
-        state["alpha"] = cfg.initial_state.alpha
-        state["beta"] = cfg.initial_state.beta
-    else:
-        state["matrix"] = [[list(entry) for entry in row]
-                           for row in cfg.initial_state.matrix]
-    return {
-        "schema": SCHEMA_VERSION,
-        "laser": {"eta": cfg.laser.eta, "epsilon": cfg.laser.epsilon,
-                  "omega_L": cfg.laser.omega_L},
-        "bound": {"mass_n": cfg.bound.mass_n, "mass_p": cfg.bound.mass_p,
-                  "charge_n": cfg.bound.charge_n, "charge_p": cfg.bound.charge_p,
-                  "g_n": cfg.bound.g_n, "g_p": cfg.bound.g_p,
-                  "g_coupling": cfg.bound.g_coupling},
-        "gamma_z": cfg.gamma_z,
-        "initial_state": state,
-        "t_end": cfg.t_end,
-        "samples": cfg.samples,
-        "tol": cfg.tol,
-    }
 
 
 def load_config(path: str) -> ScenarioConfig:

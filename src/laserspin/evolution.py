@@ -12,7 +12,10 @@ of H at its start, midpoint and end, U_step = exp(-i K) with
 
 A step evaluates H at its quarter points and is checked against its two
 half steps.  Samples inside a step are dense output: K over [t, t_k]
-with H from the quartic through the five node values.  Every factor is
+with H from the quartic through the five node values.  A Hamiltonian
+source maps an (m,) array of times to their (m, 4, 4) stack, or to one
+constant 4x4, so :func:`propagate` asks for H(0) once and then for the
+four new nodes of each attempted step in one call.  Every factor is
 the exponential of a Hermitian matrix, so U stays unitary to roundoff
 and rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
 structurally; only the step-control tolerance limits accuracy.
@@ -46,7 +49,10 @@ products, about n 1e-16.
 
 Analytic path (linear polarization only)
 ----------------------------------------
-For eps = 0 the single-spin precessions factor out exactly:
+Each function below takes a float time (psi for the Eulerian form),
+giving a float or a matrix, or an array of shape S, giving an array of
+shape S or a stack of shape S + the matrix shape.  For eps = 0 the
+single-spin precessions factor out exactly:
 
     U(t) = W(t) X(t),          W = U^(n) (x) U^(p),
     U^(i)(t) = exp(i theta^(i)(t) sigma_1 / 2),
@@ -88,7 +94,7 @@ from .pauli import (IDENTITY4, PAULI, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
 from .spinfield import BoundStateParams
 from .trajectory import KinematicParams, LaserParams, _asinc
 
-HamiltonianSource = Callable[[float], np.ndarray]
+HamiltonianSource = Callable[[np.ndarray], np.ndarray]
 
 _S11 = np.kron(PAULI[1], PAULI[1])
 _S22 = np.kron(PAULI[2], PAULI[2])
@@ -98,6 +104,8 @@ _S33 = np.kron(PAULI[3], PAULI[3])
 TOL_BOUNDS = (1e-14, 1e-4)
 # tolerance of the X factor, well below the 1e-6 gate of U = W X
 _X_TOL = 1e-12
+# accepted steps one integration may take; 8.4k is the most a test takes
+MAX_STEPS = 10**6
 # Lagrange weights of the quartic through the nodes 0, 1/4, ..., 1: row j
 # of the inverse Vandermonde matrix holds the coefficients of s**j
 _QUARTIC = np.linalg.inv(np.vander(np.linspace(0.0, 1.0, 5), increasing=True))
@@ -146,11 +154,17 @@ def _check_tol(tol: float) -> float:
     return float(tol)
 
 
-def _magnus4(h, H0: np.ndarray, Hm: np.ndarray, H1: np.ndarray) -> np.ndarray:
-    """Exponent K of the Magnus step exp(-i K) over an interval of length h
-    from H at its start, midpoint and end; broadcasts over leading axes."""
-    return (h / 6.0) * (H0 + 4.0 * Hm + H1) \
+def _magnus4(h, H0: np.ndarray, Hm: np.ndarray, H1: np.ndarray,
+             t: float, t_end: float) -> np.ndarray:
+    """The Magnus step exp(-i K) over an interval [t, t_end] of length h
+    from H at its start, midpoint and end; broadcasts over leading axes.
+    Raises DomainError, naming the interval, when K is not finite."""
+    K = (h / 6.0) * (H0 + 4.0 * Hm + H1) \
         + (1j * h * h / 12.0) * (H0 @ H1 - H1 @ H0)
+    if not np.isfinite(K).all():
+        raise DomainError(f"Magnus exponent is not finite on "
+                          f"[{t:.6g}, {t_end:.6g}]")
+    return expm_hermitian(K)
 
 
 def period_tolerance(tol: float, period: float, span: float) -> float:
@@ -173,12 +187,16 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
               tol: float, period: float | None = None) -> np.ndarray:
     """Propagators U(t_k) of dU/dt = -i H(t) U, U(0) = 1, on a time grid.
 
-    t_grid must start at 0 and increase strictly; the result has shape
+    H_of_t maps an (m,) array of times to their (m, 4, 4) stack, or to
+    one 4x4 matrix when H is constant; it is called with [0.0], then once
+    per attempted step with that step's four new nodes.  t_grid must
+    start at 0 and increase strictly; the result has shape
     (len(t_grid), 4, 4).  A step is accepted when its two half steps
     differ from the full step by at most tol * h / t_grid[-1]; samples
     inside a step come from dense output, so the H evaluations do not
     depend on the number of samples.  Raises IntegratorError when the
-    step size underflows.
+    step size underflows or MAX_STEPS steps do not reach the end, and
+    DomainError when a Magnus exponent is not finite (H overflows).
 
     With the period T of H given, only [0, T] is integrated, at
     tol * T / t_grid[-1], and a sample n whole periods in is composed as
@@ -229,6 +247,7 @@ def _polar_step(U: np.ndarray) -> np.ndarray:
     return 0.5 * U @ (3.0 * IDENTITY4 - U.conj().T @ U)
 
 
+@np.errstate(over="ignore", invalid="ignore")     # _magnus4 checks K
 def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
                     tol: float) -> np.ndarray:
     """The Magnus steps of :func:`propagate` over a checked time grid."""
@@ -236,22 +255,31 @@ def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
     out[0] = U = IDENTITY4
     if t_grid.size == 1:
         return out
-
+    H_at = lambda times: np.broadcast_to(H_of_t(np.array(times)),
+                                         (len(times), 4, 4))
     span = t_grid[-1]
     h = span / 50.0
     h_min = span * 1e-13
-    t, k, rejections = 0.0, 1, 0
-    H0 = H_of_t(0.0)
+    t, k, rejections, steps = 0.0, 1, 0, 0
+    H0 = H_at([0.0])[0]
     while k < t_grid.size:
+        # h = span / 50 underflows to 0 on a subnormal span, and would then
+        # stall t with every step accepted
+        if not h > h_min or rejections > 60:
+            raise IntegratorError(
+                f"step size underflow at t = {t:.6g} (h = {h:.3e})")
+        if steps == MAX_STEPS:
+            raise IntegratorError(f"{MAX_STEPS} steps spent at t = {t:.6g} "
+                                  f"of {span:.6g} (h = {h:.3e})")
         last = h >= span - t
         if last:
             h = span - t
         t_end = span if last else t + h
-        nodes = np.array([H0, H_of_t(t + 0.25 * h), H_of_t(t + 0.5 * h),
-                          H_of_t(t + 0.75 * h), H_of_t(t_end)])
-        full, half1, half2 = expm_hermitian(_magnus4(
+        nodes = np.concatenate([H0[None], H_at(
+            [t + 0.25 * h, t + 0.5 * h, t + 0.75 * h, t_end])])
+        full, half1, half2 = _magnus4(
             np.array([h, 0.5 * h, 0.5 * h])[:, None, None],
-            nodes[[0, 0, 2]], nodes[[2, 1, 3]], nodes[[4, 2, 4]]))
+            nodes[[0, 0, 2]], nodes[[2, 1, 3]], nodes[[4, 2, 4]], t, t_end)
         fine = half2 @ half1
         err = float(np.abs(full - fine).max())
         # per-unit-time budgeting, floored at the per-step roundoff scale
@@ -260,9 +288,6 @@ def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
         if not err <= budget:       # a NaN error rejects too
             rejections += 1
             h *= max(0.2, factor)
-            if h < h_min or rejections > 60:
-                raise IntegratorError(
-                    f"step size underflow at t = {t:.6g} (h = {h:.3e})")
             continue
 
         j = int(np.searchsorted(t_grid, t_end))
@@ -273,13 +298,13 @@ def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
             s = np.concatenate([0.5 * dt, dt]) / h
             Hs = np.tensordot(np.vander(s, 5, increasing=True) @ _QUARTIC,
                               nodes, axes=1)
-            out[k:j] = expm_hermitian(_magnus4(
-                dt[:, None, None], H0, Hs[:j - k], Hs[j - k:])) @ U
+            out[k:j] = _magnus4(dt[:, None, None], H0, Hs[:j - k],
+                                Hs[j - k:], t, t_end) @ U
         U = _polar_step(fine @ U)
         if j < t_grid.size and t_grid[j] == t_end:
             out[j] = U
             j += 1
-        t, k, H0, rejections = t_end, j, nodes[4], 0
+        t, k, H0, rejections, steps = t_end, j, nodes[4], 0, steps + 1
         h *= min(5.0, max(1.0, factor))
     return out
 
@@ -287,7 +312,8 @@ def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
 def evolve_von_neumann(rho0: np.ndarray, H_of_t: HamiltonianSource,
                        t_grid: Sequence[float], tol: float = 1e-9,
                        period: float | None = None) -> np.ndarray:
-    """Solve d rho/dt = -i [H(t), rho] on the given time grid.
+    """Solve d rho/dt = -i [H(t), rho] on the given time grid, with H_of_t
+    an (m,) array of times in, their (m, 4, 4) stack out (:func:`propagate`).
 
     Returns the (len(t_grid), 4, 4) stack of density matrices, one per
     grid time (the first grid time must be 0 and yields the validated
@@ -318,8 +344,7 @@ def _require_linear(laser: LaserParams) -> None:
 
 def precession_angle(t, which: str, laser: LaserParams,
                      kin: KinematicParams, bound: BoundStateParams):
-    """Exact accumulated precession angle theta^(i)(t), eps = 0 only,
-    at a float time or elementwise over an array of times.
+    """Exact accumulated precession angle theta^(i)(t), eps = 0 only.
 
     This is the running integral of the x-component of the effective
     field; at gamma_z = 1 it reduces to
@@ -334,47 +359,56 @@ def precession_angle(t, which: str, laser: LaserParams,
 
 def theta_minus(t, laser: LaserParams, kin: KinematicParams,
                 bound: BoundStateParams):
-    """Angle difference theta^(n) - theta^(p) = (eta Delta / 2) sn(u, mu),
-    at a float time or elementwise over an array of times."""
+    """Angle difference theta^(n) - theta^(p) = (eta Delta / 2) sn(u, mu)."""
     _require_linear(laser)
     sn = jacobi(kin.omega_L_prime * t, kin.mu).sn
     return 0.5 * laser.eta * bound.Delta * sn
 
 
-def psi_integral(t: float, laser: LaserParams, kin: KinematicParams,
-                 bound: BoundStateParams) -> float:
+def psi_integral(t, laser: LaserParams, kin: KinematicParams,
+                 bound: BoundStateParams):
     """psi(t) = int_0^t cos(theta_minus(s)) ds, by composite Gauss-Legendre.
 
     16 nodes per panel; a panel spans a quarter period of sn divided by
     1 + eta |Delta| / 2, the amplitude of theta_minus, so that the
-    integrand's oscillations stay resolved at strong drive.
+    integrand's oscillations stay resolved at strong drive.  Every time of
+    an array takes the panel count of the largest |t|.
     """
     _require_linear(laser)
+    t = np.asarray(t, dtype=float)
     quarter = complete_K(kin.mu) / kin.omega_L_prime
     amplitude = 0.5 * abs(laser.eta * bound.Delta)
-    n_panels = max(1, math.ceil(abs(t) / quarter * (1.0 + amplitude)))
+    n_panels = max(1, math.ceil(np.abs(t).max() / quarter * (1.0 + amplitude)))
     half = 0.5 * t / n_panels
-    nodes = half * (2.0 * np.arange(n_panels)[:, None] + 1.0 + _GL_NODES)
+    nodes = half[..., None, None] * (2.0 * np.arange(n_panels)[:, None]
+                                     + 1.0 + _GL_NODES)
     values = np.cos(theta_minus(nodes, laser, kin, bound))
-    return float(half * np.sum(values @ _GL_WEIGHTS))
+    return half * np.sum(values @ _GL_WEIGHTS, axis=-1)
 
 
-def single_spin_propagator(t: float, which: str, laser: LaserParams,
+def _matrix_axes(x) -> np.ndarray:
+    """x with two trailing unit axes, to scale constant matrices."""
+    return np.asarray(x, dtype=float)[..., None, None]
+
+
+def single_spin_propagator(t, which: str, laser: LaserParams,
                            kin: KinematicParams,
                            bound: BoundStateParams) -> np.ndarray:
     """U^(i)(t) = exp(i theta^(i) sigma_1 / 2), eps = 0 only."""
-    th = precession_angle(t, which, laser, kin, bound)
-    return math.cos(0.5 * th) * SIGMA0 + 1j * math.sin(0.5 * th) * SIGMA1
+    th = precession_angle(_matrix_axes(t), which, laser, kin, bound)
+    return np.cos(0.5 * th) * SIGMA0 + 1j * np.sin(0.5 * th) * SIGMA1
 
 
-def local_propagator(t: float, laser: LaserParams, kin: KinematicParams,
+def local_propagator(t, laser: LaserParams, kin: KinematicParams,
                      bound: BoundStateParams) -> np.ndarray:
     """W(t) = U^(n)(t) (x) U^(p)(t)."""
-    return np.kron(single_spin_propagator(t, "n", laser, kin, bound),
-                   single_spin_propagator(t, "p", laser, kin, bound))
+    un = single_spin_propagator(t, "n", laser, kin, bound)
+    up = single_spin_propagator(t, "p", laser, kin, bound)
+    return (un[..., :, None, :, None] * up[..., None, :, None, :]).reshape(
+        un.shape[:-2] + (4, 4))
 
 
-def interaction_picture_hamiltonian(t: float, laser: LaserParams,
+def interaction_picture_hamiltonian(t, laser: LaserParams,
                                     kin: KinematicParams,
                                     bound: BoundStateParams) -> np.ndarray:
     """H'_I(t) = W^+(t) H_I W(t), in closed form.
@@ -386,26 +420,28 @@ def interaction_picture_hamiltonian(t: float, laser: LaserParams,
                        + sin th_- (s3(x)s2 - s2(x)s3) ].
     """
     g = bound.g_coupling
-    thm = theta_minus(t, laser, kin, bound)
-    return (g / 4.0) * (_S11 + math.cos(thm) * (_S22 + _S33)
-                        + math.sin(thm) * SIGMA_32)
+    thm = theta_minus(_matrix_axes(t), laser, kin, bound)
+    return (g / 4.0) * (_S11 + np.cos(thm) * (_S22 + _S33)
+                        + np.sin(thm) * SIGMA_32)
 
 
-def euler_representation(psi: float) -> np.ndarray:
+def euler_representation(psi) -> np.ndarray:
     """Closed form of exp(i psi sum_k sigma_k (x) sigma_k).
 
     exp(i psi S) = (1/2) e^{i psi} + (1/2) e^{-i psi} [cos 2psi
     + i S sin 2psi]; eigenvalues e^{i psi} (x3) and e^{-3 i psi}.
     """
-    if math.isnan(psi) or math.isinf(psi):
-        raise DomainError(f"psi must be finite, got {psi}")
+    psi = _matrix_axes(psi)
+    if not np.isfinite(psi).all():
+        raise DomainError(
+            f"psi must be finite, got {psi[~np.isfinite(psi)][0]}")
     return (0.5 * np.exp(1j * psi) * IDENTITY4
             + 0.5 * np.exp(-1j * psi)
-            * (math.cos(2.0 * psi) * IDENTITY4
-               + 1j * math.sin(2.0 * psi) * SIGMA_DOT_SIGMA))
+            * (np.cos(2.0 * psi) * IDENTITY4
+               + 1j * np.sin(2.0 * psi) * SIGMA_DOT_SIGMA))
 
 
-def interaction_term(t: float, laser: LaserParams, kin: KinematicParams,
+def interaction_term(t, laser: LaserParams, kin: KinematicParams,
                      bound: BoundStateParams) -> np.ndarray:
     """Rotating-frame coupling V(t) whose ordered exponential is Y(t).
 
@@ -413,11 +449,12 @@ def interaction_term(t: float, laser: LaserParams, kin: KinematicParams,
     every call.
     """
     g = bound.g_coupling
+    t = _matrix_axes(t)
     thm = theta_minus(t, laser, kin, bound)
     psi = psi_integral(t, laser, kin, bound)
-    return (g / 4.0) * ((1.0 - math.cos(thm)) * _S11
-                        + math.sin(thm) * (math.cos(g * psi) * SIGMA_32
-                                           - math.sin(g * psi) * SIGMA_10))
+    return (g / 4.0) * ((1.0 - np.cos(thm)) * _S11
+                        + np.sin(thm) * (np.cos(g * psi) * SIGMA_32
+                                         - np.sin(g * psi) * SIGMA_10))
 
 
 def time_ordered_X(t_grid: Sequence[float], laser: LaserParams,

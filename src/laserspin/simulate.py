@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import InitialState, ScenarioConfig, config_to_dict
+from .config import InitialState, ScenarioConfig
 from .entanglement import (concurrence_product_analytic,
                            concurrence_werner_analytic, unitary_orbit_bound,
                            wootters_concurrence)
@@ -157,11 +157,9 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
 
 
 def _sweep_point(args: tuple) -> tuple[int, str | None, str | None]:
-    index, cfg_dict, param, value = args
-    from .config import config_from_dict
+    index, cfg, param, value = args
     try:
-        cfg = apply_sweep_value(config_from_dict(cfg_dict), param, value)
-        return index, scenario_csv(cfg), None
+        return index, scenario_csv(apply_sweep_value(cfg, param, value)), None
     except Exception as exc:          # a failed point must not abort the sweep
         return index, None, f"{type(exc).__name__}: {exc}"
 
@@ -184,8 +182,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
             f"unknown sweep parameter '{param}'; choose from {', '.join(SWEEPABLE)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_dict = config_to_dict(cfg)
-    tasks = [(i, cfg_dict, param, v) for i, v in enumerate(values)]
+    tasks = [(i, cfg, param, v) for i, v in enumerate(values)]
 
     if jobs <= 1:
         results = [_sweep_point(task) for task in tasks]

@@ -70,13 +70,16 @@ class BoundStateParams:
     def q_B(self) -> float:
         return -(self.charge_n + self.charge_p)
 
-    def gtilde(self, which: str) -> float:
+    def constituent(self, which: str) -> tuple[float, float, float]:
+        """Charge, mass and gyromagnetic ratio of constituent which."""
         if which == "n":
-            e, m, g = self.charge_n, self.mass_n, self.g_n
-        elif which == "p":
-            e, m, g = self.charge_p, self.mass_p, self.g_p
-        else:
-            raise DomainError(f"constituent tag must be 'n' or 'p', got {which!r}")
+            return self.charge_n, self.mass_n, self.g_n
+        if which == "p":
+            return self.charge_p, self.mass_p, self.g_p
+        raise DomainError(f"constituent tag must be 'n' or 'p', got {which!r}")
+
+    def gtilde(self, which: str) -> float:
+        e, m, g = self.constituent(which)
         return (e / m) * (self.M_B / self.q_B) * g
 
     @property
@@ -100,20 +103,9 @@ class BoundStateParams:
                    g_coupling=g_coupling)
 
 
-@dataclass(frozen=True)
-class EffectiveField:
-    """Precession vector components, in angular-frequency units."""
-
-    Bx: float
-    By: float
-    Bz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.Bx, self.By, self.Bz])
-
-
-def _field_components(gt: float, sn: float, cn: float, dn: float,
-                      laser: LaserParams, kin: KinematicParams) -> tuple:
+def _field_components(gt: float, sn, cn, dn, laser: LaserParams,
+                      kin: KinematicParams) -> tuple:
+    """(Bx, By, Bz) of rescaled ratio gt from the Jacobi triple of u = w'_L t."""
     eta, eps = laser.eta, laser.epsilon
     gz, mu, wp = kin.gamma_z, kin.mu, kin.omega_L_prime
     root = math.sqrt(1.0 - eps * eps)
@@ -124,12 +116,13 @@ def _field_components(gt: float, sn: float, cn: float, dn: float,
     )
 
 
-def effective_field(t: float, which: str, laser: LaserParams,
-                    kin: KinematicParams, bound: BoundStateParams) -> EffectiveField:
-    """Closed-form precession field B^(i)(t) for constituent which in {n, p}."""
-    sn, cn, dn = jacobi(kin.omega_L_prime * t, kin.mu)
-    bx, by, bz = _field_components(bound.gtilde(which), sn, cn, dn, laser, kin)
-    return EffectiveField(Bx=bx, By=by, Bz=bz)
+def effective_field(t, which: str, laser: LaserParams, kin: KinematicParams,
+                    bound: BoundStateParams) -> np.ndarray:
+    """Closed-form precession field B^(i)(t) for constituent which in {n, p}:
+    (Bx, By, Bz) at a float time, shape S + (3,) over an array of shape S."""
+    return np.stack(_field_components(
+        bound.gtilde(which), *jacobi(kin.omega_L_prime * t, kin.mu), laser, kin),
+        axis=-1)
 
 
 def omega_first_principles(t: float, which: str, laser: LaserParams,
@@ -142,12 +135,7 @@ def omega_first_principles(t: float, which: str, laser: LaserParams,
     motion); independent of the closed-form field components, so it acts
     as their oracle.
     """
-    if which == "n":
-        e, m, g = bound.charge_n, bound.mass_n, bound.g_n
-    elif which == "p":
-        e, m, g = bound.charge_p, bound.mass_p, bound.g_p
-    else:
-        raise DomainError(f"constituent tag must be 'n' or 'p', got {which!r}")
+    e, m, g = bound.constituent(which)
     amp = field_amplitude(laser, bound.M_B, bound.q_B)
     pos = com_position(t, laser, kin)
     v = com_velocity(t, laser, kin)
@@ -163,20 +151,19 @@ def interaction_hamiltonian(bound: BoundStateParams) -> np.ndarray:
     return (bound.g_coupling / 4.0) * SIGMA_DOT_SIGMA
 
 
-# fixed single-spin operator basis: (s_k x 1) for k=1..3, then (1 x s_k)
+# single-spin operators (s_k x 1), k = 1..3, then (1 x s_k), one per row
 _SINGLE_SPIN_BASIS = np.stack(
     [np.kron(PAULI[k], SIGMA0) for k in (1, 2, 3)]
-    + [np.kron(SIGMA0, PAULI[k]) for k in (1, 2, 3)])
+    + [np.kron(SIGMA0, PAULI[k]) for k in (1, 2, 3)]).reshape(6, 16)
 
 
-def spin_hamiltonian(t: float, laser: LaserParams, kin: KinematicParams,
+def spin_hamiltonian(t, laser: LaserParams, kin: KinematicParams,
                      bound: BoundStateParams) -> np.ndarray:
-    """Full 4x4 Hermitian two-spin Hamiltonian H_S(t)."""
-    sn, cn, dn = jacobi(kin.omega_L_prime * t, kin.mu)
-    bn = _field_components(bound.gtilde("n"), sn, cn, dn, laser, kin)
-    bp = _field_components(bound.gtilde("p"), sn, cn, dn, laser, kin)
-    coeffs = -0.5 * np.array(bn + bp)
-    H = np.tensordot(coeffs, _SINGLE_SPIN_BASIS, axes=1)
-    if bound.g_coupling != 0.0:
-        H += (bound.g_coupling / 4.0) * SIGMA_DOT_SIGMA
-    return H
+    """Hermitian two-spin Hamiltonian H_S(t): a 4x4 matrix at a float time,
+    shape S + (4, 4) over an array of times of shape S."""
+    jac = jacobi(kin.omega_L_prime * t, kin.mu)
+    coeffs = -0.5 * np.stack(
+        _field_components(bound.gtilde("n"), *jac, laser, kin)
+        + _field_components(bound.gtilde("p"), *jac, laser, kin), axis=-1)
+    return ((coeffs @ _SINGLE_SPIN_BASIS).reshape(coeffs.shape[:-1] + (4, 4))
+            + interaction_hamiltonian(bound))

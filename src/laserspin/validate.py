@@ -115,16 +115,12 @@ def oracle_factorization(tol_numeric: float = 1e-8) -> OracleResult:
                 a = (laser, modulus_from_params(laser, 1.0),
                      BoundStateParams.from_gtildes(2.0, 2.0 - delta, g))
                 times = np.linspace(0.0, 2.0 * math.pi, 9)
-                Us = propagate(lambda t: spin_hamiltonian(t, *a), times,
-                               tol_numeric)
-                Ys = propagate(lambda t: interaction_term(t, *a), times,
-                               tol_numeric)
+                Us, Ys = (propagate(lambda t: H(t, *a), times, tol_numeric)
+                          for H in (spin_hamiltonian, interaction_term))
                 Xs = time_ordered_X(times, *a)
-                for t, U, X, Y in zip(times[1:].tolist(), Us[1:], Xs[1:],
-                                      Ys[1:]):
-                    S = euler_representation(-g / 4 * psi_integral(t, *a))
-                    worst = max(worst, np.abs(X - S @ Y).max(),
-                                np.abs(U - local_propagator(t, *a) @ X).max())
+                S = euler_representation(-g / 4 * psi_integral(times, *a))
+                worst = max(worst, np.abs(Xs - S @ Ys).max(),
+                            np.abs(Us - local_propagator(times, *a) @ Xs).max())
     return OracleResult("factorization", worst < 1e-6, float(worst), 1e-6,
                         "U vs W*X and X vs exp(-i g/4 psi S) Y")
 

@@ -11,7 +11,7 @@ import pytest
 
 import laserspin
 from laserspin.cli import main
-from laserspin.config import (config_from_dict, config_to_dict, load_config)
+from laserspin.config import config_from_dict, load_config
 from laserspin.errors import ConfigError
 from laserspin.simulate import (CSV_HEADER, apply_sweep_value, run_scenario,
                                 run_sweep, scenario_csv)
@@ -41,16 +41,6 @@ def write_config(tmp_path, cfg, name="scenario.json"):
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = config_from_dict(base_config())
-        assert config_from_dict(config_to_dict(cfg)) == cfg
-
-    def test_round_trip_product_state(self):
-        raw = base_config(initial_state={"type": "product", "alpha": 0.3,
-                                         "beta": 0.2})
-        cfg = config_from_dict(raw)
-        assert config_from_dict(config_to_dict(cfg)) == cfg
-
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="etaa"):
             config_from_dict(base_config(laser={"etaa": 0.1, "epsilon": 0.0}))
@@ -153,6 +143,74 @@ class TestNonFiniteNumbers:
     def test_integer_beyond_float_range(self):
         with pytest.raises(ConfigError, match="finite"):
             config_from_dict(base_config(t_end=10**400))
+
+
+def set_field(raw, path, value):
+    """Set the field at a key path of a raw config; returns the config."""
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+def readme_config(path=(), value=None):
+    """The scenario of the README, with the field at path set to value."""
+    raw = base_config(t_end=2.0, samples=9)
+    return set_field(raw, path, value) if path else raw
+
+
+class TestExtremeButFiniteNumbers:
+    """Values the schema admits end with a documented exit code, not a
+    numpy traceback."""
+
+    @pytest.mark.parametrize("path, value", [
+        (("bound", "g_coupling"), 1e300), (("bound", "g_coupling"), -1e300),
+        (("bound", "g_n"), 1e200), (("bound", "mass_n"), 1e-300),
+        (("bound", "mass_n"), 1e300), (("laser", "omega_L"), 1e300),
+        (("laser", "omega_L"), 1e-300)])
+    def test_overflowing_hamiltonian_exits_3(self, tmp_path, capsys, path,
+                                             value):
+        path = write_config(tmp_path, readme_config(path, value))
+        assert main(["simulate", "--config", path]) == 3
+        assert "Magnus exponent is not finite on [0, " in capsys.readouterr().err
+
+    def test_overflow_recorded_by_a_sweep_point(self, tmp_path):
+        cfg = config_from_dict(readme_config(("bound", "g_n"), 1e200))
+        manifest = run_sweep(cfg, "eta", [0.1], jobs=1,
+                             out_dir=str(tmp_path / "s"))
+        assert manifest[0]["status"].startswith(
+            "error: DomainError: Magnus exponent is not finite")
+
+    def test_step_budget_exits_4(self, tmp_path, capsys, monkeypatch):
+        # valid, but without the budget it would run for about 3e5 hours
+        monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 100)
+        raw = readme_config(("bound", "mass_p"), 1e-14)
+        raw["t_end"] = 0.5
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 4
+        assert "100 steps spent at t = " in capsys.readouterr().err
+
+    def test_subnormal_span_exits_4(self, tmp_path, capsys):
+        # span / 50 underflows to 0, and zero-length steps would never end
+        raw = readme_config(("t_end",), 5e-324)
+        raw["samples"] = 2
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 4
+        assert "step size underflow at t = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [1_000_001, 10**12])
+    def test_samples_cap_exits_2(self, tmp_path, capsys, samples):
+        path = write_config(tmp_path, readme_config(("samples",), samples))
+        assert main(["simulate", "--config", path]) == 2
+        assert f"samples must lie in [2, 1000000], got {samples}" \
+            in capsys.readouterr().err
+
+    def test_infinite_span_exits_2(self, tmp_path, capsys):
+        # t_end 2 pi / omega_L overflows; so does the motion period
+        path = write_config(tmp_path, readme_config(("laser", "omega_L"),
+                                                    5e-324))
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "t_end = 2.0" in err and "omega_L = 5e-324" in err
 
 
 class TestRunScenario:

@@ -6,7 +6,8 @@ from scipy.linalg import expm
 
 from laserspin import (BoundStateParams, DomainError, IntegratorError,
                        InvalidStateError, KinematicParams, LaserParams,
-                       euler_representation, evolve_von_neumann,
+                       effective_field, euler_representation,
+                       evolve_von_neumann,
                        interaction_hamiltonian,
                        interaction_picture_hamiltonian, interaction_term,
                        local_propagator, modulus_from_params, motion_period,
@@ -183,7 +184,8 @@ class TestVonNeumann:
 
     def test_step_underflow(self):
         # noise-like gigantic Hamiltonian defeats any step size
-        H = lambda t: 1e8 * math.sin(1e25 * t + 0.5) * np.kron(SIGMA1, SIGMA0)
+        H = lambda t: (1e8 * np.sin(1e25 * t + 0.5)[:, None, None]
+                       * np.kron(SIGMA1, SIGMA0))
         with pytest.raises(IntegratorError):
             propagate(H, [0.0, 1.0], 1e-9)
 
@@ -239,6 +241,85 @@ class TestPropagator:
         for k in (1, 1234, 2000, 3999):
             landing = propagate(H, [0.0, grid[k]], 1e-12)[-1]
             assert np.abs(Us[k] - landing).max() < 1e-10
+
+    def test_one_call_per_attempted_step(self):
+        # H(0) first, then the quarter points and the end of each attempted
+        # step in one call; the drive of the dense-output test
+        laser = LaserParams(eta=0.5, epsilon=0.3)
+        kin = modulus_from_params(laser, 1.0)
+        bound = BoundStateParams.from_gtildes(6.0, 2.0, g_coupling=0.5)
+        calls = []
+
+        def H(t):
+            calls.append(t.copy())
+            return spin_hamiltonian(t, laser, kin, bound)
+
+        propagate(H, np.linspace(0.0, 4.0 * math.pi, 33), 1e-12)
+        assert [t.shape for t in calls] == [(1,)] + [(4,)] * (len(calls) - 1)
+        assert calls[0][0] == 0.0 and len(calls) > 100
+        assert all(np.all(np.diff(t) > 0.0) for t in calls[1:])
+        assert calls[-1][-1] == 4.0 * math.pi
+
+    def test_overflowing_hamiltonian_is_a_domain_error(self):
+        # [H0, H1] overflows to inf - inf; eigh would not converge on it
+        H = lambda t: 1e300 * np.kron(SIGMA1, SIGMA0)
+        with pytest.raises(DomainError, match=r"not finite on \[0, 0\.02\]"):
+            propagate(H, [0.0, 1.0], 1e-9)
+
+    def test_zero_step_size_is_an_underflow(self):
+        # span / 50 rounds to 0; every zero-length step would be accepted
+        with pytest.raises(IntegratorError, match=r"underflow at t = 0 "):
+            propagate(lambda t: np.zeros((4, 4)), [0.0, 5e-323], 1e-9)
+
+    def test_step_budget(self, monkeypatch, linear_scenario):
+        laser, kin, bound = linear_scenario
+        H = lambda t: spin_hamiltonian(t, laser, kin, bound)
+        monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 100)
+        assert propagate(H, [0.0, 5.0], 1e-6).shape == (2, 4, 4)   # 26 steps
+        with pytest.raises(IntegratorError,
+                           match=r"100 steps spent at t = .* \(h = "):
+            propagate(H, [0.0, 5.0], 1e-9)                      # 119 steps
+
+
+# the sources of H and of the analytic factors, each with its drive, the
+# matrix shape of one time and the largest deviation from per-float calls
+_ELLIPTIC = (LaserParams(eta=0.5, epsilon=0.3),
+             BoundStateParams.from_gtildes(6.0, 2.0, g_coupling=0.5))
+_LINEAR = (LaserParams(eta=0.4, epsilon=0.0),
+           BoundStateParams.from_gtildes(3.5, 2.0, g_coupling=0.07))
+SOURCES = {
+    "spin_hamiltonian": (_ELLIPTIC, spin_hamiltonian, (4, 4), 0.0),
+    "effective_field_n": (_ELLIPTIC, lambda t, *d: effective_field(t, "n", *d),
+                          (3,), 0.0),
+    "effective_field_p": (_ELLIPTIC, lambda t, *d: effective_field(t, "p", *d),
+                          (3,), 0.0),
+    "interaction_picture_hamiltonian": (
+        _LINEAR, interaction_picture_hamiltonian, (4, 4), 0.0),
+    "interaction_term": (_LINEAR, interaction_term, (4, 4), 1e-14),
+    "psi_integral": (_LINEAR, psi_integral, (), 1e-14),
+    "single_spin_propagator_n": (
+        _LINEAR, lambda t, *d: single_spin_propagator(t, "n", *d), (2, 2), 0.0),
+    "single_spin_propagator_p": (
+        _LINEAR, lambda t, *d: single_spin_propagator(t, "p", *d), (2, 2), 0.0),
+    "local_propagator": (_LINEAR, local_propagator, (4, 4), 0.0),
+    "euler_representation": (_LINEAR, lambda t, *d: euler_representation(
+        t - 4.0), (4, 4), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_time_arrays_match_per_float_calls(name):
+    # exact, except psi and V: an array takes the panel count of its
+    # largest |t|, a float its own
+    (laser, bound), source, matrix, tol = SOURCES[name]
+    kin = modulus_from_params(laser, 1.0)
+    grid = np.linspace(0.0, 1.3 * motion_period(kin), 1000)
+    single = np.array([source(t, laser, kin, bound) for t in grid.tolist()])
+    assert single.shape == grid.shape + matrix
+    for shape in ((1000,), (20, 50)):
+        stack = source(grid.reshape(shape), laser, kin, bound)
+        assert stack.shape == shape + matrix
+        assert np.abs(stack.reshape(single.shape) - single).max() <= tol
 
 
 
@@ -352,7 +433,7 @@ class TestPrecessionAngles:
             fd = (precession_angle(t + h, "n", laser, kin, bound)
                   - precession_angle(t - h, "n", laser, kin, bound)) / (2 * h)
             assert fd == pytest.approx(
-                effective_field(t, "n", laser, kin, bound).Bx, abs=1e-6)
+                effective_field(t, "n", laser, kin, bound)[0], abs=1e-6)
 
     def test_derivative_at_origin_closed_form(self):
         laser, kin, bound = linear(0.5, 2.0, 2.0, 0.0)

@@ -46,13 +46,13 @@ class TestEffectiveField:
     def test_vanishes_without_laser(self, bound):
         laser, kin = scenario(0.0, 0.4)
         f = effective_field(1.7, "n", laser, kin, bound)
-        assert f.Bx == 0.0 and f.By == 0.0 and f.Bz == 0.0
+        assert f[0] == 0.0 and f[1] == 0.0 and f[2] == 0.0
 
     def test_linear_polarization_kills_y_and_z(self, bound):
         laser, kin = scenario(0.5, 0.0)
         for t in np.linspace(0.0, motion_period(kin), 40):
             f = effective_field(float(t), "n", laser, kin, bound)
-            assert f.By == 0.0 and f.Bz == 0.0
+            assert f[1] == 0.0 and f[2] == 0.0
 
     def test_hand_substitution_at_origin(self):
         # cn(0) = dn(0) = 1 collapses the x component to its prefactor
@@ -60,10 +60,10 @@ class TestEffectiveField:
         laser, kin = scenario(eta, eps)
         bound = BoundStateParams.from_gtildes(gt, gt)
         f = effective_field(0.0, "n", laser, kin, bound)
-        assert f.Bx == pytest.approx(
+        assert f[0] == pytest.approx(
             eta * 0.5 * math.sqrt(1 - eps**2) * ((gt + 1.0) - 1.0), rel=1e-14)
-        assert f.By == 0.0
-        assert f.Bz == pytest.approx(
+        assert f[1] == 0.0
+        assert f[2] == pytest.approx(
             -eta**2 * 0.5 * eps * math.sqrt(1 - eps**2) * (gt - 1.0), rel=1e-14)
 
     def test_factor_scaling_at_pinned_modulus(self, bound):
@@ -76,9 +76,9 @@ class TestEffectiveField:
         f2 = effective_field(t, "n", LaserParams(eta=0.4, epsilon=0.4),
                              kin, bound)
         # subtract the gamma_z pieces, which scale with the same powers
-        assert f2.Bx == pytest.approx(2.0 * f1.Bx, rel=1e-12)
-        assert f2.By == pytest.approx(2.0 * f1.By, rel=1e-12)
-        assert f2.Bz == pytest.approx(4.0 * f1.Bz, rel=1e-12)
+        assert f2[0] == pytest.approx(2.0 * f1[0], rel=1e-12)
+        assert f2[1] == pytest.approx(2.0 * f1[1], rel=1e-12)
+        assert f2[2] == pytest.approx(4.0 * f1[2], rel=1e-12)
 
 
 class TestOmegaCrossCheck:
@@ -111,8 +111,7 @@ class TestOmegaCrossCheck:
         kin = modulus_from_params(laser, gz)
         for which in ("n", "p"):
             for t in np.linspace(0.0, motion_period(kin), 60):
-                closed = effective_field(float(t), which, laser, kin,
-                                         bound).as_array()
+                closed = effective_field(float(t), which, laser, kin, bound)
                 omega = omega_first_principles(float(t), which, laser, kin,
                                                bound)
                 assert np.abs(closed - omega).max() < 1e-12
@@ -122,7 +121,7 @@ class TestOmegaCrossCheck:
         eta = 0.05
         laser, kin = scenario(eta, 0.0)
         worst = max(
-            np.abs(effective_field(float(t), "n", laser, kin, bound).as_array()
+            np.abs(effective_field(float(t), "n", laser, kin, bound)
                    - omega_first_principles(float(t), "n", laser, kin, bound)).max()
             for t in np.linspace(0.0, motion_period(kin), 50))
         assert worst < 5.0 * eta**2
@@ -157,8 +156,8 @@ class TestSpinHamiltonian:
     def test_reassembly_from_parts(self, bound):
         laser, kin = scenario(0.5, 0.2)
         for t in (0.0, 0.9, 3.7):
-            bn = effective_field(t, "n", laser, kin, bound).as_array()
-            bp = effective_field(t, "p", laser, kin, bound).as_array()
+            bn = effective_field(t, "n", laser, kin, bound)
+            bp = effective_field(t, "p", laser, kin, bound)
             manual = interaction_hamiltonian(bound).astype(complex)
             for k in (1, 2, 3):
                 manual -= 0.5 * bn[k - 1] * np.kron(PAULI[k], PAULI[0])
