@@ -30,4 +30,5 @@ class ConfigError(ValueError):
 
 
 class IntegratorError(RuntimeError):
-    """A time integrator could not meet its tolerance (step underflow)."""
+    """A time integrator could not meet its tolerance (step underflow or
+    step budget)."""

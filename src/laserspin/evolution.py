@@ -5,20 +5,21 @@ Numeric path
 :func:`propagate` integrates the propagator dU/dt = -i H(t) U (not rho)
 over a time grid and returns the (N, 4, 4) stack of U(t_k), by
 fourth-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-151 (2009)): over an interval of length h, with H0, Hm and H1 the values
-of H at its start, midpoint and end, U_step = exp(-i K) with
+151 (2009)): over an interval of length h, with H1 and H2 the values of
+H at its two Gauss-Legendre nodes, U_step = exp(-i K) with
 
-    K = h/6 (H0 + 4 Hm + H1) + i h^2/12 [H0, H1].
+    K = h/2 (H1 + H2) + i sqrt(3) h^2/12 [H1, H2].
 
-A step evaluates H at its quarter points and is checked against its two
-half steps.  Samples inside a step are dense output: K over [t, t_k]
-with H from the quartic through the five node values.  A Hamiltonian
-source maps an (m,) array of times to their (m, 4, 4) stack, or to one
-constant 4x4, so :func:`propagate` asks for H(0) once and then for the
-four new nodes of each attempted step in one call.  Every factor is
-the exponential of a Hermitian matrix, so U stays unitary to roundoff
-and rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
-structurally; only the step-control tolerance limits accuracy.
+The steps are uniform over the whole span: n = 8, 16, ... steps, until
+U at the nodes of the n/2-step grid moves by at most max(tol, 4e-15 n)
+when the step is halved; 4e-15 n is the roundoff of n steps.  Each
+sample then takes one more step, from the node before it.  A
+Hamiltonian source maps an (m,) array of times to their (m, 4, 4)
+stack, or to one constant 4x4, and is asked for at most 512 increasing
+times per call.  Every factor is the exponential of a Hermitian matrix,
+so U stays unitary to roundoff and rho(t) = U rho(0) U^+ keeps
+Hermiticity, trace and positivity structurally; only the tolerance of
+the halving test limits accuracy.
 :func:`evolve_von_neumann` forms the whole stack of states in one
 broadcast product, and :func:`validate_density_matrix` checks a single
 state or every sample of such a stack.
@@ -34,9 +35,9 @@ sample (Floquet; Shirley, Phys. Rev. 138, B979 (1965)):
 
 so a sample at a multiple of T closes the period before it and a run
 that stays within [0, T] is the direct run unchanged.  The offsets s and
-T itself are the samples of that one run, served by dense output.  Its
-error builds up to e_T at T and to (s / T) e_T at s, so U(n T + s)
-carries (n + s / T) e_T.  The period is therefore integrated at
+T itself are the samples of that one run.  Its error builds up to e_T
+at T and to about (s / T) e_T at s, so U(n T + s) carries
+(n + s / T) e_T.  The period is therefore integrated at
 tol T / t_end: the direct run's error budget per unit time, which keeps
 the global error within tol while the cost grows only like
 (t_end / T)^(1/4).  The powers U(T)^n are matrix products, never an
@@ -104,11 +105,13 @@ _S33 = np.kron(PAULI[3], PAULI[3])
 TOL_BOUNDS = (1e-14, 1e-4)
 # tolerance of the X factor, well below the 1e-6 gate of U = W X
 _X_TOL = 1e-12
-# accepted steps one integration may take; 8.4k is the most a test takes
-MAX_STEPS = 10**6
-# Lagrange weights of the quartic through the nodes 0, 1/4, ..., 1: row j
-# of the inverse Vandermonde matrix holds the coefficients of s**j
-_QUARTIC = np.linalg.inv(np.vander(np.linspace(0.0, 1.0, 5), increasing=True))
+# steps on the finest uniform grid of one integration; 8 192 is the most
+# a test needs
+MAX_STEPS = 2**16
+# the two Gauss-Legendre nodes of [0, 1]
+_GL2 = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
+# intervals per H call: OpenBLAS threads batched 4x4 matmuls from about 512
+_CHUNK = 256
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _TRACE_TOL = 1e-12
@@ -154,17 +157,34 @@ def _check_tol(tol: float) -> float:
     return float(tol)
 
 
-def _magnus4(h, H0: np.ndarray, Hm: np.ndarray, H1: np.ndarray,
-             t: float, t_end: float) -> np.ndarray:
-    """The Magnus step exp(-i K) over an interval [t, t_end] of length h
-    from H at its start, midpoint and end; broadcasts over leading axes.
-    Raises DomainError, naming the interval, when K is not finite."""
-    K = (h / 6.0) * (H0 + 4.0 * Hm + H1) \
-        + (1j * h * h / 12.0) * (H0 @ H1 - H1 @ H0)
-    if not np.isfinite(K).all():
-        raise DomainError(f"Magnus exponent is not finite on "
-                          f"[{t:.6g}, {t_end:.6g}]")
-    return expm_hermitian(K)
+@np.errstate(over="ignore", invalid="ignore")     # K is checked
+def _magnus4(H_of_t: HamiltonianSource, starts: np.ndarray,
+             lengths: np.ndarray) -> np.ndarray:
+    """The Magnus steps exp(-i K) over the intervals [a, a + h], a stack.
+
+    K = h/2 (H1 + H2) + i sqrt(3) h^2/12 [H1, H2], with H1 and H2 the
+    values of H at the two Gauss-Legendre nodes of the interval.  H is
+    asked for at most _CHUNK intervals per call, with its times in
+    increasing order.  Raises DomainError, naming the first interval,
+    when K is not finite.
+    """
+    out = np.empty((starts.size, 4, 4), dtype=complex)
+    for i in range(0, starts.size, _CHUNK):
+        a, h = starts[i:i + _CHUNK], lengths[i:i + _CHUNK]
+        times = (a[:, None] + h[:, None] * _GL2).ravel()
+        order = np.argsort(times, kind="stable")
+        H = np.empty((times.size, 4, 4), dtype=complex)
+        H[order] = np.broadcast_to(H_of_t(times[order]), H.shape)
+        H1, H2, hm = H[0::2], H[1::2], h[:, None, None]
+        K = (0.5 * hm) * (H1 + H2) \
+            + (1j * math.sqrt(3.0) / 12.0 * hm * hm) * (H1 @ H2 - H2 @ H1)
+        bad = np.flatnonzero(~np.isfinite(K).all(axis=(-2, -1)))
+        if bad.size:
+            j = bad[0]
+            raise DomainError(f"Magnus exponent is not finite on "
+                              f"[{a[j]:.6g}, {a[j] + h[j]:.6g}]")
+        out[i:i + _CHUNK] = expm_hermitian(K)
+    return out
 
 
 def period_tolerance(tol: float, period: float, span: float) -> float:
@@ -188,15 +208,14 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     """Propagators U(t_k) of dU/dt = -i H(t) U, U(0) = 1, on a time grid.
 
     H_of_t maps an (m,) array of times to their (m, 4, 4) stack, or to
-    one 4x4 matrix when H is constant; it is called with [0.0], then once
-    per attempted step with that step's four new nodes.  t_grid must
-    start at 0 and increase strictly; the result has shape
-    (len(t_grid), 4, 4).  A step is accepted when its two half steps
-    differ from the full step by at most tol * h / t_grid[-1]; samples
-    inside a step come from dense output, so the H evaluations do not
-    depend on the number of samples.  Raises IntegratorError when the
-    step size underflows or MAX_STEPS steps do not reach the end, and
-    DomainError when a Magnus exponent is not finite (H overflows).
+    one 4x4 matrix when H is constant; each call asks for at most 512
+    times, in increasing order.  t_grid must start at 0 and increase
+    strictly; the result has shape (len(t_grid), 4, 4).  The uniform
+    steps are halved until U moves by at most max(tol, 4e-15 n) (module
+    docstring), and a sample costs two H times but no steps.  Raises
+    IntegratorError when the step size underflows or MAX_STEPS steps do
+    not pass the halving test, and DomainError when a Magnus exponent is
+    not finite (H overflows).
 
     With the period T of H given, only [0, T] is integrated, at
     tol * T / t_grid[-1], and a sample n whole periods in is composed as
@@ -247,65 +266,37 @@ def _polar_step(U: np.ndarray) -> np.ndarray:
     return 0.5 * U @ (3.0 * IDENTITY4 - U.conj().T @ U)
 
 
-@np.errstate(over="ignore", invalid="ignore")     # _magnus4 checks K
 def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
                     tol: float) -> np.ndarray:
     """The Magnus steps of :func:`propagate` over a checked time grid."""
     out = np.empty((t_grid.size, 4, 4), dtype=complex)
-    out[0] = U = IDENTITY4
+    out[0] = IDENTITY4
     if t_grid.size == 1:
         return out
-    H_at = lambda times: np.broadcast_to(H_of_t(np.array(times)),
-                                         (len(times), 4, 4))
-    span = t_grid[-1]
-    h = span / 50.0
-    h_min = span * 1e-13
-    t, k, rejections, steps = 0.0, 1, 0, 0
-    H0 = H_at([0.0])[0]
-    while k < t_grid.size:
-        # h = span / 50 underflows to 0 on a subnormal span, and would then
-        # stall t with every step accepted
-        if not h > h_min or rejections > 60:
+    span, n, coarse, err = t_grid[-1], 8, None, math.inf
+    while True:
+        h = span / n
+        if not h >= np.finfo(float).tiny:
             raise IntegratorError(
-                f"step size underflow at t = {t:.6g} (h = {h:.3e})")
-        if steps == MAX_STEPS:
-            raise IntegratorError(f"{MAX_STEPS} steps spent at t = {t:.6g} "
-                                  f"of {span:.6g} (h = {h:.3e})")
-        last = h >= span - t
-        if last:
-            h = span - t
-        t_end = span if last else t + h
-        nodes = np.concatenate([H0[None], H_at(
-            [t + 0.25 * h, t + 0.5 * h, t + 0.75 * h, t_end])])
-        full, half1, half2 = _magnus4(
-            np.array([h, 0.5 * h, 0.5 * h])[:, None, None],
-            nodes[[0, 0, 2]], nodes[[2, 1, 3]], nodes[[4, 2, 4]], t, t_end)
-        fine = half2 @ half1
-        err = float(np.abs(full - fine).max())
-        # per-unit-time budgeting, floored at the per-step roundoff scale
-        budget = max(tol * h / span, 4e-15)
-        factor = 5.0 if err == 0.0 else 0.9 * (budget / err) ** 0.2
-        if not err <= budget:       # a NaN error rejects too
-            rejections += 1
-            h *= max(0.2, factor)
-            continue
-
-        j = int(np.searchsorted(t_grid, t_end))
-        if j > k:
-            # dense output: the same step over [t, t_k], with H from the
-            # quartic through the five node values
-            dt = t_grid[k:j] - t
-            s = np.concatenate([0.5 * dt, dt]) / h
-            Hs = np.tensordot(np.vander(s, 5, increasing=True) @ _QUARTIC,
-                              nodes, axes=1)
-            out[k:j] = _magnus4(dt[:, None, None], H0, Hs[:j - k],
-                                Hs[j - k:], t, t_end) @ U
-        U = _polar_step(fine @ U)
-        if j < t_grid.size and t_grid[j] == t_end:
-            out[j] = U
-            j += 1
-        t, k, H0, rejections, steps = t_end, j, nodes[4], 0, steps + 1
-        h *= min(5.0, max(1.0, factor))
+                f"step size underflow at t = 0 (h = {h:.3e})")
+        steps = _magnus4(H_of_t, h * np.arange(n), np.full(n, h))
+        U = np.empty((n + 1, 4, 4), dtype=complex)
+        U[0] = IDENTITY4
+        for j in range(n):
+            U[j + 1] = _polar_step(steps[j] @ U[j])
+        if coarse is not None:
+            # the global roundoff of n steps floors the attainable change
+            err = float(np.abs(U[::2] - coarse).max())
+            if err <= max(tol, 4e-15 * n):
+                break
+        if 2 * n > MAX_STEPS:
+            raise IntegratorError(
+                f"{MAX_STEPS} steps on [0, {span:.6g}] do not reach tol "
+                f"{tol:.3g}: halving the step still changes U by {err:.3e}")
+        n, coarse = 2 * n, U
+    # one more step for each sample, from the grid node before it
+    k = np.floor(t_grid[1:] / h).astype(np.int64)
+    out[1:] = _magnus4(H_of_t, k * h, t_grid[1:] - k * h) @ U[k]
     return out
 
 

@@ -105,7 +105,11 @@ def oracle_lorentz(mu_error: float = 0.0) -> OracleResult:
 
 # --- factorization oracle ----------------------------------------------------
 
-def oracle_factorization(tol_numeric: float = 1e-8) -> OracleResult:
+# tolerance of the numeric U and Y runs, well below the 1e-6 gate
+_FACTORIZATION_TOL = 1e-8
+
+
+def oracle_factorization() -> OracleResult:
     """U = W X, and X = exp(-i g/4 psi S) Y[V], over one period."""
     worst = 0.0
     for eta in (0.1, 0.2):
@@ -115,7 +119,8 @@ def oracle_factorization(tol_numeric: float = 1e-8) -> OracleResult:
                 a = (laser, modulus_from_params(laser, 1.0),
                      BoundStateParams.from_gtildes(2.0, 2.0 - delta, g))
                 times = np.linspace(0.0, 2.0 * math.pi, 9)
-                Us, Ys = (propagate(lambda t: H(t, *a), times, tol_numeric)
+                Us, Ys = (propagate(lambda t: H(t, *a), times,
+                                    _FACTORIZATION_TOL)
                           for H in (spin_hamiltonian, interaction_term))
                 Xs = time_ordered_X(times, *a)
                 S = euler_representation(-g / 4 * psi_integral(times, *a))
@@ -127,16 +132,20 @@ def oracle_factorization(tol_numeric: float = 1e-8) -> OracleResult:
 
 # --- Eulerian representation oracle ------------------------------------------
 
-def oracle_euler(n: int = 100) -> OracleResult:
+# random angles checked against the Pade exponential
+_EULER_ANGLES = 100
+
+
+def oracle_euler() -> OracleResult:
     from scipy.linalg import expm
     rng = np.random.default_rng(20240817)
     worst = 0.0
-    for psi in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n):
+    for psi in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, _EULER_ANGLES):
         closed = euler_representation(float(psi))
         brute = expm(1j * float(psi) * SIGMA_DOT_SIGMA)
         worst = max(worst, float(np.abs(closed - brute).max()))
     return OracleResult("euler", worst < 1e-12, worst, 1e-12,
-                        f"{n} random angles vs Pade exponential")
+                        f"{_EULER_ANGLES} random angles vs Pade exponential")
 
 
 # --- perturbative commutator oracle ------------------------------------------

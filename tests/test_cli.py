@@ -183,15 +183,23 @@ class TestExtremeButFiniteNumbers:
             "error: DomainError: Magnus exponent is not finite")
 
     def test_step_budget_exits_4(self, tmp_path, capsys, monkeypatch):
-        # valid, but without the budget it would run for about 3e5 hours
+        # valid, but its field needs far more steps than any budget allows
         monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 100)
         raw = readme_config(("bound", "mass_p"), 1e-14)
         raw["t_end"] = 0.5
         assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 4
-        assert "100 steps spent at t = " in capsys.readouterr().err
+        assert "100 steps on [0, " in capsys.readouterr().err
+
+    def test_real_step_budget_ends_a_stiff_run_in_seconds(self, tmp_path,
+                                                           capsys):
+        # the case above under the real MAX_STEPS = 2**16 uniform steps
+        raw = readme_config(("bound", "mass_p"), 1e-14)
+        raw["t_end"] = 0.5
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 4
+        assert "65536 steps on [0, " in capsys.readouterr().err
 
     def test_subnormal_span_exits_4(self, tmp_path, capsys):
-        # span / 50 underflows to 0, and zero-length steps would never end
+        # h = span / 8 is subnormal: no grid of such steps tiles the span
         raw = readme_config(("t_end",), 5e-324)
         raw["samples"] = 2
         assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 4

@@ -219,7 +219,7 @@ class TestPropagator:
         U_b = propagate(lambda s: H(s + t1), [0.0, t2 - t1], 1e-10)[-1]
         assert np.abs(U_b @ U_a - U_full).max() < 1e-9
 
-    def test_dense_output_matches_landing_runs(self):
+    def test_sample_steps_match_landing_runs(self):
         # the elliptic drive of the long-run benchmark workload, two periods
         laser = LaserParams(eta=0.5, epsilon=0.3)
         kin = modulus_from_params(laser, 1.0)
@@ -230,21 +230,22 @@ class TestPropagator:
             calls.append(t)
             return spin_hamiltonian(t, laser, kin, bound)
 
-        counts = []
+        grids = []
         for n in (2, 33, 4001):
             calls.clear()
             grid = np.linspace(0.0, 4.0 * math.pi, n)
             Us = propagate(H, grid, 1e-12)
-            counts.append(len(calls))
-        # steps ignore the samples, so their number costs no H calls
-        assert counts[0] == counts[1] == counts[2]
+            times = np.concatenate(calls)
+            # the step grid ignores the samples; each sample costs 2 times
+            grids.append(times[:times.size - 2 * (n - 1)])
+        assert all(np.array_equal(grids[0], g) for g in grids[1:])
         for k in (1, 1234, 2000, 3999):
             landing = propagate(H, [0.0, grid[k]], 1e-12)[-1]
             assert np.abs(Us[k] - landing).max() < 1e-10
 
-    def test_one_call_per_attempted_step(self):
-        # H(0) first, then the quarter points and the end of each attempted
-        # step in one call; the drive of the dense-output test
+    def test_at_most_512_increasing_times_per_call(self):
+        # one call per halving round of at most 256 intervals, two times
+        # each; the drive of the test above
         laser = LaserParams(eta=0.5, epsilon=0.3)
         kin = modulus_from_params(laser, 1.0)
         bound = BoundStateParams.from_gtildes(6.0, 2.0, g_coupling=0.5)
@@ -255,19 +256,35 @@ class TestPropagator:
             return spin_hamiltonian(t, laser, kin, bound)
 
         propagate(H, np.linspace(0.0, 4.0 * math.pi, 33), 1e-12)
-        assert [t.shape for t in calls] == [(1,)] + [(4,)] * (len(calls) - 1)
-        assert calls[0][0] == 0.0 and len(calls) > 100
-        assert all(np.all(np.diff(t) > 0.0) for t in calls[1:])
-        assert calls[-1][-1] == 4.0 * math.pi
+        # rounds of 8, ..., 4096 steps, then the 32 sample steps
+        assert [t.size for t in calls] == [16, 32, 64, 128, 256] \
+            + [512] * (1 + 2 + 4 + 8 + 16) + [64]
+        assert all(np.all(np.diff(t) >= 0.0) for t in calls)
+        assert calls[0][0] > 0.0 and calls[-1][-1] == 4.0 * math.pi
+
+    def test_global_error_within_tol(self):
+        # the drive of the long-run benchmark workload against scipy DOP853
+        from scipy.integrate import solve_ivp
+        H, T, _ = counted_drive(0.5, 0.3, 6.0, 2.0, 0.5)
+        times = np.linspace(0.0, 4.0 * math.pi, 33)
+        rhs = lambda t, u: (-1j * H(np.array([t]))[0]
+                            @ u.reshape(4, 4)).ravel()
+        ref = solve_ivp(rhs, (0.0, times[-1]), IDENTITY4.ravel() + 0j,
+                        method="DOP853", t_eval=times, rtol=1e-13, atol=1e-13)
+        U_ref = ref.y.T.reshape(-1, 4, 4)
+        for tol in (1e-6, 1e-8, 1e-10):
+            for period in (None, T):
+                Us = propagate(H, times, tol, period)
+                assert np.abs(Us - U_ref).max() <= tol
 
     def test_overflowing_hamiltonian_is_a_domain_error(self):
-        # [H0, H1] overflows to inf - inf; eigh would not converge on it
+        # [H1, H2] overflows to inf - inf; eigh would not converge on it
         H = lambda t: 1e300 * np.kron(SIGMA1, SIGMA0)
-        with pytest.raises(DomainError, match=r"not finite on \[0, 0\.02\]"):
+        with pytest.raises(DomainError, match=r"not finite on \[0, 0\.125\]"):
             propagate(H, [0.0, 1.0], 1e-9)
 
     def test_zero_step_size_is_an_underflow(self):
-        # span / 50 rounds to 0; every zero-length step would be accepted
+        # h = span / 8 is subnormal: no grid of such steps tiles the span
         with pytest.raises(IntegratorError, match=r"underflow at t = 0 "):
             propagate(lambda t: np.zeros((4, 4)), [0.0, 5e-323], 1e-9)
 
@@ -275,10 +292,10 @@ class TestPropagator:
         laser, kin, bound = linear_scenario
         H = lambda t: spin_hamiltonian(t, laser, kin, bound)
         monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 100)
-        assert propagate(H, [0.0, 5.0], 1e-6).shape == (2, 4, 4)   # 26 steps
+        assert propagate(H, [0.0, 5.0], 1e-6).shape == (2, 4, 4)   # 32 steps
         with pytest.raises(IntegratorError,
-                           match=r"100 steps spent at t = .* \(h = "):
-            propagate(H, [0.0, 5.0], 1e-9)                      # 119 steps
+                           match=r"100 steps on \[0, 5\] do not reach tol"):
+            propagate(H, [0.0, 5.0], 1e-9)                     # 256 steps
 
 
 # the sources of H and of the analytic factors, each with its drive, the
