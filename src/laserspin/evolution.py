@@ -12,14 +12,17 @@ H at its two Gauss-Legendre nodes, U_step = exp(-i K) with
 
 The steps are uniform over the whole span: n = 8, 16, ... steps, until
 U at the nodes of the n/2-step grid moves by at most max(tol, 4e-15 n)
-when the step is halved; 4e-15 n is the roundoff of n steps.  Each
-sample then takes one more step, from the node before it.  A
-Hamiltonian source maps an (m,) array of times to their (m, 4, 4)
-stack, or to one constant 4x4, and is asked for at most 512 increasing
-times per call.  Every factor is the exponential of a Hermitian matrix,
-so U stays unitary to roundoff and rho(t) = U rho(0) U^+ keeps
-Hermiticity, trace and positivity structurally; only the tolerance of
-the halving test limits accuracy.
+when the step is halved; 4e-15 n is the roundoff of n steps.  U at the
+nodes is the prefix product of the steps, formed pairwise in 2 log2 n
+batched matmuls and projected once per halving round by a Newton step
+of the polar projection.  Each sample off the grid nodes then takes
+one more step, from the node before it; a sample on a node takes U
+there.  A Hamiltonian source maps an (m,) array of times to their
+(m, 4, 4) stack, or to one constant 4x4, and is asked for at most 512
+increasing times per call.  Every factor is the exponential of a
+Hermitian matrix, so U stays unitary to roundoff and
+rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
+structurally; only the tolerance of the halving test limits accuracy.
 :func:`evolve_von_neumann` forms the whole stack of states in one
 broadcast product, and :func:`validate_density_matrix` checks a single
 state or every sample of such a stack.
@@ -44,9 +47,9 @@ the global error within tol while the cost grows only like
 eigendecomposition, because at Delta = 0 U(T) has a degenerate triplet
 whose eigenvectors `eig` need not return orthogonal: the squares
 U(T)^(2^b), then the distinct n in increasing order, each from the one
-before.  A Newton step of the polar projection after every product keeps
-unitarity at roundoff, so only the phases carry the roundoff of n
-products, about n 1e-16.
+before.  A Newton step of the polar projection after every one of these
+products keeps unitarity at roundoff, so only the phases carry the
+roundoff of n products, about n 1e-16.
 
 Analytic path (linear polarization only)
 ----------------------------------------
@@ -110,7 +113,10 @@ _X_TOL = 1e-12
 MAX_STEPS = 2**16
 # the two Gauss-Legendre nodes of [0, 1]
 _GL2 = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
-# intervals per H call: OpenBLAS threads batched 4x4 matmuls from about 512
+# intervals per H call, so at most 512 times per call, which the H-call
+# contract states; batched 4x4 matmul and eigh cost a flat 0.5 and 5-6 us
+# per matrix from 256 to 32 768 matrices, on one thread, and one call for a
+# whole grid of 512 to 65 536 steps was no faster (6-10 us a step either way)
 _CHUNK = 256
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -212,10 +218,10 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     times, in increasing order.  t_grid must start at 0 and increase
     strictly; the result has shape (len(t_grid), 4, 4).  The uniform
     steps are halved until U moves by at most max(tol, 4e-15 n) (module
-    docstring), and a sample costs two H times but no steps.  Raises
-    IntegratorError when the step size underflows or MAX_STEPS steps do
-    not pass the halving test, and DomainError when a Magnus exponent is
-    not finite (H overflows).
+    docstring), and a sample costs two H times but no steps, or nothing
+    when it lies on a grid node.  Raises IntegratorError when the step
+    size underflows or MAX_STEPS steps do not pass the halving test, and
+    DomainError when a Magnus exponent is not finite (H overflows).
 
     With the period T of H given, only [0, T] is integrated, at
     tol * T / t_grid[-1], and a sample n whole periods in is composed as
@@ -261,9 +267,27 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
 
 
 def _polar_step(U: np.ndarray) -> np.ndarray:
-    """One Newton step of the polar projection of a near-unitary U: it
-    keeps the roundoff of a long matmul chain from degrading unitarity."""
-    return 0.5 * U @ (3.0 * IDENTITY4 - U.conj().T @ U)
+    """One Newton step of the polar projection of a near-unitary U, or of
+    each matrix of a stack of them: it removes the unitarity defect that
+    the roundoff of a product of unitaries builds up, to second order."""
+    return 0.5 * U @ (3.0 * IDENTITY4 - U.conj().swapaxes(-1, -2) @ U)
+
+
+def _prefix_product(S: np.ndarray) -> np.ndarray:
+    """The prefix products P[j] = S[j] ... S[0] of a stack whose length is
+    a power of two, later factors on the left.
+
+    A work-efficient scan (Blelloch, CMU-CS-90-190, 1990): the products of
+    adjacent pairs, their prefixes by recursion, then the even prefixes,
+    about 2 len(S) matmuls in 2 log2 len(S) batched calls.  Each P[j] is a
+    product of at most 2 log2 len(S) factors.
+    """
+    if len(S) == 1:
+        return S.copy()
+    Q = _prefix_product(S[1::2] @ S[0::2])       # Q[k] = P[2k + 1]
+    P = np.empty_like(S)
+    P[0], P[1::2], P[2::2] = S[0], Q, S[2::2] @ Q[:-1]
+    return P
 
 
 def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
@@ -282,8 +306,7 @@ def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
         steps = _magnus4(H_of_t, h * np.arange(n), np.full(n, h))
         U = np.empty((n + 1, 4, 4), dtype=complex)
         U[0] = IDENTITY4
-        for j in range(n):
-            U[j + 1] = _polar_step(steps[j] @ U[j])
+        U[1:] = _polar_step(_prefix_product(steps))
         if coarse is not None:
             # the global roundoff of n steps floors the attainable change
             err = float(np.abs(U[::2] - coarse).max())
@@ -294,9 +317,13 @@ def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
                 f"{MAX_STEPS} steps on [0, {span:.6g}] do not reach tol "
                 f"{tol:.3g}: halving the step still changes U by {err:.3e}")
         n, coarse = 2 * n, U
-    # one more step for each sample, from the grid node before it
+    # one more step for each sample off the grid nodes, from the node
+    # before it
     k = np.floor(t_grid[1:] / h).astype(np.int64)
-    out[1:] = _magnus4(H_of_t, k * h, t_grid[1:] - k * h) @ U[k]
+    tail = t_grid[1:] - k * h
+    off = tail != 0.0
+    out[1:] = U[k]
+    out[1:][off] = _magnus4(H_of_t, k[off] * h, tail[off]) @ U[k[off]]
     return out
 
 

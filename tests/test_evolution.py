@@ -17,6 +17,7 @@ from laserspin import (BoundStateParams, DomainError, IntegratorError,
                        spin_hamiltonian,
                        theta_minus, time_ordered_X, validate_density_matrix,
                        werner_state, wootters_concurrence)
+from laserspin.evolution import _polar_step, _prefix_product, expm_hermitian
 from laserspin.pauli import (IDENTITY4, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
                              SIGMA_DOT_SIGMA, hermiticity_defect)
 
@@ -230,15 +231,18 @@ class TestPropagator:
             calls.append(t)
             return spin_hamiltonian(t, laser, kin, bound)
 
-        grids = []
+        step_grid = None
         for n in (2, 33, 4001):
             calls.clear()
             grid = np.linspace(0.0, 4.0 * math.pi, n)
             Us = propagate(H, grid, 1e-12)
             times = np.concatenate(calls)
-            # the step grid ignores the samples; each sample costs 2 times
-            grids.append(times[:times.size - 2 * (n - 1)])
-        assert all(np.array_equal(grids[0], g) for g in grids[1:])
+            # the step grid ignores the samples; a sample costs at most 2
+            # times, and the end of the span, a grid node, none
+            if step_grid is None:
+                step_grid = times
+            assert np.array_equal(times[:step_grid.size], step_grid)
+            assert times.size - step_grid.size <= 2 * (n - 2)
         for k in (1, 1234, 2000, 3999):
             landing = propagate(H, [0.0, grid[k]], 1e-12)[-1]
             assert np.abs(Us[k] - landing).max() < 1e-10
@@ -256,11 +260,36 @@ class TestPropagator:
             return spin_hamiltonian(t, laser, kin, bound)
 
         propagate(H, np.linspace(0.0, 4.0 * math.pi, 33), 1e-12)
-        # rounds of 8, ..., 4096 steps, then the 32 sample steps
+        # rounds of 8, ..., 4096 steps, then the steps of the 4 samples of
+        # 32 that miss the nodes of the 4096-step grid
         assert [t.size for t in calls] == [16, 32, 64, 128, 256] \
-            + [512] * (1 + 2 + 4 + 8 + 16) + [64]
-        assert all(np.all(np.diff(t) >= 0.0) for t in calls)
-        assert calls[0][0] > 0.0 and calls[-1][-1] == 4.0 * math.pi
+            + [512] * (1 + 2 + 4 + 8 + 16) + [8]
+        assert all(np.all(np.diff(t) > 0.0) for t in calls)
+        assert calls[0][0] > 0.0 and calls[-1][-1] < 4.0 * math.pi
+
+    def test_samples_on_grid_nodes_cost_no_h_times(self):
+        # a sample on a node of the finest grid takes U there; span 8 keeps
+        # every node k h exact
+        laser = LaserParams(eta=0.5, epsilon=0.3)
+        kin = modulus_from_params(laser, 1.0)
+        bound = BoundStateParams.from_gtildes(6.0, 2.0, g_coupling=0.5)
+        calls = []
+
+        def H(t):
+            calls.append(t)
+            return spin_hamiltonian(t, laser, kin, bound)
+
+        end = propagate(H, [0.0, 8.0], 1e-8)[-1]
+        sizes = [np.size(t) for t in calls]
+        # the first node of the finest grid, 8 / n (1/2 - sqrt(3)/6)
+        n = round(8.0 * (0.5 - math.sqrt(3.0) / 6.0)
+                  / min(t.min() for t in calls))
+        # rounds of 8, 16, ..., n steps ask 2 times a step, and no more
+        assert n >= 64 and sum(sizes) == 4 * n - 16
+        calls.clear()
+        Us = propagate(H, 8.0 * np.arange(n + 1) / n, 1e-8)
+        assert [np.size(t) for t in calls] == sizes
+        assert np.array_equal(Us[-1], end)
 
     def test_global_error_within_tol(self):
         # the drive of the long-run benchmark workload against scipy DOP853
@@ -296,6 +325,35 @@ class TestPropagator:
         with pytest.raises(IntegratorError,
                            match=r"100 steps on \[0, 5\] do not reach tol"):
             propagate(H, [0.0, 5.0], 1e-9)                     # 256 steps
+
+
+def random_unitaries(rng, n):
+    """n step propagators exp(-i H) of random Hermitian H, a stack."""
+    A = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return expm_hermitian(0.5 * (A + A.conj().swapaxes(-1, -2)))
+
+
+class TestStepProducts:
+    def test_polar_step_projects_a_stack_matrix_by_matrix(self):
+        rng = np.random.default_rng(5)
+        near = random_unitaries(rng, 5) + 1e-8 * rng.normal(size=(5, 4, 4))
+        stack = _polar_step(near)
+        assert stack.shape == (5, 4, 4)
+        single = np.array([_polar_step(U) for U in near])
+        assert np.abs(stack - single).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 512, 4096])
+    def test_prefix_product_matches_the_sequential_chain(self, n):
+        steps = random_unitaries(np.random.default_rng(n), n)
+        chain = np.empty_like(steps)
+        chain[0] = steps[0]
+        for j in range(1, n):
+            chain[j] = _polar_step(steps[j] @ chain[j - 1])
+        P = _prefix_product(steps)
+        assert np.abs(P - chain).max() <= 1e-13
+        projected = _polar_step(P)
+        defect = projected @ projected.conj().swapaxes(-1, -2) - IDENTITY4
+        assert np.abs(defect).max() <= 1e-14
 
 
 # the sources of H and of the analytic factors, each with its drive, the
