@@ -99,8 +99,9 @@ def unitary_orbit_bound(rho: np.ndarray) -> float:
     return max(0.0, float(l[0] - l[2] - 2.0 * math.sqrt(max(l[1] * l[3], 0.0))))
 
 
-def _sin2_over(delta: float, t: float, scale: float) -> float:
-    """sin^2(delta t / 2) / delta with the removable delta -> 0 limit.
+def _sin2_over(delta: float, t, scale: float):
+    """sin^2(delta t / 2) / delta with the removable delta -> 0 limit, at a
+    float time or elementwise over an array of times.
 
     Within |delta| < 1e-8 * scale the three-term Taylor expansion in
     delta is used.
@@ -109,18 +110,21 @@ def _sin2_over(delta: float, t: float, scale: float) -> float:
         t2 = t * t
         return (delta * t2 / 4.0 - delta**3 * t2 * t2 / 48.0
                 + delta**5 * t2 * t2 * t2 / 1440.0)
-    s = math.sin(0.5 * delta * t)
+    s = np.sin(0.5 * delta * t)
     return s * s / delta
 
 
-def q_factor(t: float, omega_L: float, g: float) -> float:
+def q_factor(t, omega_L: float, g: float):
     """Resonance kernel Q(t) of the product-state concurrence formula.
 
     Q = sin^2((w/2 + 2g) t)/(w + 4g) + sin^2((w/2 - 2g) t)/(w - 4g),
-    finite at the removable resonance w = 4g.
+    finite at the removable resonance w = 4g.  A float t gives a float,
+    an array of times the array of Q at each.
     """
-    if t < 0.0:
-        raise DomainError(f"q_factor requires t >= 0, got {t}")
+    t = np.asarray(t, dtype=float)
+    negative = t < 0.0
+    if negative.any():
+        raise DomainError(f"q_factor requires t >= 0, got {t[negative][0]}")
     return (_sin2_over(omega_L + 4.0 * g, t, omega_L)
             + _sin2_over(omega_L - 4.0 * g, t, omega_L))
 
@@ -132,10 +136,11 @@ def concurrence_werner_analytic(p: float) -> float:
     return max(0.0, (3.0 * p - 1.0) / 2.0)
 
 
-def concurrence_product_analytic(t: float, alpha: float, beta: float,
+def concurrence_product_analytic(t, alpha: float, beta: float,
                                  eta: float, g: float, delta_gtilde: float,
-                                 omega_L: float = 1.0) -> float:
-    """Leading-order concurrence of the evolved uncorrelated state.
+                                 omega_L: float = 1.0):
+    """Leading-order concurrence of the evolved uncorrelated state, at a
+    float time (a float) or an array of times (an array of that shape).
 
     C = max(0, 4 eta |beta g Delta Q(t)| - sqrt(1 - alpha^2)); zero at
     t = 0 and identically zero when beta, Delta or g vanishes.  At
@@ -145,5 +150,5 @@ def concurrence_product_analytic(t: float, alpha: float, beta: float,
     unitaries, C(t) = max(0, (|beta sin(g t)| - sqrt(1 - alpha^2))/2).
     """
     _check_product_domain(alpha, beta)
-    grow = 4.0 * eta * abs(beta * g * delta_gtilde * q_factor(t, omega_L, g))
-    return max(0.0, grow - math.sqrt(max(1.0 - alpha * alpha, 0.0)))
+    grow = 4.0 * eta * np.abs(beta * g * delta_gtilde * q_factor(t, omega_L, g))
+    return np.maximum(0.0, grow - math.sqrt(max(1.0 - alpha * alpha, 0.0)))

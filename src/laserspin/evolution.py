@@ -19,8 +19,8 @@ of the polar projection.  Each sample off the grid nodes then takes
 one more step, from the node before it; a sample on a node takes U
 there.  A Hamiltonian source maps an (m,) array of times to their
 (m, 4, 4) stack, or to one constant 4x4, and is asked for at most 512
-increasing times per call.  Every factor is the exponential of a
-Hermitian matrix, so U stays unitary to roundoff and
+times per call, in no particular order.  Every factor is the
+exponential of a Hermitian matrix, so U stays unitary to roundoff and
 rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
 structurally; only the tolerance of the halving test limits accuracy.
 :func:`evolve_von_neumann` forms the whole stack of states in one
@@ -45,11 +45,13 @@ tol T / t_end: the direct run's error budget per unit time, which keeps
 the global error within tol while the cost grows only like
 (t_end / T)^(1/4).  The powers U(T)^n are matrix products, never an
 eigendecomposition, because at Delta = 0 U(T) has a degenerate triplet
-whose eigenvectors `eig` need not return orthogonal: the squares
-U(T)^(2^b), then the distinct n in increasing order, each from the one
-before.  A Newton step of the polar projection after every one of these
-products keeps unitarity at roundoff, so only the phases carry the
-roundoff of n products, about n 1e-16.
+whose eigenvectors `eig` need not return orthogonal.  All distinct n
+are powered at once, bit by bit: at bit b every power whose n has bit b
+set takes one factor U(T)^(2^b), and that factor is squared for the
+next bit.  A Newton step of the polar projection after every one of
+these products keeps unitarity at roundoff, so only the phases carry
+the roundoff of the products: 1e-16 n to 4e-16 n against 40-digit
+powers of the same U(T), for n from 10 to 10^5.
 
 Analytic path (linear polarization only)
 ----------------------------------------
@@ -170,17 +172,14 @@ def _magnus4(H_of_t: HamiltonianSource, starts: np.ndarray,
 
     K = h/2 (H1 + H2) + i sqrt(3) h^2/12 [H1, H2], with H1 and H2 the
     values of H at the two Gauss-Legendre nodes of the interval.  H is
-    asked for at most _CHUNK intervals per call, with its times in
-    increasing order.  Raises DomainError, naming the first interval,
-    when K is not finite.
+    asked for at most _CHUNK intervals per call.  Raises DomainError,
+    naming the first interval, when K is not finite.
     """
     out = np.empty((starts.size, 4, 4), dtype=complex)
     for i in range(0, starts.size, _CHUNK):
         a, h = starts[i:i + _CHUNK], lengths[i:i + _CHUNK]
         times = (a[:, None] + h[:, None] * _GL2).ravel()
-        order = np.argsort(times, kind="stable")
-        H = np.empty((times.size, 4, 4), dtype=complex)
-        H[order] = np.broadcast_to(H_of_t(times[order]), H.shape)
+        H = np.broadcast_to(H_of_t(times), (times.size, 4, 4))
         H1, H2, hm = H[0::2], H[1::2], h[:, None, None]
         K = (0.5 * hm) * (H1 + H2) \
             + (1j * math.sqrt(3.0) / 12.0 * hm * hm) * (H1 @ H2 - H2 @ H1)
@@ -215,7 +214,7 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
 
     H_of_t maps an (m,) array of times to their (m, 4, 4) stack, or to
     one 4x4 matrix when H is constant; each call asks for at most 512
-    times, in increasing order.  t_grid must start at 0 and increase
+    times, in no particular order.  t_grid must start at 0 and increase
     strictly; the result has shape (len(t_grid), 4, 4).  The uniform
     steps are halved until U moves by at most max(tol, 4e-15 n) (module
     docstring), and a sample costs two H times but no steps, or nothing
@@ -249,20 +248,15 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     offsets = t_grid - n * period
     inner, where = np.unique(np.append(offsets, period), return_inverse=True)
     Us = _propagate_grid(H_of_t, inner, tol_period)
-    # U(T)^n from the projected squares U(T)^(2^b), each distinct n from
-    # the one before; no eig, which the Delta = 0 triplet defeats
+    # U(T)^n for every distinct n at once, bit by bit, from the projected
+    # squares U(T)^(2^b); no eig, which the Delta = 0 triplet defeats
     levels, level_of = np.unique(n, return_inverse=True)
-    squares = [Us[where[-1]]]
-    while 1 << len(squares) <= levels[-1]:
-        squares.append(_polar_step(squares[-1] @ squares[-1]))
-    powers = np.empty((levels.size, 4, 4), dtype=complex)
-    power, done = IDENTITY4, 0
-    for j, m in enumerate(levels.tolist()):
-        gap = m - done
-        for b in range(gap.bit_length()):
-            if gap >> b & 1:
-                power = _polar_step(power @ squares[b])
-        powers[j], done = power, m
+    powers = np.broadcast_to(IDENTITY4, (levels.size, 4, 4)).copy()
+    square = Us[where[-1]]                       # U(T)^(2^b) at bit b
+    for b in range(int(levels[-1]).bit_length()):
+        has_bit = (levels >> b & 1).astype(bool)
+        powers[has_bit] = _polar_step(powers[has_bit] @ square)
+        square = _polar_step(square @ square)
     return Us[where[:-1]] @ powers[level_of]
 
 
@@ -270,7 +264,11 @@ def _polar_step(U: np.ndarray) -> np.ndarray:
     """One Newton step of the polar projection of a near-unitary U, or of
     each matrix of a stack of them: it removes the unitarity defect that
     the roundoff of a product of unitaries builds up, to second order."""
-    return 0.5 * U @ (3.0 * IDENTITY4 - U.conj().swapaxes(-1, -2) @ U)
+    G = U.conj().swapaxes(-1, -2) @ U
+    np.subtract(3.0 * IDENTITY4, G, out=G)
+    G = U @ G
+    G *= 0.5
+    return G
 
 
 def _prefix_product(S: np.ndarray) -> np.ndarray:
@@ -303,10 +301,13 @@ def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
         if not h >= np.finfo(float).tiny:
             raise IntegratorError(
                 f"step size underflow at t = 0 (h = {h:.3e})")
-        steps = _magnus4(H_of_t, h * np.arange(n), np.full(n, h))
+        # the steps are freed before the projection, so the finest round
+        # holds one (n, 4, 4) stack fewer
         U = np.empty((n + 1, 4, 4), dtype=complex)
         U[0] = IDENTITY4
-        U[1:] = _polar_step(_prefix_product(steps))
+        U[1:] = _prefix_product(_magnus4(H_of_t, h * np.arange(n),
+                                         np.full(n, h)))
+        U[1:] = _polar_step(U[1:])
         if coarse is not None:
             # the global roundoff of n steps floors the attainable change
             err = float(np.abs(U[::2] - coarse).max())

@@ -11,8 +11,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,51 +27,53 @@ from .pauli import IDENTITY4
 from .spinfield import spin_hamiltonian
 from .trajectory import modulus_from_params, motion_period
 
-CSV_HEADER = ("t,concurrence_numeric,concurrence_analytic,"
-              "purity,trace_error,unitarity_error")
-
 SWEEPABLE = ("eta", "epsilon", "p", "alpha", "beta", "g_coupling",
              "Delta-via-g_p")
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    t: float
-    concurrence_numeric: float
-    concurrence_analytic: float | None
-    purity: float
-    trace_error: float
-    unitarity_error: float
+class Trace(NamedTuple):
+    """The CSV columns of a run, one (N,) array per sample time; the
+    analytic column is None for an explicit initial state."""
+
+    t: np.ndarray
+    concurrence_numeric: np.ndarray
+    concurrence_analytic: np.ndarray | None
+    purity: np.ndarray
+    trace_error: np.ndarray
+    unitarity_error: np.ndarray
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+CSV_HEADER = ",".join(Trace._fields)
+_CSV_ROW = "%.12g,%.12g,%s,%.12g,%.12g,%.12g"
 
 
-def rows_to_csv(rows: list[ResultRow]) -> str:
+def rows_to_csv(trace: Trace) -> str:
+    """The header and one line per sample, 12 significant digits, the
+    analytic field left empty when there is no analytic column."""
+    columns = [[None] * len(trace.t) if c is None else c.tolist()
+               for c in trace]
     lines = [CSV_HEADER]
-    for r in rows:
-        ana = "" if r.concurrence_analytic is None else _fmt(r.concurrence_analytic)
-        lines.append(",".join([
-            _fmt(r.t), _fmt(r.concurrence_numeric), ana,
-            _fmt(r.purity), _fmt(r.trace_error), _fmt(r.unitarity_error),
-        ]))
+    for t, numeric, analytic, *rest in zip(*columns):
+        lines.append(_CSV_ROW % (t, numeric, "" if analytic is None
+                                 else "%.12g" % analytic, *rest))
     return "\n".join(lines) + "\n"
 
 
-def _analytic_concurrence(cfg: ScenarioConfig, t: float) -> float | None:
+def _analytic_column(cfg: ScenarioConfig,
+                     t_grid: np.ndarray) -> np.ndarray | None:
     state = cfg.initial_state
     if state.kind == "werner":
-        return concurrence_werner_analytic(state.p)
+        return np.full(t_grid.shape, concurrence_werner_analytic(state.p))
     if state.kind == "product":
         return concurrence_product_analytic(
-            t, state.alpha, state.beta, cfg.laser.eta,
+            t_grid, state.alpha, state.beta, cfg.laser.eta,
             cfg.bound.g_coupling, cfg.bound.Delta, cfg.laser.omega_L)
     return None
 
 
-def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
-    """Evolve the configured initial state and report one row per sample.
+def run_scenario(cfg: ScenarioConfig) -> Trace:
+    """Evolve the configured initial state and return its CSV columns,
+    each evaluated on the whole time grid at once.
 
     The drive is periodic in the motion period, so a run of many periods
     integrates one of them (see :func:`propagate`).  Raises
@@ -111,11 +114,9 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
                               f"unitary-orbit bound {bound:.6g} of the initial "
                               f"state at t = {float(t_grid[k])}")
 
-    times = t_grid.tolist()
-    return [ResultRow(*row) for row in zip(
-        times, concurrence.tolist(), [_analytic_concurrence(cfg, t) for t in times],
-        np.trace(rhos @ rhos, axis1=-2, axis2=-1).real.tolist(),
-        trace_error.tolist(), unitarity_error.tolist())]
+    return Trace(t_grid, concurrence, _analytic_column(cfg, t_grid),
+                 np.trace(rhos @ rhos, axis1=-2, axis2=-1).real,
+                 trace_error, unitarity_error)
 
 
 def scenario_csv(cfg: ScenarioConfig) -> str:
@@ -151,12 +152,12 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
         f"unknown sweep parameter '{param}'; choose from {', '.join(SWEEPABLE)}")
 
 
-def _sweep_point(args: tuple) -> tuple[int, str | None, str | None]:
-    index, cfg, param, value = args
+def _sweep_point(args: tuple) -> tuple[str | None, str | None]:
+    cfg, param, value = args
     try:
-        return index, scenario_csv(apply_sweep_value(cfg, param, value)), None
+        return scenario_csv(apply_sweep_value(cfg, param, value)), None
     except Exception as exc:          # a failed point must not abort the sweep
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
@@ -177,7 +178,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
             f"unknown sweep parameter '{param}'; choose from {', '.join(SWEEPABLE)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(i, cfg, param, v) for i, v in enumerate(values)]
+    tasks = [(cfg, param, v) for v in values]
 
     if jobs <= 1:
         results = [_sweep_point(task) for task in tasks]
@@ -185,10 +186,9 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
         workers = min(jobs, len(values), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
-    results.sort(key=lambda r: r[0])
 
     manifest = []
-    for (index, csv_text, error), value in zip(results, values):
+    for index, ((csv_text, error), value) in enumerate(zip(results, values)):
         name = f"point_{index:03d}.csv"
         entry = {"point": {param: value}, "file": name,
                  "status": "ok" if error is None else f"error: {error}"}

@@ -225,27 +225,26 @@ class TestRunScenario:
     def test_frozen_dynamics_keeps_initial_concurrence(self):
         raw = base_config(laser={"eta": 0.0, "epsilon": 0.0})
         raw["bound"]["g_coupling"] = 0.0
-        rows = run_scenario(config_from_dict(raw))
-        assert len(rows) == 21
-        for r in rows:
-            assert r.concurrence_numeric == pytest.approx(0.7, abs=1e-12)
-            assert r.trace_error < 1e-12
-            assert r.unitarity_error < 1e-12
+        trace = run_scenario(config_from_dict(raw))
+        assert len(trace.t) == 21
+        assert trace.concurrence_numeric == pytest.approx(0.7, abs=1e-12)
+        assert np.all(trace.trace_error < 1e-12)
+        assert np.all(trace.unitarity_error < 1e-12)
 
     def test_werner_analytic_column_constant(self):
-        rows = run_scenario(config_from_dict(base_config()))
-        for r in rows:
-            assert r.concurrence_analytic == pytest.approx(0.7)
-            assert 0.0 <= r.concurrence_numeric <= 1.0
-            assert abs(r.concurrence_numeric - 0.7) < 10.0 * 0.1**2
+        trace = run_scenario(config_from_dict(base_config()))
+        assert trace.concurrence_analytic == pytest.approx(0.7)
+        assert np.all((0.0 <= trace.concurrence_numeric)
+                      & (trace.concurrence_numeric <= 1.0))
+        assert np.all(np.abs(trace.concurrence_numeric - 0.7) < 10.0 * 0.1**2)
 
     def test_explicit_state_has_empty_analytic_column(self):
         m = [[[0.25, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
              for i in range(4)]
         cfg = config_from_dict(base_config(
             initial_state={"type": "explicit", "matrix": m}))
-        rows = run_scenario(cfg)
-        assert all(r.concurrence_analytic is None for r in rows)
+        trace = run_scenario(cfg)
+        assert trace.concurrence_analytic is None
         csv = scenario_csv(cfg)
         assert ",," in csv.splitlines()[1]  # empty analytic field
 
@@ -253,6 +252,8 @@ class TestRunScenario:
         csv = scenario_csv(config_from_dict(base_config(samples=3)))
         lines = csv.strip().split("\n")
         assert lines[0] == CSV_HEADER
+        assert CSV_HEADER == ("t,concurrence_numeric,concurrence_analytic,"
+                              "purity,trace_error,unitarity_error")
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "0"

@@ -212,6 +212,8 @@ class TestQFactor:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             q_factor(-0.1, 1.0, 0.1)
+        with pytest.raises(DomainError, match="got -0.2"):
+            q_factor(np.array([0.0, 1.5, -0.2, 3.0]), 1.0, 0.1)
 
 
 class TestProductAnalytic:

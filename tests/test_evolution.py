@@ -6,13 +6,14 @@ from scipy.linalg import expm
 
 from laserspin import (BoundStateParams, DomainError, IntegratorError,
                        InvalidStateError, KinematicParams, LaserParams,
+                       concurrence_product_analytic,
                        effective_field, euler_representation,
                        evolve_von_neumann,
                        interaction_hamiltonian,
                        interaction_picture_hamiltonian, interaction_term,
                        local_propagator, modulus_from_params, motion_period,
                        perturbative_delta_rho_werner, precession_angle,
-                       product_state, propagate, psi_integral,
+                       product_state, propagate, psi_integral, q_factor,
                        single_spin_propagator,
                        spin_hamiltonian,
                        theta_minus, time_ordered_X, validate_density_matrix,
@@ -247,7 +248,7 @@ class TestPropagator:
             landing = propagate(H, [0.0, grid[k]], 1e-12)[-1]
             assert np.abs(Us[k] - landing).max() < 1e-10
 
-    def test_at_most_512_increasing_times_per_call(self):
+    def test_at_most_512_times_per_call(self):
         # one call per halving round of at most 256 intervals, two times
         # each; the drive of the test above
         laser = LaserParams(eta=0.5, epsilon=0.3)
@@ -264,7 +265,6 @@ class TestPropagator:
         # 32 that miss the nodes of the 4096-step grid
         assert [t.size for t in calls] == [16, 32, 64, 128, 256] \
             + [512] * (1 + 2 + 4 + 8 + 16) + [8]
-        assert all(np.all(np.diff(t) > 0.0) for t in calls)
         assert calls[0][0] > 0.0 and calls[-1][-1] < 4.0 * math.pi
 
     def test_samples_on_grid_nodes_cost_no_h_times(self):
@@ -379,6 +379,15 @@ SOURCES = {
     "local_propagator": (_LINEAR, local_propagator, (4, 4), 0.0),
     "euler_representation": (_LINEAR, lambda t, *d: euler_representation(
         t - 4.0), (4, 4), 0.0),
+    "q_factor": (_ELLIPTIC, lambda t, laser, kin, bound: q_factor(
+        t, laser.omega_L, bound.g_coupling), (), 0.0),
+    # w_L = 4g, the Taylor branch of the resonant term
+    "q_factor_resonant": (_ELLIPTIC, lambda t, laser, kin, bound: q_factor(
+        t, 4.0 * bound.g_coupling, bound.g_coupling), (), 0.0),
+    "concurrence_product_analytic": (
+        _ELLIPTIC, lambda t, laser, kin, bound: concurrence_product_analytic(
+            t, 0.3, 0.9, laser.eta, bound.g_coupling, bound.Delta,
+            laser.omega_L), (), 0.0),
 }
 
 
@@ -459,6 +468,18 @@ class TestPeriodComposition:
             counts.append(len(calls))
         # direct integration grows like span^1.25, about 18 times as many
         assert counts[1] < 3 * counts[0]
+
+    def test_powers_at_many_period_counts(self):
+        # every bit of n up to 2^10 must reach the power; one run composes
+        # all the period counts at once
+        H, T, _ = counted_drive(*self.DRIVES[0])
+        s = 0.37 * T
+        counts = [1, 2, 3, 7, 8, 9, 100, 1000, 1023, 1024]
+        times = np.array([0.0, s, T] + [n * T + s for n in counts])
+        Us = propagate(H, times, 1e-8, T)
+        for n, U in zip(counts, Us[3:]):
+            assert np.abs(U - Us[1] @ np.linalg.matrix_power(Us[2], n)).max() \
+                <= 1e-11
 
     def test_powers_stay_unitary_over_many_periods(self):
         # the powers of U(T) come from products that are projected back
