@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import InitialState, ScenarioConfig
+from .config import ScenarioConfig
 from .entanglement import (concurrence_product_analytic,
                            concurrence_werner_analytic, unitary_orbit_bound,
                            wootters_concurrence)
@@ -27,8 +26,9 @@ from .pauli import IDENTITY4
 from .spinfield import spin_hamiltonian
 from .trajectory import modulus_from_params, motion_period
 
-SWEEPABLE = ("eta", "epsilon", "p", "alpha", "beta", "g_coupling",
-             "Delta-via-g_p")
+# each sweepable parameter, with the initial-state kind it needs, if any
+SWEEPABLE = {"eta": None, "epsilon": None, "p": "werner", "alpha": "product",
+             "beta": "product", "g_coupling": None, "Delta-via-g_p": None}
 
 
 class Trace(NamedTuple):
@@ -123,33 +123,33 @@ def scenario_csv(cfg: ScenarioConfig) -> str:
     return rows_to_csv(run_scenario(cfg))
 
 
+def _check_sweep_param(cfg: ScenarioConfig, param: str) -> None:
+    """Raise ConfigError unless param is sweepable on cfg's initial state."""
+    if param not in SWEEPABLE:
+        raise ConfigError(f"unknown sweep parameter '{param}'; "
+                          f"choose from {', '.join(SWEEPABLE)}")
+    if SWEEPABLE[param] not in (None, cfg.initial_state.kind):
+        raise ConfigError(f"sweeping '{param}' requires a "
+                          f"{SWEEPABLE[param]} initial state")
+
+
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
     """Return a copy of cfg with one sweepable parameter replaced."""
+    _check_sweep_param(cfg, param)
+    if SWEEPABLE[param] is not None:      # a parameter of the initial state
+        return replace(cfg, initial_state=replace(cfg.initial_state,
+                                                  **{param: value}))
     if param == "eta":
         return replace(cfg, laser=replace(cfg.laser, eta=value))
     if param == "epsilon":
         return replace(cfg, laser=replace(cfg.laser, epsilon=value))
     if param == "g_coupling":
         return replace(cfg, bound=replace(cfg.bound, g_coupling=value))
-    if param == "Delta-via-g_p":
-        # adjust g_p so that gtilde_n - gtilde_p equals the requested value
-        target_gtilde_p = cfg.bound.gtilde("n") - value
-        g_p = target_gtilde_p * (cfg.bound.mass_p / cfg.bound.charge_p) \
-            * (cfg.bound.q_B / cfg.bound.M_B)
-        return replace(cfg, bound=replace(cfg.bound, g_p=g_p))
-    if param == "p":
-        if cfg.initial_state.kind != "werner":
-            raise ConfigError("sweeping 'p' requires a werner initial state")
-        return replace(cfg, initial_state=InitialState(kind="werner", p=value))
-    if param in ("alpha", "beta"):
-        if cfg.initial_state.kind != "product":
-            raise ConfigError(f"sweeping '{param}' requires a product initial state")
-        alpha = value if param == "alpha" else cfg.initial_state.alpha
-        beta = value if param == "beta" else cfg.initial_state.beta
-        return replace(cfg, initial_state=InitialState(
-            kind="product", alpha=alpha, beta=beta))
-    raise ConfigError(
-        f"unknown sweep parameter '{param}'; choose from {', '.join(SWEEPABLE)}")
+    # Delta-via-g_p: adjust g_p so that gtilde_n - gtilde_p equals the value
+    target_gtilde_p = cfg.bound.gtilde("n") - value
+    g_p = target_gtilde_p * (cfg.bound.mass_p / cfg.bound.charge_p) \
+        * (cfg.bound.q_B / cfg.bound.M_B)
+    return replace(cfg, bound=replace(cfg.bound, g_p=g_p))
 
 
 def _sweep_point(args: tuple) -> tuple[str | None, str | None]:
@@ -173,9 +173,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
         raise ConfigError("sweep value grid must be nonempty")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"sweep values must be finite, got {values}")
-    if param not in SWEEPABLE:
-        raise ConfigError(
-            f"unknown sweep parameter '{param}'; choose from {', '.join(SWEEPABLE)}")
+    _check_sweep_param(cfg, param)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, param, v) for v in values]
@@ -183,6 +181,8 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
     if jobs <= 1:
         results = [_sweep_point(task) for task in tasks]
     else:
+        # imported here, so that only a pooled sweep pays its start-up cost
+        from concurrent.futures import ProcessPoolExecutor
         workers = min(jobs, len(values), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))

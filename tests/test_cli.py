@@ -327,7 +327,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("laserspin.simulate.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         cfg = config_from_dict(base_config(samples=3))
         five = [0.02, 0.04, 0.06, 0.08, 0.1]
         for cpus, jobs, values in ((4, 100000, [0.1]), (4, 3, five),
@@ -460,6 +460,19 @@ class TestMainExitCodes:
         assert main(["sweep", "--config", path, "--param", "eta",
                      "--values", "0.1,zap"]) == 2
 
+    @pytest.mark.parametrize("state, param", [
+        (_PRODUCT, "p"), ({"type": "werner", "p": 0.8}, "alpha"),
+        ({"type": "werner", "p": 0.8}, "beta")])
+    def test_sweep_param_not_of_the_state_is_2(self, tmp_path, capsys,
+                                               state, param):
+        path = write_config(tmp_path, base_config(samples=5,
+                                                  initial_state=state))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--config", path, "--param", param,
+                     "--values", "0.5,0.6", "--out-dir", str(out_dir)]) == 2
+        assert f"sweeping '{param}' requires" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("values", ["nan,inf", "0.1,-inf"])
     def test_sweep_non_finite_values_is_2(self, tmp_path, capsys, values):
         path = write_config(tmp_path, base_config(samples=5))
@@ -482,6 +495,20 @@ class TestMainExitCodes:
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, laserspin.cli; print(sorted(m for m in "
                 "sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=60)
+        assert out.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_process_pool(self):
+        # only a sweep with --jobs > 1 needs the pool, and loading it costs
+        # every other run start-up time
+        src = str(Path(laserspin.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, laserspin.cli; print(sorted(m for m in "
+                "sys.modules if m.startswith(('concurrent.futures', "
+                "'multiprocessing'))))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=60)

@@ -141,6 +141,32 @@ class TestWoottersConcurrence:
             rho /= np.trace(rho).real
             assert 0.0 <= wootters_concurrence(rho) <= 1.0
 
+    def test_pure_states_to_roundoff(self):
+        # C = |psi^T (sy x sy) psi| for a pure state (Wootters 1998); its
+        # rho has three zero eigenvalues
+        rng = np.random.default_rng(41)
+        psi = rng.normal(size=(2000, 4)) + 1j * rng.normal(size=(2000, 4))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        exact = np.abs(np.einsum("ni,ij,nj->n", psi,
+                                 np.kron(PAULI[2], PAULI[2]), psi))
+        rhos = psi[:, :, None] * psi.conj()[:, None, :]
+        assert np.abs(wootters_concurrence(rhos) - exact).max() <= 1e-13
+
+    def test_rank_deficient_product_state_to_roundoff(self):
+        # product_state(0, 1) = diag(1/4, 0, 1/2, 1/4) has one zero
+        # eigenvalue; U rho0 U^+ = B B^+ with the exact factor B = U B0
+        rng = np.random.default_rng(43)
+        a = rng.normal(size=(2000, 4, 4)) + 1j * rng.normal(size=(2000, 4, 4))
+        u = np.linalg.qr(a)[0]
+        rho0 = product_state(0.0, 1.0)
+        b = u * np.sqrt(np.diag(rho0).real)
+        lam = np.linalg.svd(b.swapaxes(-1, -2)
+                            @ np.kron(PAULI[2], PAULI[2]) @ b,
+                            compute_uv=False)
+        exact = np.clip(lam[:, 0] - lam[:, 1:].sum(axis=-1), 0.0, None)
+        rhos = u @ rho0 @ u.conj().swapaxes(-1, -2)
+        assert np.abs(wootters_concurrence(rhos) - exact).max() <= 1e-13
+
     def test_stack_matches_per_matrix_loop(self, bound):
         # the 4001 states of the dense-trace benchmark drive: Werner p = 0.8
         # at eta 0.1, eps 0.2, gtilde (4, 1), g 0.1 over one period
