@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -24,6 +23,22 @@ from .trajectory import LaserParams, modulus_from_params, motion_period
 SCHEMA_VERSION = 1
 # samples per scenario; at about 1.3 kB each a run stays near 1.3 GB
 MAX_SAMPLES = 1_000_000
+
+# the keys of each section of a scenario file, each with its type, or
+# (type, default) for an optional key
+SECTION_KEYS = {
+    "config": {"schema": int, "laser": dict, "bound": dict, "gamma_z": float,
+               "initial_state": dict, "t_end": float, "samples": int,
+               "tol": float},
+    "laser": {"eta": float, "epsilon": float, "omega_L": (float, 1.0)},
+    "bound": {"mass_n": float, "mass_p": float, "charge_n": float,
+              "charge_p": float, "g_n": float, "g_p": float,
+              "g_coupling": float},
+}
+# the parameters of each initial-state kind, beside its 'type'
+STATE_KEYS = {"werner": {"p": float},
+              "product": {"alpha": float, "beta": float},
+              "explicit": {"matrix": object}}
 
 
 @dataclass(frozen=True)
@@ -66,6 +81,11 @@ class ScenarioConfig:
             raise ConfigError(f"t_end must be > 0, got {self.t_end}")
         self._check_periods()
 
+    @property
+    def span(self) -> float:
+        """The run's time span: t_end laser periods in time units."""
+        return self.t_end * (2.0 * math.pi / self.laser.omega_L)
+
     def _check_periods(self) -> None:
         """A run beyond one motion period integrates that period at the
         `period_tolerance` of tol; reject a t_end that puts it on the floor,
@@ -74,8 +94,7 @@ class ScenarioConfig:
             kin = modulus_from_params(self.laser, self.gamma_z)
         except DomainError:
             return      # reported as a physics-domain error by the run
-        # the same floating-point operations as run_scenario and propagate
-        span = self.t_end * (2.0 * math.pi / self.laser.omega_L)
+        span = self.span
         period = motion_period(kin)
         if span > period:
             try:
@@ -88,24 +107,21 @@ class ScenarioConfig:
                               f"= {self.laser.omega_L} span {span} time units")
 
 
-def _take(mapping: dict, context: str, required: dict[str, type],
-          optional: dict[str, Any] | None = None) -> dict:
-    """Extract keys with type checks; unknown keys are errors."""
-    optional = optional or {}
+def _take(mapping: dict, context: str, keys: dict) -> dict:
+    """Extract the keys of a section table with type checks; unknown keys
+    are errors, and a key missing from mapping takes its default."""
     out = {}
     for key in mapping:
-        if key not in required and key not in optional:
+        if key not in keys:
             raise ConfigError(f"unknown key '{key}' in {context}")
-    for key, typ in required.items():
-        if key not in mapping:
-            raise ConfigError(f"missing key '{key}' in {context}")
-        out[key] = _coerce(mapping[key], typ, f"{context}.{key}")
-    for key, default in optional.items():
+    for key, spec in keys.items():
+        typ, *default = spec if isinstance(spec, tuple) else (spec,)
         if key in mapping:
-            out[key] = _coerce(mapping[key], type(default) if default is not None
-                               else object, f"{context}.{key}")
+            out[key] = _coerce(mapping[key], typ, f"{context}.{key}")
+        elif default:
+            out[key] = default[0]
         else:
-            out[key] = default
+            raise ConfigError(f"missing key '{key}' in {context}")
     return out
 
 
@@ -133,59 +149,43 @@ def _coerce(value, typ, where: str):
 
 
 def _parse_initial_state(raw: dict) -> InitialState:
-    kind = _coerce(raw.get("type"), str, "initial_state.type") if "type" in raw \
-        else None
-    if kind is None:
+    if "type" not in raw:
         raise ConfigError("missing key 'type' in initial_state")
-    if kind == "werner":
-        got = _take(raw, "initial_state", {"type": str, "p": float})
-        return InitialState(kind="werner", p=got["p"])
-    if kind == "product":
-        got = _take(raw, "initial_state",
-                    {"type": str, "alpha": float, "beta": float})
-        return InitialState(kind="product", alpha=got["alpha"], beta=got["beta"])
+    kind = _coerce(raw["type"], str, "initial_state.type")
+    if kind not in STATE_KEYS:
+        *others, last = map(repr, STATE_KEYS)
+        raise ConfigError(f"initial_state.type must be {', '.join(others)} "
+                          f"or {last}, got {kind!r}")
+    got = _take(raw, "initial_state", {"type": str, **STATE_KEYS[kind]})
+    del got["type"]
     if kind == "explicit":
-        got = _take(raw, "initial_state", {"type": str, "matrix": object})
-        m = got["matrix"]
         entry = lambda x: _coerce(x, float, "initial_state.matrix")
         try:
-            rows = tuple(tuple((entry(e[0]), entry(e[1])) for e in row)
-                         for row in m)
+            got["matrix"] = tuple(tuple((entry(e[0]), entry(e[1]))
+                                        for e in row) for row in got["matrix"])
         except (TypeError, LookupError):
             raise ConfigError(
                 "initial_state.matrix must be 4 rows of 4 [re, im] pairs")
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+        if len(got["matrix"]) != 4 or any(len(r) != 4 for r in got["matrix"]):
             raise ConfigError(
                 "initial_state.matrix must be 4 rows of 4 [re, im] pairs")
-        return InitialState(kind="explicit", matrix=rows)
-    raise ConfigError(
-        f"initial_state.type must be 'werner', 'product' or 'explicit', "
-        f"got {kind!r}")
+    return InitialState(kind=kind, **got)
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    top = _take(raw, "config", {
-        "schema": int, "laser": dict, "bound": dict, "gamma_z": float,
-        "initial_state": dict, "t_end": float, "samples": int, "tol": float,
-    })
+    top = _take(raw, "config", SECTION_KEYS["config"])
     if top["schema"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema version {top['schema']}, expected {SCHEMA_VERSION}")
-
-    laser_raw = _take(top["laser"], "laser",
-                      {"eta": float, "epsilon": float},
-                      {"omega_L": 1.0})
-    bound_raw = _take(top["bound"], "bound", {
-        "mass_n": float, "mass_p": float, "charge_n": float, "charge_p": float,
-        "g_n": float, "g_p": float, "g_coupling": float,
-    })
-    laser = LaserParams(**laser_raw)
-    bound = BoundStateParams(**bound_raw)
-    state = _parse_initial_state(top["initial_state"])
+    # both sections are parsed before either record is built, so that a
+    # key error in bound exits 2 ahead of a domain error of the laser
+    laser, bound = (_take(top[name], name, SECTION_KEYS[name])
+                    for name in ("laser", "bound"))
     return ScenarioConfig(
-        laser=laser, bound=bound, gamma_z=top["gamma_z"],
-        initial_state=state, t_end=top["t_end"],
-        samples=top["samples"], tol=top["tol"],
+        laser=LaserParams(**laser), bound=BoundStateParams(**bound),
+        gamma_z=top["gamma_z"],
+        initial_state=_parse_initial_state(top["initial_state"]),
+        t_end=top["t_end"], samples=top["samples"], tol=top["tol"],
     )
 
 

@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evolution import validate_density_matrix
-from .pauli import IDENTITY4, PAULI, SIGMA_DOT_SIGMA
-
-_SPIN_FLIP = np.kron(PAULI[2], PAULI[2])
+from .pauli import IDENTITY4, PAIR, SIGMA_DOT_SIGMA
 
 
 def werner_state(p: float) -> np.ndarray:
@@ -61,8 +59,7 @@ def product_state(alpha: float, beta: float) -> np.ndarray:
     _check_product_domain(alpha, beta)
     c_p = 0.5 * (alpha + beta)
     c_n = 0.5 * (alpha - beta)
-    return 0.25 * (IDENTITY4 + c_p * np.kron(PAULI[0], PAULI[3])
-                   + c_n * np.kron(PAULI[3], PAULI[0]))
+    return 0.25 * (IDENTITY4 + c_p * PAIR[0, 3] + c_n * PAIR[3, 0])
 
 
 def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -77,7 +74,7 @@ def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     """
     w, B = np.linalg.eigh(validate_density_matrix(rho))
     B *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    lam = np.linalg.svd(B.swapaxes(-1, -2) @ (_SPIN_FLIP @ B),
+    lam = np.linalg.svd(B.swapaxes(-1, -2) @ (PAIR[2, 2] @ B),
                         compute_uv=False)
     c = np.clip(lam[..., 0] - lam[..., 1:].sum(axis=-1), 0.0, 1.0)
     return float(c) if c.ndim == 0 else c

@@ -95,16 +95,12 @@ import numpy as np
 
 from .elliptic import complete_K, jacobi
 from .errors import DomainError, IntegratorError, InvalidStateError
-from .pauli import (IDENTITY4, PAULI, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
+from .pauli import (IDENTITY4, PAIR, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
                     SIGMA_DOT_SIGMA, hermiticity_defect)
 from .spinfield import BoundStateParams
 from .trajectory import KinematicParams, LaserParams, _asinc
 
 HamiltonianSource = Callable[[np.ndarray], np.ndarray]
-
-_S11 = np.kron(PAULI[1], PAULI[1])
-_S22 = np.kron(PAULI[2], PAULI[2])
-_S33 = np.kron(PAULI[3], PAULI[3])
 
 # the tolerances every propagation accepts, exclusive bounds
 TOL_BOUNDS = (1e-14, 1e-4)
@@ -440,7 +436,7 @@ def interaction_picture_hamiltonian(t, laser: LaserParams,
     """
     g = bound.g_coupling
     thm = theta_minus(_matrix_axes(t), laser, kin, bound)
-    return (g / 4.0) * (_S11 + np.cos(thm) * (_S22 + _S33)
+    return (g / 4.0) * (PAIR[1, 1] + np.cos(thm) * (PAIR[2, 2] + PAIR[3, 3])
                         + np.sin(thm) * SIGMA_32)
 
 
@@ -471,7 +467,7 @@ def interaction_term(t, laser: LaserParams, kin: KinematicParams,
     t = _matrix_axes(t)
     thm = theta_minus(t, laser, kin, bound)
     psi = psi_integral(t, laser, kin, bound)
-    return (g / 4.0) * ((1.0 - np.cos(thm)) * _S11
+    return (g / 4.0) * ((1.0 - np.cos(thm)) * PAIR[1, 1]
                         + np.sin(thm) * (np.cos(g * psi) * SIGMA_32
                                          - np.sin(g * psi) * SIGMA_10))
 

@@ -10,23 +10,21 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA0, SIGMA1, SIGMA2, SIGMA3)
 
+# PAIR[j, k] = sigma_j (x) sigma_k
+PAIR = np.array([[np.kron(a, b) for b in PAULI] for a in PAULI])
+
 # sum_k sigma_k (x) sigma_k, spectrum {1, 1, 1, -3}
-SIGMA_DOT_SIGMA = sum(np.kron(PAULI[k], PAULI[k]) for k in (1, 2, 3))
+SIGMA_DOT_SIGMA = sum(PAIR[k, k] for k in (1, 2, 3))
 
 SWAP = 0.5 * (np.eye(4, dtype=complex) + SIGMA_DOT_SIGMA)
 
 IDENTITY4 = np.eye(4, dtype=complex)
 
 
-def antisym(mu: int, nu: int) -> np.ndarray:
-    """Antisymmetrized tensor sigma_mu (x) sigma_nu - sigma_nu (x) sigma_mu."""
-    return np.kron(PAULI[mu], PAULI[nu]) - np.kron(PAULI[nu], PAULI[mu])
-
-
 # the two antisymmetric combinations generated by conjugating the
 # spin-exchange term with x-axis single-spin rotations
-SIGMA_32 = antisym(3, 2)
-SIGMA_10 = antisym(1, 0)
+SIGMA_32 = PAIR[3, 2] - PAIR[2, 3]
+SIGMA_10 = PAIR[1, 0] - PAIR[0, 1]
 
 
 def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:

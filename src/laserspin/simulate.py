@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import STATE_KEYS, ScenarioConfig
 from .entanglement import (concurrence_product_analytic,
                            concurrence_werner_analytic, unitary_orbit_bound,
                            wootters_concurrence)
@@ -26,9 +26,11 @@ from .pauli import IDENTITY4
 from .spinfield import spin_hamiltonian
 from .trajectory import modulus_from_params, motion_period
 
-# each sweepable parameter, with the initial-state kind it needs, if any
-SWEEPABLE = {"eta": None, "epsilon": None, "p": "werner", "alpha": "product",
-             "beta": "product", "g_coupling": None, "Delta-via-g_p": None}
+# each sweepable parameter, with the record it sets: the laser, the bound
+# system, or the initial state of the kind in STATE_KEYS it needs
+SWEEPABLE = {"eta": "laser", "epsilon": "laser", "p": "werner",
+             "alpha": "product", "beta": "product", "g_coupling": "bound",
+             "Delta-via-g_p": "bound"}
 
 
 class Trace(NamedTuple):
@@ -84,8 +86,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     """
     kin = modulus_from_params(cfg.laser, cfg.gamma_z)
     rho0 = validate_density_matrix(cfg.initial_state.build())
-    period = 2.0 * math.pi / cfg.laser.omega_L
-    t_grid = np.linspace(0.0, cfg.t_end * period, cfg.samples)
+    t_grid = np.linspace(0.0, cfg.span, cfg.samples)
 
     H = lambda t: spin_hamiltonian(t, cfg.laser, kin, cfg.bound)
     Us = propagate(H, t_grid, cfg.tol, motion_period(kin))
@@ -128,28 +129,25 @@ def _check_sweep_param(cfg: ScenarioConfig, param: str) -> None:
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter '{param}'; "
                           f"choose from {', '.join(SWEEPABLE)}")
-    if SWEEPABLE[param] not in (None, cfg.initial_state.kind):
-        raise ConfigError(f"sweeping '{param}' requires a "
-                          f"{SWEEPABLE[param]} initial state")
+    record = SWEEPABLE[param]
+    if record in STATE_KEYS and record != cfg.initial_state.kind:
+        raise ConfigError(f"sweeping '{param}' requires a {record} "
+                          f"initial state")
 
 
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
     """Return a copy of cfg with one sweepable parameter replaced."""
     _check_sweep_param(cfg, param)
-    if SWEEPABLE[param] is not None:      # a parameter of the initial state
-        return replace(cfg, initial_state=replace(cfg.initial_state,
-                                                  **{param: value}))
-    if param == "eta":
-        return replace(cfg, laser=replace(cfg.laser, eta=value))
-    if param == "epsilon":
-        return replace(cfg, laser=replace(cfg.laser, epsilon=value))
-    if param == "g_coupling":
-        return replace(cfg, bound=replace(cfg.bound, g_coupling=value))
-    # Delta-via-g_p: adjust g_p so that gtilde_n - gtilde_p equals the value
-    target_gtilde_p = cfg.bound.gtilde("n") - value
-    g_p = target_gtilde_p * (cfg.bound.mass_p / cfg.bound.charge_p) \
-        * (cfg.bound.q_B / cfg.bound.M_B)
-    return replace(cfg, bound=replace(cfg.bound, g_p=g_p))
+    record = SWEEPABLE[param]
+    if record in STATE_KEYS:
+        record = "initial_state"
+    if param == "Delta-via-g_p":
+        # adjust g_p so that gtilde_n - gtilde_p equals the value
+        b = cfg.bound
+        param, value = "g_p", ((b.gtilde("n") - value)
+                               * (b.mass_p / b.charge_p) * (b.q_B / b.M_B))
+    return replace(cfg, **{record: replace(getattr(cfg, record),
+                                           **{param: value})})
 
 
 def _sweep_point(args: tuple) -> tuple[str | None, str | None]:

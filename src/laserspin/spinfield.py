@@ -33,7 +33,7 @@ import numpy as np
 
 from .elliptic import jacobi
 from .errors import DomainError
-from .pauli import PAULI, SIGMA_DOT_SIGMA, SIGMA0
+from .pauli import PAIR, SIGMA_DOT_SIGMA
 from .trajectory import (KinematicParams, LaserParams, com_acceleration,
                          com_position, com_velocity, field_amplitude,
                          wave_fields)
@@ -152,9 +152,7 @@ def interaction_hamiltonian(bound: BoundStateParams) -> np.ndarray:
 
 
 # single-spin operators (s_k x 1), k = 1..3, then (1 x s_k), one per row
-_SINGLE_SPIN_BASIS = np.stack(
-    [np.kron(PAULI[k], SIGMA0) for k in (1, 2, 3)]
-    + [np.kron(SIGMA0, PAULI[k]) for k in (1, 2, 3)]).reshape(6, 16)
+_SINGLE_SPIN_BASIS = np.concatenate([PAIR[1:, 0], PAIR[0, 1:]]).reshape(6, 16)
 
 
 def spin_hamiltonian(t, laser: LaserParams, kin: KinematicParams,

@@ -215,30 +215,23 @@ def oracle_concurrence() -> OracleResult:
                         "; ".join(details))
 
 
-ORACLES = {
-    "elliptic": oracle_elliptic,
-    "lorentz": oracle_lorentz,
-    "factorization": oracle_factorization,
-    "euler": oracle_euler,
-    "commutator": oracle_commutator,
-    "concurrence": oracle_concurrence,
-}
-
-
 def run_validate(name_filter: str | None = None,
                  mu_error: float = 0.0) -> tuple[list[OracleResult], int]:
     """Run the oracle suite; returns results and the process exit code."""
-    names = list(ORACLES)
+    oracles = {
+        "elliptic": oracle_elliptic,
+        "lorentz": lambda: oracle_lorentz(mu_error=mu_error),
+        "factorization": oracle_factorization,
+        "euler": oracle_euler,
+        "commutator": oracle_commutator,
+        "concurrence": oracle_concurrence,
+    }
+    names = list(oracles)
     if name_filter is not None:
-        if name_filter not in ORACLES:
+        if name_filter not in oracles:
             raise ConfigError(
                 f"unknown oracle '{name_filter}'; choose from {', '.join(names)}")
         names = [name_filter]
-    results = []
-    for name in names:
-        if name == "lorentz":
-            results.append(oracle_lorentz(mu_error=mu_error))
-        else:
-            results.append(ORACLES[name]())
+    results = [oracles[name]() for name in names]
     code = 0 if all(r.passed for r in results) else 1
     return results, code

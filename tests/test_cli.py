@@ -55,6 +55,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="gamma_z"):
             config_from_dict(raw)
 
+    def test_omitted_optional_key_takes_its_default(self):
+        cfg = config_from_dict(base_config(laser={"eta": 0.1,
+                                                  "epsilon": 0.0}))
+        assert cfg.laser.omega_L == 1.0
+
+    @pytest.mark.parametrize("state, message", [
+        ({"p": 0.8}, "missing key 'type' in initial_state"),
+        ({"type": "bell"}, "initial_state.type must be 'werner', 'product' "
+                           "or 'explicit', got 'bell'"),
+        ({"type": "product", "alpha": 0.1}, "missing key 'beta' in "
+                                            "initial_state"),
+        ({"type": "werner", "p": 0.8, "alpha": 0.1}, "unknown key 'alpha' in "
+                                                     "initial_state")])
+    def test_initial_state_errors(self, state, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_config(initial_state=state))
+        assert str(info.value) == message
+
+    def test_key_error_surfaces_before_domain_error(self, tmp_path, capsys):
+        # a laser the physics rejects (exit 3) beside a typo in bound
+        raw = base_config(laser={"eta": 0.5, "epsilon": 0.9})
+        raw["bound"]["g_couplnig"] = 0.1
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 2
+        assert "unknown key 'g_couplnig' in bound" in capsys.readouterr().err
+
     def test_wrong_schema_version(self):
         with pytest.raises(ConfigError, match="schema"):
             config_from_dict(base_config(schema=2))
