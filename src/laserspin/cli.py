@@ -11,7 +11,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, DomainError, IntegratorError
-from .simulate import SWEEPABLE, run_sweep, scenario_csv
+from .simulate import SWEEPABLE, run_sweep, scenario_csv, write_output
 from .validate import run_validate
 
 
@@ -45,8 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     text = scenario_csv(load_config(args.config))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_output(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

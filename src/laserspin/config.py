@@ -2,8 +2,10 @@
 
 Unknown keys are hard errors naming the offending key; silent typos in
 physics parameters are the main user hazard this guards against.  Unit
-convention at the boundary: omega_L is the frequency unit (default 1.0),
-the coupling g is entered in units of omega_L and t_end in laser periods.
+convention at the boundary: omega_L (default 1.0) and the coupling g are
+angular frequencies in one common unit, the inverse of the time unit, and
+t_end is in laser periods.  Changing omega_L at a fixed g changes the
+dynamics; scaling both by one factor only rescales time.
 """
 
 from __future__ import annotations

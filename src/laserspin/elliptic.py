@@ -117,6 +117,11 @@ def jacobi(u, mu: float) -> JacobiTriple:
         return JacobiTriple(np.sin(u), np.cos(u), np.ones_like(u)[()])
     n, phi = _landen(u, mu)
     sign = 1.0 - 2.0 * (n % 2.0)
-    s = np.sin(phi)
-    dn = np.sqrt(1.0 - (mu * s) * (mu * s))
-    return JacobiTriple(sign * s, sign * np.cos(phi), dn)
+    s, c = np.sin(phi), np.cos(phi)
+    ms2 = (mu * s) * (mu * s)
+    # 1 - (mu sn)^2 cancels as mu sn -> 1, where (1 - mu^2) + (mu cn)^2,
+    # the same value, does not
+    dn = np.sqrt(np.where(ms2 > 0.5,
+                          (1.0 - mu) * (1.0 + mu) + (mu * c) * (mu * c),
+                          1.0 - ms2))
+    return JacobiTriple(sign * s, sign * c, dn)

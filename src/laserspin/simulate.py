@@ -124,6 +124,15 @@ def scenario_csv(cfg: ScenarioConfig) -> str:
     return rows_to_csv(run_scenario(cfg))
 
 
+def write_output(path, text: str) -> None:
+    """Write text to the file at path; an unwritable path is a
+    ConfigError that names it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def _check_sweep_param(cfg: ScenarioConfig, param: str) -> None:
     """Raise ConfigError unless param is sweepable on cfg's initial state."""
     if param not in SWEEPABLE:
@@ -173,7 +182,10 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
         raise ConfigError(f"sweep values must be finite, got {values}")
     _check_sweep_param(cfg, param)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
     tasks = [(cfg, param, v) for v in values]
 
     if jobs <= 1:
@@ -191,7 +203,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
         entry = {"point": {param: value}, "file": name,
                  "status": "ok" if error is None else f"error: {error}"}
         if csv_text is not None:
-            (out / name).write_text(csv_text)
+            write_output(out / name, csv_text)
         manifest.append(entry)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_output(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return manifest

@@ -120,7 +120,12 @@ def _logterm(mu: float, cn, dn):
     if mu < _MU_SERIES_TOL:
         sn2 = 1.0 - cn * cn
         return (cn - 1.0) + mu * mu * (cn * sn2 / 2.0 + cn**3 / 3.0 - 1.0 / 3.0)
-    return np.log((mu * cn + dn) / (1.0 + mu)) / mu
+    # mu cn + dn cancels as cn -> -1 and mu -> 1; for cn < 0 it equals
+    # (1 - mu^2) / (dn + mu |cn|), which does not, and dn > 0 keeps that
+    # denominator off zero everywhere
+    arg = np.where(cn < 0.0, (1.0 - mu) * (1.0 + mu) / (dn + mu * np.abs(cn)),
+                   mu * cn + dn)
+    return np.log(arg / (1.0 + mu)) / mu
 
 
 def com_position(t, laser: LaserParams, kin: KinematicParams) -> np.ndarray:

@@ -263,6 +263,26 @@ class TestRunScenario:
                       & (trace.concurrence_numeric <= 1.0))
         assert np.all(np.abs(trace.concurrence_numeric - 0.7) < 10.0 * 0.1**2)
 
+    def test_g_coupling_shares_the_unit_of_omega_L(self):
+        # g is an angular frequency in the unit of omega_L, not a multiple
+        # of omega_L: doubling both only halves the times, while doubling
+        # omega_L alone changes the dynamics
+        raw = base_config(initial_state={"type": "product", "alpha": 0.0,
+                                         "beta": 1.0},
+                          laser={"eta": 0.5, "epsilon": 0.3, "omega_L": 1.0},
+                          t_end=2.0, samples=9)
+        raw["bound"].update(g_n=-6.0, g_p=-2.0, g_coupling=0.5)
+        trace = run_scenario(config_from_dict(raw))
+        raw["laser"]["omega_L"] = 2.0
+        faster_laser = run_scenario(config_from_dict(raw))
+        raw["bound"]["g_coupling"] = 1.0
+        both = run_scenario(config_from_dict(raw))
+        assert np.array_equal(both.t, trace.t / 2.0)
+        for column, scaled in zip(trace[1:], both[1:]):
+            assert np.array_equal(column, scaled)
+        assert np.abs(faster_laser.concurrence_numeric
+                      - trace.concurrence_numeric).max() > 1e-3
+
     def test_explicit_state_has_empty_analytic_column(self):
         m = [[[0.25, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
              for i in range(4)]
@@ -479,6 +499,29 @@ class TestMainExitCodes:
                      "--out-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert [m["status"] for m in manifest] == ["ok", "ok"]
+
+    def test_simulate_unwritable_out_is_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(samples=3))
+        out = tmp_path / "missing" / "rows.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert str(out) in err and "Traceback" not in err
+
+    def test_sweep_out_dir_on_a_file_is_2(self, tmp_path, capsys,
+                                          monkeypatch):
+        ran = []
+        monkeypatch.setattr("laserspin.simulate.scenario_csv",
+                            lambda cfg: ran.append(cfg))
+        path = write_config(tmp_path, base_config(samples=3))
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("")
+        assert main(["sweep", "--config", path, "--param", "eta",
+                     "--values", "0.1", "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert str(out_dir) in err and "Traceback" not in err
+        assert ran == []
 
     def test_sweep_bad_values_is_2(self, tmp_path):
         path = write_config(tmp_path, base_config(samples=5))

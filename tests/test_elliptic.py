@@ -54,6 +54,15 @@ class TestJacobi:
             sn, cn, dn = jacobi(0.0, mu)
             assert (sn, cn, dn) == (0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("one_minus_mu", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_dn_at_quarter_period_near_unit_modulus(self, one_minus_mu):
+        # dn(K) = sqrt(1 - mu^2), which 1 - (mu sn)^2 would lose to
+        # cancellation as mu -> 1
+        mu = 1.0 - one_minus_mu
+        dn = jacobi(complete_K(mu), mu).dn
+        assert dn / math.sqrt((1.0 - mu) * (1.0 + mu)) == pytest.approx(
+            1.0, abs=1e-13)
+
     def test_trig_degeneracy(self):
         sn, cn, dn = jacobi(math.pi / 2.0, 0.0)
         assert sn == pytest.approx(1.0, abs=1e-15)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
@@ -142,13 +142,17 @@ class TestPosition:
 
 class TestVelocityAcceleration:
     @given(eta=ETAS, eps=EPSS, gz=GAMMAS, t=TIMES)
+    # mu = 1 - 3.8e-6 and mu = 1 - 9.1e-13, near its upper end
+    @example(eta=0.5, eps=2.0**-9, gz=0.5, t=13.0)
+    @example(eta=0.5, eps=2.0**-20, gz=0.5, t=13.0)
     def test_velocity_matches_finite_difference(self, eta, eps, gz, t):
         laser = LaserParams(eta=eta, epsilon=eps)
         try:
             kin = modulus_from_params(laser, gz)
         except DomainError:
             return
-        h = 1e-6
+        # balances the h^2 truncation against the position's roundoff / h
+        h = 1e-4
         fd = (com_position(t + h, laser, kin)
               - com_position(t - h, laser, kin)) / (2.0 * h)
         assert np.abs(fd - com_velocity(t, laser, kin)).max() < 1e-6
