@@ -2,17 +2,29 @@
 
 Exit codes: 0 success, 1 oracle/validation failure, 2 config error,
 3 physics-domain error, 4 integrator failure or invariant breach.
+
+The CLI owns its process, so it runs BLAS on one thread: every matrix
+of the program is 4x4 or a stack of them, which a second BLAS thread
+cannot speed up, while starting it costs CPU time at import.  The
+setting is made before the first import that loads numpy; a value the
+user has set wins, and pool workers of a sweep inherit it.  Importing
+the library alone leaves the BLAS settings as they are.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
+# the package imports load numpy, so they follow the thread setting
 from .config import load_config
 from .errors import ConfigError, DomainError, IntegratorError
-from .simulate import SWEEPABLE, run_sweep, scenario_csv, write_output
-from .validate import run_validate
+from .simulate import (SWEEPABLE, check_output, run_sweep, scenario_csv,
+                       write_output)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,11 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    text = scenario_csv(load_config(args.config))
-    if args.out:
-        write_output(args.out, text)
-    else:
-        sys.stdout.write(text)
+    cfg = load_config(args.config)
+    if not args.out:
+        sys.stdout.write(scenario_csv(cfg))
+        return 0
+    check_output(args.out)
+    write_output(args.out, scenario_csv(cfg))
     return 0
 
 
@@ -68,6 +81,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # loaded here, so that simulate and sweep skip its import
+    from .validate import run_validate
     results, code = run_validate(args.filter, mu_error=args.inject_mu_error)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

@@ -267,20 +267,23 @@ def _polar_step(U: np.ndarray) -> np.ndarray:
     return G
 
 
-def _prefix_product(S: np.ndarray) -> np.ndarray:
+def _prefix_product(S: np.ndarray, out: np.ndarray | None = None
+                    ) -> np.ndarray:
     """The prefix products P[j] = S[j] ... S[0] of a stack whose length is
-    a power of two, later factors on the left.
+    a power of two, later factors on the left, written to out (a new
+    array when None) and returned.
 
     A work-efficient scan (Blelloch, CMU-CS-90-190, 1990): the products of
     adjacent pairs, their prefixes by recursion, then the even prefixes,
     about 2 len(S) matmuls in 2 log2 len(S) batched calls.  Each P[j] is a
-    product of at most 2 log2 len(S) factors.
+    product of at most 2 log2 len(S) factors.  The odd prefixes are
+    written in place, so the scan allocates only the pair products.
     """
-    if len(S) == 1:
-        return S.copy()
-    Q = _prefix_product(S[1::2] @ S[0::2])       # Q[k] = P[2k + 1]
-    P = np.empty_like(S)
-    P[0], P[1::2], P[2::2] = S[0], Q, S[2::2] @ Q[:-1]
+    P = np.empty_like(S) if out is None else out
+    P[0] = S[0]
+    if len(S) > 1:
+        _prefix_product(S[1::2] @ S[0::2], P[1::2])   # P[2k + 1]
+        np.matmul(S[2::2], P[1:-1:2], out=P[2::2])
     return P
 
 
@@ -301,9 +304,11 @@ def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
         # holds one (n, 4, 4) stack fewer
         U = np.empty((n + 1, 4, 4), dtype=complex)
         U[0] = IDENTITY4
-        U[1:] = _prefix_product(_magnus4(H_of_t, h * np.arange(n),
-                                         np.full(n, h)))
-        U[1:] = _polar_step(U[1:])
+        _prefix_product(_magnus4(H_of_t, h * np.arange(n), np.full(n, h)),
+                        U[1:])
+        # projected in slices, so that G and U G never span the grid
+        for i in range(1, n + 1, _CHUNK):
+            U[i:i + _CHUNK] = _polar_step(U[i:i + _CHUNK])
         if coarse is not None:
             # the global roundoff of n steps floors the attainable change
             err = float(np.abs(U[::2] - coarse).max())

@@ -124,6 +124,19 @@ def scenario_csv(cfg: ScenarioConfig) -> str:
     return rows_to_csv(run_scenario(cfg))
 
 
+def check_output(path) -> None:
+    """Raise the ConfigError of :func:`write_output` before a run, when
+    path cannot be opened for writing; a file that did not exist is not
+    left behind."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+    if not existed:
+        os.unlink(path)
+
+
 def write_output(path, text: str) -> None:
     """Write text to the file at path; an unwritable path is a
     ConfigError that names it."""

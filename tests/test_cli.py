@@ -40,6 +40,23 @@ def write_config(tmp_path, cfg, name="scenario.json"):
     return str(path)
 
 
+def run_python(args, **env_changes):
+    """Run python with args in a fresh interpreter that imports this
+    checkout and return its stdout; a None value in env_changes removes
+    that variable from the environment."""
+    src = str(Path(laserspin.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60).stdout.strip()
+
+
 class TestConfig:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="etaa"):
@@ -508,6 +525,27 @@ class TestMainExitCodes:
         assert err.startswith("config error: cannot write output: ")
         assert str(out) in err and "Traceback" not in err
 
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def run_scenario(cfg):
+            raise AssertionError("the run started")
+        monkeypatch.setattr("laserspin.simulate.run_scenario", run_scenario)
+        path = write_config(tmp_path, base_config(samples=3))
+        out = tmp_path / "missing" / "rows.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert "cannot write output: " in capsys.readouterr().err
+
+    def test_failed_run_leaves_no_file(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(
+            laser={"eta": 0.5, "epsilon": 0.9}))
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        assert not out.exists()
+        # a file already there is left as it was
+        out.write_text("kept")
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        assert out.read_text() == "kept"
+
     def test_sweep_out_dir_on_a_file_is_2(self, tmp_path, capsys,
                                           monkeypatch):
         ran = []
@@ -558,29 +596,65 @@ class TestMainExitCodes:
         assert main(["validate", "--filter", "bogus"]) == 2
 
     def test_cli_import_loads_no_scipy(self):
-        src = str(Path(laserspin.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, laserspin.cli; print(sorted(m for m in "
                 "sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=60)
-        assert out.stdout.strip() == "[]"
+        assert run_python(["-c", code]) == "[]"
 
     def test_cli_import_loads_no_process_pool(self):
         # only a sweep with --jobs > 1 needs the pool, and loading it costs
         # every other run start-up time
-        src = str(Path(laserspin.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, laserspin.cli; print(sorted(m for m in "
                 "sys.modules if m.startswith(('concurrent.futures', "
                 "'multiprocessing'))))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=60)
-        assert out.stdout.strip() == "[]"
+        assert run_python(["-c", code]) == "[]"
+
+    def test_package_import_loads_no_numpy(self):
+        # nor does a library import touch the BLAS settings
+        code = ("import os, sys, laserspin; print('numpy' in sys.modules); "
+                "laserspin.propagate; print('numpy' in sys.modules, "
+                "os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert run_python(["-c", code], OPENBLAS_NUM_THREADS=None) \
+            == "False\nTrue None"
+
+    def test_cli_import_loads_no_validate(self):
+        code = "import sys, laserspin.cli; print('laserspin.validate' in " \
+               "sys.modules)"
+        assert run_python(["-c", code]) == "False"
+
+    def test_cli_runs_blas_on_one_thread(self):
+        code = ("import os, laserspin.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        expected = ["1"]
+        if sys.platform.startswith("linux"):
+            # numpy is loaded by now, with no BLAS thread beside the main one
+            code += ("; print(*[line.split()[1] for line in "
+                     "open('/proc/self/status') if line.startswith('Threads:')])")
+            expected.append("1")
+        assert run_python(["-c", code], OPENBLAS_NUM_THREADS=None,
+                          MKL_NUM_THREADS=None).split() == expected
+
+    def test_user_blas_threads_win(self):
+        code = ("import os, laserspin.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert run_python(["-c", code], OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_simulate_identical_across_blas_threads(self, tmp_path):
+        path = write_config(tmp_path, base_config(samples=41))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"rows-{threads}.csv"
+            run_python(["-m", "laserspin", "simulate", "--config", path,
+                        "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].decode().startswith(CSV_HEADER)
+
+    def test_every_exported_name_resolves(self):
+        for name in laserspin.__all__:
+            assert getattr(laserspin, name) is not None
+        assert set(laserspin.__all__) <= set(dir(laserspin))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            laserspin.no_such_name
 
     def test_validate_negative_control(self, capsys):
         # deliberately perturbed modulus must trip the lorentz oracle

@@ -351,6 +351,10 @@ class TestStepProducts:
             chain[j] = _polar_step(steps[j] @ chain[j - 1])
         P = _prefix_product(steps)
         assert np.abs(P - chain).max() <= 1e-13
+        # written into a view of a larger stack, as the propagator does
+        out = np.zeros((n + 1, 4, 4), dtype=complex)
+        assert _prefix_product(steps, out[1:]).base is out
+        assert out[1:].tobytes() == P.tobytes() and not out[0].any()
         projected = _polar_step(P)
         defect = projected @ projected.conj().swapaxes(-1, -2) - IDENTITY4
         assert np.abs(defect).max() <= 1e-14
