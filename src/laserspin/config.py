@@ -193,11 +193,13 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and bytes that are not UTF-8;
+        # RecursionError, arrays or objects nested too deep to parse
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

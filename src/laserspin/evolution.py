@@ -267,45 +267,41 @@ def _polar_step(U: np.ndarray) -> np.ndarray:
     return G
 
 
-def _prefix_product(S: np.ndarray, out: np.ndarray | None = None
-                    ) -> np.ndarray:
-    """The prefix products P[j] = S[j] ... S[0] of a stack whose length is
-    a power of two, later factors on the left, written to out (a new
-    array when None) and returned.
+def _prefix_product(S: np.ndarray) -> np.ndarray:
+    """Overwrite a stack whose length is a power of two with its prefix
+    products S[j] ... S[0], later factors on the left, and return it.
 
-    A work-efficient scan (Blelloch, CMU-CS-90-190, 1990): the products of
-    adjacent pairs, their prefixes by recursion, then the even prefixes,
-    about 2 len(S) matmuls in 2 log2 len(S) batched calls.  Each P[j] is a
-    product of at most 2 log2 len(S) factors.  The odd prefixes are
-    written in place, so the scan allocates only the pair products.
+    A work-efficient scan (Blelloch, CMU-CS-90-190, 1990) in place: the
+    products of adjacent pairs overwrite the odd slots, which the
+    recursion turns into the odd prefixes, and then the even prefixes
+    overwrite the even slots from 2 on; about 2 len(S) matmuls in
+    2 log2 len(S) batched calls.  Each prefix is a product of at most
+    2 log2 len(S) factors.
     """
-    P = np.empty_like(S) if out is None else out
-    P[0] = S[0]
     if len(S) > 1:
-        _prefix_product(S[1::2] @ S[0::2], P[1::2])   # P[2k + 1]
-        np.matmul(S[2::2], P[1:-1:2], out=P[2::2])
-    return P
+        np.matmul(S[1::2], S[0::2], out=S[1::2])
+        _prefix_product(S[1::2])                       # P[2k + 1]
+        np.matmul(S[2::2], S[1:-1:2], out=S[2::2])     # P[2k + 2]
+    return S
 
 
 def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
                     tol: float) -> np.ndarray:
     """The Magnus steps of :func:`propagate` over a checked time grid."""
-    out = np.empty((t_grid.size, 4, 4), dtype=complex)
-    out[0] = IDENTITY4
     if t_grid.size == 1:
-        return out
+        return IDENTITY4[None].copy()
     span, n, coarse, err = t_grid[-1], 8, None, math.inf
     while True:
         h = span / n
         if not h >= np.finfo(float).tiny:
             raise IntegratorError(
                 f"step size underflow at t = 0 (h = {h:.3e})")
-        # the steps are freed before the projection, so the finest round
-        # holds one (n, 4, 4) stack fewer
+        # the steps are copied into the nodes and scanned there in place,
+        # so the round keeps no stack of its own beside U and the coarse U
         U = np.empty((n + 1, 4, 4), dtype=complex)
         U[0] = IDENTITY4
-        _prefix_product(_magnus4(H_of_t, h * np.arange(n), np.full(n, h)),
-                        U[1:])
+        U[1:] = _magnus4(H_of_t, h * np.arange(n), np.full(n, h))
+        _prefix_product(U[1:])
         # projected in slices, so that G and U G never span the grid
         for i in range(1, n + 1, _CHUNK):
             U[i:i + _CHUNK] = _polar_step(U[i:i + _CHUNK])
@@ -319,13 +315,13 @@ def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
                 f"{MAX_STEPS} steps on [0, {span:.6g}] do not reach tol "
                 f"{tol:.3g}: halving the step still changes U by {err:.3e}")
         n, coarse = 2 * n, U
-    # one more step for each sample off the grid nodes, from the node
-    # before it
-    k = np.floor(t_grid[1:] / h).astype(np.int64)
-    tail = t_grid[1:] - k * h
+    # U at the node at or before each sample, and one more step for each
+    # sample off the nodes
+    k = np.floor(t_grid / h).astype(np.int64)
+    tail = t_grid - k * h
     off = tail != 0.0
-    out[1:] = U[k]
-    out[1:][off] = _magnus4(H_of_t, k[off] * h, tail[off]) @ U[k[off]]
+    out = U[k]
+    out[off] = _magnus4(H_of_t, k[off] * h, tail[off]) @ U[k[off]]
     return out
 
 

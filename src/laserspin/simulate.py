@@ -147,7 +147,8 @@ def write_output(path, text: str) -> None:
 
 
 def _check_sweep_param(cfg: ScenarioConfig, param: str) -> None:
-    """Raise ConfigError unless param is sweepable on cfg's initial state."""
+    """Raise ConfigError unless param is sweepable on cfg: on its initial
+    state, and for Delta-via-g_p with a nonzero charge_p."""
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter '{param}'; "
                           f"choose from {', '.join(SWEEPABLE)}")
@@ -155,6 +156,9 @@ def _check_sweep_param(cfg: ScenarioConfig, param: str) -> None:
     if record in STATE_KEYS and record != cfg.initial_state.kind:
         raise ConfigError(f"sweeping '{param}' requires a {record} "
                           f"initial state")
+    if param == "Delta-via-g_p" and cfg.bound.charge_p == 0.0:
+        raise ConfigError(f"sweeping '{param}' requires a nonzero charge_p: "
+                          f"gtilde_p is 0 for every g_p")
 
 
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
@@ -184,10 +188,12 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
               jobs: int, out_dir: str) -> list[dict]:
     """Run one scenario per grid value, one CSV per point, plus a manifest.
 
-    Outputs are deterministic and independent of the parallelism degree:
-    workers only compute CSV text, all files are written sequentially in
-    grid order by the caller.  jobs > 1 runs the points in a process pool
-    of at most min(jobs, len(values), cpu count) workers.
+    A point that fails has no CSV: one left in out_dir under its name by
+    an earlier sweep is removed.  Outputs are deterministic and independent
+    of the parallelism degree: workers only compute CSV text, all files are
+    written sequentially in grid order by the caller.  jobs > 1 runs the
+    points in a process pool of at most min(jobs, len(values), cpu count)
+    workers.
     """
     if not values:
         raise ConfigError("sweep value grid must be nonempty")
@@ -217,6 +223,12 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
                  "status": "ok" if error is None else f"error: {error}"}
         if csv_text is not None:
             write_output(out / name, csv_text)
+        else:
+            # a CSV of an earlier sweep must not pass for this point's
+            try:
+                (out / name).unlink(missing_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output: {exc}") from None
         manifest.append(entry)
     write_output(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return manifest

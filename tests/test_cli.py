@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,23 @@ class TestExtremeButFiniteNumbers:
         assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 4
         assert "65536 steps on [0, " in capsys.readouterr().err
 
+    def test_stiff_run_holds_under_3_2_node_stacks(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the finest round holds its nodes, the coarse nodes and the steps
+        # _magnus4 returns before they are scanned in place in the nodes;
+        # a node stack is (n + 1) complex 4x4 matrices of 256 B
+        monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 2**13)
+        raw = readme_config(("bound", "mass_p"), 1e-14)
+        raw["t_end"] = 0.5
+        path = write_config(tmp_path, raw)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", path]) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * (2**13 + 1) * 256
+
     def test_subnormal_span_exits_4(self, tmp_path, capsys):
         # h = span / 8 is subnormal: no grid of such steps tiles the span
         raw = readme_config(("t_end",), 5e-324)
@@ -360,6 +378,16 @@ class TestSweep:
         assert manifest[1]["status"].startswith("error")
         assert (tmp_path / "f" / "point_000.csv").exists()
         assert not (tmp_path / "f" / "point_001.csv").exists()
+
+    def test_failed_point_removes_an_earlier_csv(self, tmp_path):
+        cfg = config_from_dict(base_config(samples=5))
+        out_dir = tmp_path / "f"
+        run_sweep(cfg, "p", [0.5, 0.6], jobs=1, out_dir=str(out_dir))
+        manifest = run_sweep(cfg, "p", [0.5, 2.0], jobs=1,
+                             out_dir=str(out_dir))
+        assert manifest[1]["status"].startswith("error")
+        assert (out_dir / "point_000.csv").exists()
+        assert not (out_dir / "point_001.csv").exists()
 
     def test_delta_sweep_adjusts_second_ratio(self):
         cfg = config_from_dict(base_config())
@@ -503,6 +531,16 @@ class TestMainExitCodes:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("content", [b'{"t_end": "\xff"}',
+                                         b"[" * 200_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_config_is_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config is not valid JSON: ")
+
     def test_domain_error_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(
             laser={"eta": 0.5, "epsilon": 0.9}))
@@ -577,6 +615,15 @@ class TestMainExitCodes:
         assert main(["sweep", "--config", path, "--param", param,
                      "--values", "0.5,0.6", "--out-dir", str(out_dir)]) == 2
         assert f"sweeping '{param}' requires" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_delta_sweep_without_charge_p_is_2(self, tmp_path, capsys):
+        bound = dict(base_config()["bound"], charge_p=0.0)
+        path = write_config(tmp_path, base_config(samples=5, bound=bound))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--config", path, "--param", "Delta-via-g_p",
+                     "--values", "1.0,2.0", "--out-dir", str(out_dir)]) == 2
+        assert "requires a nonzero charge_p" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("values", ["nan,inf", "0.1,-inf"])

@@ -349,12 +349,13 @@ class TestStepProducts:
         chain[0] = steps[0]
         for j in range(1, n):
             chain[j] = _polar_step(steps[j] @ chain[j - 1])
-        P = _prefix_product(steps)
-        assert np.abs(P - chain).max() <= 1e-13
-        # written into a view of a larger stack, as the propagator does
-        out = np.zeros((n + 1, 4, 4), dtype=complex)
-        assert _prefix_product(steps, out[1:]).base is out
-        assert out[1:].tobytes() == P.tobytes() and not out[0].any()
+        # scanned in place in a view of a larger stack, as the propagator
+        # scans the nodes after U(0)
+        stack = np.zeros((n + 1, 4, 4), dtype=complex)
+        stack[1:] = steps
+        P = _prefix_product(stack[1:])
+        assert P.base is stack and not stack[0].any()
+        assert np.abs(stack[1:] - chain).max() <= 1e-13
         projected = _polar_step(P)
         defect = projected @ projected.conj().swapaxes(-1, -2) - IDENTITY4
         assert np.abs(defect).max() <= 1e-14

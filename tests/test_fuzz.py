@@ -1,5 +1,6 @@
 """Fuzz the scenario file: any numbers end `simulate` with a documented
-exit code (0, 2, 3 or 4), never a traceback or a numpy warning."""
+exit code (0, 2, 3 or 4), and any bytes that are not a scenario with
+exit code 2, never a traceback or a numpy warning."""
 
 import json
 import math
@@ -55,3 +56,14 @@ def test_simulate_ends_with_a_documented_exit_code(raw):
         code = main(["simulate", "--config", str(config),
                      "--out", str(Path(tmp) / "rows.csv")])
     assert code in (0, 2, 3, 4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(content=st.binary())
+def test_any_bytes_as_the_config_exit_2(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.json"
+        config.write_bytes(content)
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(Path(tmp) / "rows.csv")])
+    assert code == 2
