@@ -163,12 +163,14 @@ def _parse_initial_state(raw: dict) -> InitialState:
     if kind == "explicit":
         entry = lambda x: _coerce(x, float, "initial_state.matrix")
         try:
-            got["matrix"] = tuple(tuple((entry(e[0]), entry(e[1]))
-                                        for e in row) for row in got["matrix"])
-        except (TypeError, LookupError):
+            got["matrix"] = tuple(tuple(tuple(map(entry, e)) for e in row)
+                                  for row in got["matrix"])
+        except TypeError:
             raise ConfigError(
                 "initial_state.matrix must be 4 rows of 4 [re, im] pairs")
-        if len(got["matrix"]) != 4 or any(len(r) != 4 for r in got["matrix"]):
+        if len(got["matrix"]) != 4 or any(
+                len(r) != 4 or any(len(e) != 2 for e in r)
+                for r in got["matrix"]):
             raise ConfigError(
                 "initial_state.matrix must be 4 rows of 4 [re, im] pairs")
     return InitialState(kind=kind, **got)

@@ -191,9 +191,9 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
     A point that fails has no CSV: one left in out_dir under its name by
     an earlier sweep is removed.  Outputs are deterministic and independent
     of the parallelism degree: workers only compute CSV text, all files are
-    written sequentially in grid order by the caller.  jobs > 1 runs the
-    points in a process pool of at most min(jobs, len(values), cpu count)
-    workers.
+    written sequentially in grid order by the caller.  The points run in a
+    process pool of min(jobs, len(values), cpu count) workers, or in this
+    process when that is 1.
     """
     if not values:
         raise ConfigError("sweep value grid must be nonempty")
@@ -207,12 +207,12 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
         raise ConfigError(f"cannot write output: {exc}") from None
     tasks = [(cfg, param, v) for v in values]
 
-    if jobs <= 1:
+    workers = min(jobs, len(values), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_sweep_point(task) for task in tasks]
     else:
         # imported here, so that only a pooled sweep pays its start-up cost
         from concurrent.futures import ProcessPoolExecutor
-        workers = min(jobs, len(values), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
 

@@ -109,6 +109,15 @@ class TestConfig:
             initial_state={"type": "explicit", "matrix": m}))
         assert np.abs(cfg.initial_state.build() - np.eye(4) / 4).max() == 0.0
 
+    @pytest.mark.parametrize("entry", [[0.25, 0.0, 99.0], [0.25], []],
+                             ids=["three", "one", "empty"])
+    def test_explicit_matrix_entry_not_a_pair_is_2(self, tmp_path, capsys,
+                                                    entry):
+        raw = base_config(initial_state=copy.deepcopy(_EXPLICIT))
+        raw["initial_state"]["matrix"][0][0] = entry
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 2
+        assert "4 rows of 4 [re, im] pairs" in capsys.readouterr().err
+
     def test_bad_samples_and_tol(self, tmp_path):
         with pytest.raises(ConfigError):
             config_from_dict(base_config(samples=1))
@@ -426,7 +435,28 @@ class TestSweep:
             manifest = run_sweep(cfg, "eta", values, jobs,
                                  str(tmp_path / f"{cpus}_{jobs}_{len(values)}"))
             assert all(m["status"] == "ok" for m in manifest)
-        assert sizes == [1, 3, 4, 1]
+        # the one-worker sweeps run in this process and start no pool
+        assert sizes == [3, 4]
+
+    @pytest.mark.parametrize("cpus, jobs, values",
+                             [(4, 4, [0.2]), (1, 2, [0.05, 0.1])],
+                             ids=["one-value", "one-cpu"])
+    def test_one_worker_runs_serially(self, tmp_path, monkeypatch, cpus, jobs,
+                                      values):
+        cfg = config_from_dict(base_config(samples=5))
+        run_sweep(cfg, "eta", values, 1, str(tmp_path / "serial"))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker sweep started a process pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run_sweep(cfg, "eta", values, jobs, str(tmp_path / "one"))
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() \
+                == (tmp_path / "one" / name).read_bytes()
 
 
 class TestInvariantChecks:
@@ -638,6 +668,28 @@ class TestMainExitCodes:
     def test_validate_filter_pass(self, capsys):
         assert main(["validate", "--filter", "euler"]) == 0
         assert "[PASS] euler" in capsys.readouterr().out
+
+    def test_validate_concurrence_pass(self, capsys):
+        assert main(["validate", "--filter", "concurrence"]) == 0
+        line = capsys.readouterr().out
+        assert line.startswith("[PASS] concurrence")
+        for label in ("werner dev", "tracking dev", "null max C"):
+            assert label in line
+
+    def test_concurrence_oracle_composes_periods(self, monkeypatch):
+        # the product checks span two laser periods, past the motion
+        # period, so run_scenario composes their later samples
+        from laserspin.simulate import propagate
+        from laserspin.validate import oracle_concurrence
+        calls = []
+
+        def spy(H_of_t, t_grid, tol, period=None):
+            calls.append((period, t_grid[-1]))
+            return propagate(H_of_t, t_grid, tol, period)
+
+        monkeypatch.setattr("laserspin.simulate.propagate", spy)
+        assert oracle_concurrence().passed
+        assert [period < span for period, span in calls] == [False, True, True]
 
     def test_validate_unknown_filter_is_2(self, capsys):
         assert main(["validate", "--filter", "bogus"]) == 2
