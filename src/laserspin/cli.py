@@ -86,8 +86,7 @@ def _cmd_validate(args) -> int:
     results, code = run_validate(args.filter, mu_error=args.inject_mu_error)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
-        print(f"[{mark}] {r.name}: max deviation {r.max_dev:.3e} "
-              f"(tol {r.tol:.0e}) {r.detail}")
+        print(f"[{mark}] {r.name}: {r.summary()}")
     return code
 
 

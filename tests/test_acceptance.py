@@ -54,8 +54,8 @@ def test_acceptance_1_elliptic_correctness():
     elapsed = time.perf_counter() - start
     ok = r.passed and elapsed < 5.0
     report("1 [elliptic]", ok,
-           f"50x20 grid, max error {r.max_dev:.2e} < 1e-12", elapsed)
-    assert r.passed, f"elliptic oracle deviation {r.max_dev:.3e}"
+           f"50x20 grid, {r.summary()}", elapsed)
+    assert r.passed, f"elliptic oracle: {r.summary()}"
     assert elapsed < 5.0
 
 
@@ -64,8 +64,8 @@ def test_acceptance_2_trajectory_exactness():
     r = oracle_lorentz()
     elapsed = time.perf_counter() - start
     ok = r.passed and elapsed < 30.0
-    report("2 [trajectory]", ok, r.detail, elapsed)
-    assert r.passed, f"lorentz oracle: {r.detail}"
+    report("2 [trajectory]", ok, r.summary(), elapsed)
+    assert r.passed, f"lorentz oracle: {r.summary()}"
     assert elapsed < 30.0
 
 
@@ -196,8 +196,7 @@ def test_acceptance_5_factorization_and_euler():
     elapsed = time.perf_counter() - start
     ok = rf.passed and re_.passed and elapsed < 60.0
     report("5 [appendix factorization]", ok,
-           f"||U - WX|| = {rf.max_dev:.2e} < 1e-6, "
-           f"euler dev {re_.max_dev:.2e} < 1e-12", elapsed)
+           f"{rf.summary()}; euler {re_.summary()}", elapsed)
     assert rf.passed and re_.passed
     assert elapsed < 60.0
 
@@ -231,7 +230,7 @@ def test_acceptance_6_commutator_oracle_and_pairing():
     ok = (r.passed and confirmed == "cos-with-axis, sin-with-cross"
           and devs[confirmed] < 1e-12 and elapsed < 10.0)
     report("6 [perturbative commutator]", ok,
-           f"closed form dev {r.max_dev:.2e} < 1e-12; "
+           f"closed form {r.summary()}; "
            f"oracle confirms '{confirmed}' for the state change "
            "(the swapped pairing belongs to the coupling term itself)",
            elapsed)

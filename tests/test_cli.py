@@ -676,6 +676,59 @@ class TestMainExitCodes:
         for label in ("werner dev", "tracking dev", "null max C"):
             assert label in line
 
+    # the gate of every check of the oracles with more than one
+    VALIDATE_GATES = {
+        "lorentz": {"residual": 1e-6, "invariant drift": 1e-8},
+        "factorization": {"U vs W X": 1e-6, "X vs S Y": 1e-6},
+        "concurrence": {"werner dev": 0.025, "tracking dev": 0.9,
+                        "null max C": 1e-10}}
+
+    def test_validate_prints_each_check_beside_its_gate(self, monkeypatch,
+                                                        capsys):
+        from laserspin import validate
+        run, results = validate.run_validate, []
+
+        def recorded(*args, **kwargs):
+            out = run(*args, **kwargs)
+            results.extend(out[0])
+            return out
+
+        monkeypatch.setattr(validate, "run_validate", recorded)
+        assert main(["validate"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(results) == 6
+        for line, r in zip(lines, results):
+            assert line.startswith(f"[PASS] {r.name}: ")
+            rows = line.split(": ", 1)[1].split(" -- ")[0].split("; ")
+            printed = {}
+            for row in rows:
+                label, rest = row.split(" (gate ")
+                printed[label.rsplit(" ", 1)[0]] = float(rest.rstrip(")"))
+            gates = {c.label: c.gate for c in r.checks}
+            assert printed == pytest.approx(gates, rel=1e-12)
+            if r.name in self.VALIDATE_GATES:
+                assert gates == pytest.approx(self.VALIDATE_GATES[r.name],
+                                              rel=1e-12)
+
+    def test_a_failing_check_fails_its_line(self, monkeypatch, capsys):
+        # a Werner deviation of 0.5, within the loosest gate of the oracle
+        # (0.9) but not its own (0.025), while the other checks pass
+        from laserspin import validate
+        scenario = validate.run_scenario
+
+        def shifted(cfg):
+            trace = scenario(cfg)
+            if cfg.initial_state.kind != "werner":
+                return trace
+            return trace._replace(
+                concurrence_numeric=trace.concurrence_numeric + 0.5)
+
+        monkeypatch.setattr(validate, "run_scenario", shifted)
+        assert main(["validate", "--filter", "concurrence"]) == 1
+        line = capsys.readouterr().out
+        assert line.startswith("[FAIL] concurrence: werner dev 5.00")
+        assert "(gate 0.025); tracking dev 0.000e+00 (gate 0.9)" in line
+
     def test_concurrence_oracle_composes_periods(self, monkeypatch):
         # the product checks span two laser periods, past the motion
         # period, so run_scenario composes their later samples

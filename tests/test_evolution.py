@@ -291,11 +291,25 @@ class TestPropagator:
         assert [np.size(t) for t in calls] == sizes
         assert np.array_equal(Us[-1], end)
 
-    def test_global_error_within_tol(self):
-        # the drive of the long-run benchmark workload against scipy DOP853
+    # the drives of the long_elliptic and dense_trace benchmark workloads,
+    # a Delta = 0 drive and the U drive of the factorization oracle, each
+    # with its span and the H times its direct tol-1e-8 run may take
+    @pytest.mark.parametrize("drive, span, h_budget", [
+        pytest.param((0.5, 0.3, 6.0, 2.0, 0.5), 4.0 * math.pi, 2040,
+                     id="long_elliptic"),
+        pytest.param((0.1, 0.2, 4.0, 1.0, 0.1), 4.0 * math.pi, 504,
+                     id="dense_trace"),
+        pytest.param((0.5, 0.3, 2.0, 2.0, 0.5), 4.0 * math.pi, 1016,
+                     id="delta0"),
+        pytest.param((0.2, 0.0, 2.0, 0.5, 0.08), 2.0 * math.pi, 248,
+                     id="factorization")])
+    def test_global_error_within_tol(self, drive, span, h_budget):
+        # against scipy DOP853; the halving test accepts the first grid
+        # whose Richardson error estimate, the change / 15, is tol / 2,
+        # and the H-time budget pins that grid
         from scipy.integrate import solve_ivp
-        H, T, _ = counted_drive(0.5, 0.3, 6.0, 2.0, 0.5)
-        times = np.linspace(0.0, 4.0 * math.pi, 33)
+        H, T, calls = counted_drive(*drive)
+        times = np.linspace(0.0, span, 33)
         rhs = lambda t, u: (-1j * H(np.array([t]))[0]
                             @ u.reshape(4, 4)).ravel()
         ref = solve_ivp(rhs, (0.0, times[-1]), IDENTITY4.ravel() + 0j,
@@ -303,8 +317,11 @@ class TestPropagator:
         U_ref = ref.y.T.reshape(-1, 4, 4)
         for tol in (1e-6, 1e-8, 1e-10):
             for period in (None, T):
+                calls.clear()
                 Us = propagate(H, times, tol, period)
                 assert np.abs(Us - U_ref).max() <= tol
+                if tol == 1e-8 and period is None:
+                    assert sum(np.size(t) for t in calls) <= h_budget
 
     def test_overflowing_hamiltonian_is_a_domain_error(self):
         # [H1, H2] overflows to inf - inf; eigh would not converge on it
@@ -321,10 +338,10 @@ class TestPropagator:
         laser, kin, bound = linear_scenario
         H = lambda t: spin_hamiltonian(t, laser, kin, bound)
         monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 100)
-        assert propagate(H, [0.0, 5.0], 1e-6).shape == (2, 4, 4)   # 32 steps
+        assert propagate(H, [0.0, 5.0], 1e-6).shape == (2, 4, 4)   # 16 steps
         with pytest.raises(IntegratorError,
                            match=r"100 steps on \[0, 5\] do not reach tol"):
-            propagate(H, [0.0, 5.0], 1e-9)                     # 256 steps
+            propagate(H, [0.0, 5.0], 1e-9)                     # 128 steps
 
 
 def random_unitaries(rng, n):
@@ -439,7 +456,7 @@ class TestPeriodComposition:
         H, T, _ = counted_drive(*drive)
         times = np.linspace(0.0, 10.0 * math.pi, 251)
         assert times[-1] > 4.7 * T
-        composed = propagate(H, times, 1e-8, T)
+        composed = propagate(H, times, 1e-9, T)
         reference = propagate(H, times, 1e-12)
         assert np.abs(composed - reference).max() <= 1e-9
 
@@ -460,7 +477,7 @@ class TestPeriodComposition:
         times = np.array([0.0] + [np.nextafter(e, d) for e in edges
                                   for d in (-np.inf, e, np.inf)])
         assert np.all(np.diff(times) > 0.0)
-        composed = propagate(H, times, 1e-8, T)
+        composed = propagate(H, times, 1e-9, T)
         reference = propagate(H, times, 1e-12)
         assert np.abs(composed - reference).max() <= 1e-9
 
@@ -502,6 +519,34 @@ class TestPeriodComposition:
             with pytest.raises(DomainError, match="period must be positive"):
                 propagate(H, [0.0, 2.0 * T], 1e-6, period)
         assert not calls
+
+
+class TestTimeReversal:
+    """H(-t) = H(t)*: the drives are even in time up to complex
+    conjugation, so U over one motion period is a symmetric matrix."""
+
+    @pytest.mark.parametrize("drive", TestPeriodComposition.DRIVES)
+    def test_spin_hamiltonian(self, drive):
+        H, T, _ = counted_drive(*drive)
+        t = np.linspace(0.0, 2.5 * T, 301)
+        assert np.abs(H(-t) - H(t).conj()).max() <= 1e-14
+
+    @pytest.mark.parametrize("source", [interaction_picture_hamiltonian,
+                                        interaction_term])
+    def test_interaction_picture_sources(self, source):
+        drive = linear(0.3, 4.0, 1.0, 0.1)
+        t = np.linspace(0.0, 2.5 * motion_period(drive[1]), 301)
+        assert np.abs(source(-t, *drive)
+                      - source(t, *drive).conj()).max() <= 1e-14
+
+    @pytest.mark.parametrize("drive", TestPeriodComposition.DRIVES)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_one_period_propagator_is_symmetric(self, drive, tol):
+        # the Gauss-Legendre Magnus step is symmetric in time, so U(T) of
+        # the uniform grid keeps the symmetry at roundoff, whatever tol
+        H, T, _ = counted_drive(*drive)
+        U = propagate(H, [0.0, T], tol)[-1]
+        assert np.abs(U - U.T).max() <= 1e-13
 
 
 class TestPrecessionAngles:
