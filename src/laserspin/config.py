@@ -89,9 +89,9 @@ class ScenarioConfig:
         return self.t_end * (2.0 * math.pi / self.laser.omega_L)
 
     def _check_periods(self) -> None:
-        """A run beyond one motion period integrates that period at the
-        `period_tolerance` of tol; reject a t_end that puts it on the floor,
-        or a time span that is not finite."""
+        """A run beyond one motion period integrates half that period at
+        the `period_tolerance` of tol; reject a t_end that puts it on the
+        floor, or a time span that is not finite."""
         try:
             kin = modulus_from_params(self.laser, self.gamma_z)
         except DomainError:

@@ -34,28 +34,38 @@ state or every sample of such a stack.
 Periodic drives
 ---------------
 H_S(t) depends on t only through sn, cn and dn of u = w'_L t, so it has
-the exact motion period T = 4 K(mu) / w'_L, and so does H'_I.  Given T,
-:func:`propagate` integrates one period only and composes every later
-sample (Floquet; Shirley, Phys. Rev. 138, B979 (1965)):
+the exact motion period T = 4 K(mu) / w'_L, and so does H'_I.  Bx and Bz
+are even in t and By is odd, so H_S is also time-reversal symmetric,
+H_S(-t) = H_S(t)*, at every eps; so are H'_I and V, because
+sin(theta_minus) and psi are odd and s3(x)s2 - s2(x)s3 is imaginary
+(pinned at 1e-14 for `spin_hamiltonian` at three drives and for
+`interaction_picture_hamiltonian` and `interaction_term`).  Passing T to
+:func:`propagate` asserts both, H(t + T) = H(t) and H(-t) = H(t)*.  Then
+U(-s) = U(s)*, the second half period is the first one reversed, and
+one run over [0, T/2] gives every sample (Floquet; Shirley, Phys. Rev.
+138, B979 (1965)):
 
-    U(n T + s) = U(s) U(T)^n,     n = ceil(t / T) - 1,  0 < s <= T,
+    U(T) = A^T A,              A = U(T/2),
+    U(m T + r) = V(r) U(T)^m,  m = rint(t / T),  |r| <= T/2,
 
-so a sample at a multiple of T closes the period before it and a run
-that stays within [0, T] is the direct run unchanged.  The offsets s and
-T itself are the samples of that one run.  Its error builds up to e_T
-at T and to about (s / T) e_T at s, so U(n T + s) carries
-(n + s / T) e_T.  The period is therefore integrated at
-tol T / t_end: the direct run's error budget per unit time, which keeps
-the global error within tol while the cost grows only like
-(t_end / T)^(1/4).  The powers U(T)^n are matrix products, never an
+with V(r) = U(|r|), conjugated when r < 0.  A and every U(|r|) are
+samples of that one run, and U(T) is projected once by the polar step,
+so H is asked for times in [0, T/2] only; a run that stays within
+[0, T] is the direct run unchanged.  Errors add along the products: with e_h the error of
+the half run, U(T) carries 2 e_h and U(m T + r) carries
+(2 m + 1) e_h <= (2 t / T + 2) e_h.  The half run is therefore asked for
+tol T / (2 t_end), the direct run's error budget over half a period, and
+delivers about half that (above), so every sample carries about
+(t_end + T) / (2 t_end) tol < tol, while the cost grows only like
+(t_end / T)^(1/4).  The powers U(T)^m are matrix products, never an
 eigendecomposition, because at Delta = 0 U(T) has a degenerate triplet
-whose eigenvectors `eig` need not return orthogonal.  All distinct n
-are powered at once, bit by bit: at bit b every power whose n has bit b
+whose eigenvectors `eig` need not return orthogonal.  All distinct m
+are powered at once, bit by bit: at bit b every power whose m has bit b
 set takes one factor U(T)^(2^b), and that factor is squared for the
 next bit.  A Newton step of the polar projection after every one of
 these products keeps unitarity at roundoff, so only the phases carry
-the roundoff of the products: 1e-16 n to 4e-16 n against 40-digit
-powers of the same U(T), for n from 10 to 10^5.
+the roundoff of the products: 1e-16 m to 4e-16 m against 40-digit
+powers of the same U(T), for m from 10 to 10^5.
 
 Analytic path (linear polarization only)
 ----------------------------------------
@@ -198,19 +208,21 @@ def _magnus4(H_of_t: HamiltonianSource, starts: np.ndarray,
 
 
 def period_tolerance(tol: float, period: float, span: float) -> float:
-    """Tolerance of the one-period run that composes a run over span > period.
+    """Tolerance of the half-period run that composes a run over span > period.
 
-    tol * period / span, the direct run's error budget per unit time:
-    U(T) then carries tol T / span, so U(n T + s) carries
-    (n + s / T) tol T / span <= tol.  Raises DomainError when it is not
-    above the floor TOL_BOUNDS[0].
+    tol * period / (2 span), the direct run's error budget over half a
+    period: U(T/2) then carries e_h = tol T / (2 span), and a sample at
+    t = m T + r carries at most (2 m + 1) e_h <= (t + T) / span tol, of
+    which the halving test delivers about half (module docstring).
+    Raises DomainError when it is not above the floor TOL_BOUNDS[0], so
+    a span of more than tol / 2e-14 periods.
     """
-    tol_period = tol * (period / span)
-    if not tol_period > TOL_BOUNDS[0]:
+    tol_half = 0.5 * tol * (period / span)
+    if not tol_half > TOL_BOUNDS[0]:
         raise DomainError(
-            f"{span / period:.6g} periods leave tol * T / t_end = "
-            f"{tol_period:.3g} for one, not above {TOL_BOUNDS[0]}")
-    return tol_period
+            f"{span / period:.6g} periods leave tol * T / (2 t_end) = "
+            f"{tol_half:.3g} for half of one, not above {TOL_BOUNDS[0]}")
+    return tol_half
 
 
 def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
@@ -229,12 +241,18 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     MAX_STEPS steps do not pass the halving test, and DomainError when a
     Magnus exponent is not finite (H overflows).
 
-    With the period T of H given, only [0, T] is integrated, at
-    tol * T / t_grid[-1], and a sample n whole periods in is composed as
-    U(n T + s) = U(s) U(T)^n (module docstring).  When no sample lies
-    beyond T the result is the one without a period, bit for bit.
-    Raises DomainError when tol * T / t_grid[-1] is not above the
-    tolerance floor (:func:`period_tolerance`).
+    Passing the period T asserts H(t + T) = H(t) and H(-t) = H(t)*, as
+    `spin_hamiltonian`, `interaction_picture_hamiltonian` and
+    `interaction_term` satisfy (module docstring).  When a sample lies
+    beyond T, only [0, T/2] is integrated, at tol * T / (2 t_grid[-1]),
+    and H is asked for no time outside it: with m = rint(t / T) the
+    nearest multiple and r = t - m T,
+    U(t) = V(r) U(T)^m, V(r) = U(|r|) conjugated when r < 0, and
+    U(T) = U(T/2)^T U(T/2).  Each sample then carries about
+    (t_grid[-1] + T) / (2 t_grid[-1]) tol.  When no sample lies beyond T
+    the result is the one without a period, bit for bit.  Raises
+    DomainError when tol * T / (2 t_grid[-1]) is not above the tolerance
+    floor (:func:`period_tolerance`).
     """
     tol = _check_tol(tol)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -247,24 +265,28 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     if period is None or t_grid[-1] <= period:
         return _propagate_grid(H_of_t, t_grid, tol)
 
-    tol_period = period_tolerance(tol, period, t_grid[-1])
-    # whole periods before each sample, a multiple of T closing the period
-    # before it; n < t / T in exact arithmetic, so the rounded n T never
-    # exceeds t, and roundoff can put an offset only just above T
-    n = np.maximum(np.ceil(t_grid / period) - 1.0, 0.0).astype(np.int64)
-    offsets = t_grid - n * period
-    inner, where = np.unique(np.append(offsets, period), return_inverse=True)
-    Us = _propagate_grid(H_of_t, inner, tol_period)
-    # U(T)^n for every distinct n at once, bit by bit, from the projected
+    tol_half = period_tolerance(tol, period, t_grid[-1])
+    half = 0.5 * period
+    # the nearest multiple m of T and the offset r = t - m T; roundoff can
+    # put |r| just beyond T/2, which is taken back to the end of the run
+    m = np.rint(t_grid / period)
+    r = t_grid - m * period
+    inner, where = np.unique(np.append(np.minimum(np.abs(r), half), half),
+                             return_inverse=True)
+    Us = _propagate_grid(H_of_t, inner, tol_half)
+    A = Us[where[-1]]
+    offsets = Us[where[:-1]]
+    offsets[r < 0.0] = offsets[r < 0.0].conj()         # U(-s) = U(s)*
+    # U(T)^m for every distinct m at once, bit by bit, from the projected
     # squares U(T)^(2^b); no eig, which the Delta = 0 triplet defeats
-    levels, level_of = np.unique(n, return_inverse=True)
+    levels, level_of = np.unique(m.astype(np.int64), return_inverse=True)
     powers = np.broadcast_to(IDENTITY4, (levels.size, 4, 4)).copy()
-    square = Us[where[-1]]                       # U(T)^(2^b) at bit b
+    square = _polar_step(A.T @ A)                # U(T)^(2^b) at bit b
     for b in range(int(levels[-1]).bit_length()):
         has_bit = (levels >> b & 1).astype(bool)
         powers[has_bit] = _polar_step(powers[has_bit] @ square)
         square = _polar_step(square @ square)
-    return Us[where[:-1]] @ powers[level_of]
+    return offsets @ powers[level_of]
 
 
 def _polar_step(U: np.ndarray) -> np.ndarray:

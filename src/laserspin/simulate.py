@@ -77,8 +77,9 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Evolve the configured initial state and return its CSV columns,
     each evaluated on the whole time grid at once.
 
-    The drive is periodic in the motion period, so a run of many periods
-    integrates one of them (see :func:`propagate`).  Raises
+    H_S is periodic in the motion period and time-reversal symmetric,
+    H_S(-t) = H_S(t)*, so a run of many periods integrates half of one
+    (see :func:`propagate`).  Raises
     IntegratorError when a propagated state fails the state checks, a
     trace error reaches 10 * tol or a concurrence exceeds the
     unitary-orbit bound of rho0 by 10 * tol, naming the first such

@@ -158,7 +158,11 @@ _SINGLE_SPIN_BASIS = np.concatenate([PAIR[1:, 0], PAIR[0, 1:]]).reshape(6, 16)
 def spin_hamiltonian(t, laser: LaserParams, kin: KinematicParams,
                      bound: BoundStateParams) -> np.ndarray:
     """Hermitian two-spin Hamiltonian H_S(t): a 4x4 matrix at a float time,
-    shape S + (4, 4) over an array of times of shape S."""
+    shape S + (4, 4) over an array of times of shape S.
+
+    Periodic in the motion period and time-reversal symmetric,
+    H_S(-t) = H_S(t)*, as `evolution.propagate` assumes given the period.
+    """
     jac = jacobi(kin.omega_L_prime * t, kin.mu)
     coeffs = -0.5 * np.stack(
         _field_components(bound.gtilde("n"), *jac, laser, kin)

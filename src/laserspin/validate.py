@@ -202,7 +202,7 @@ def oracle_concurrence() -> OracleResult:
     g = 0.1.  Werner p = 0.8 over one laser period stays within 10 eta^2
     of (3p - 1)/2.  The product state (0.999, 0.001) runs two laser
     periods, past the motion period 4 K(0.3), so its later samples are
-    composed from one period: at Delta = 3 it tracks the leading-order
+    composed from half a period: at Delta = 3 it tracks the leading-order
     formula within 10 eta^2, and at Delta = 0, where the analytic column
     is 0, the deviation is max C.
     """

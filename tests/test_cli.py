@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import laserspin
+from laserspin import modulus_from_params, motion_period
 from laserspin.cli import main
 from laserspin.config import config_from_dict, load_config
 from laserspin.errors import ConfigError
@@ -130,16 +131,24 @@ class TestConfig:
             assert main(["simulate", "--config", path]) == 2
 
     def test_long_run_tolerance_floor(self, tmp_path, capsys):
-        # one motion period is integrated at tol T_m / t_end, which 1e9
-        # laser periods at tol 1e-6 put below the floor 1e-14
+        # half a motion period is integrated at tol T_m / (2 t_end), which
+        # 1e9 laser periods at tol 1e-6 put below the floor 1e-14; the edge
+        # lies at tol / 2e-14 = 5e7 motion periods, the library's edge
         path = write_config(tmp_path, base_config(t_end=1e9))
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "t_end = 1000000000.0" in err and "tol = 1e-06" in err
+        one = config_from_dict(base_config())
+        edge = 5e7 * motion_period(
+            modulus_from_params(one.laser, one.gamma_z)) / one.span
+        config_from_dict(base_config(t_end=edge * (1.0 - 1e-6)))
+        path = write_config(tmp_path, base_config(t_end=edge * (1.0 + 1e-6)))
+        assert main(["simulate", "--config", path]) == 2
+        assert "not above 1e-14" in capsys.readouterr().err
         for t_end in (1e300, 1.7e308):
             with pytest.raises(ConfigError, match="not above 1e-14"):
                 config_from_dict(base_config(t_end=t_end))
-        # 1e5 periods leave 1e-11 and run in about a second
+        # 1e5 periods leave 5e-12 and run in about a second
         path = write_config(tmp_path, base_config(t_end=1e5, samples=3))
         assert main(["simulate", "--config", path]) == 0
 
@@ -465,12 +474,13 @@ class TestInvariantChecks:
     @pytest.fixture
     def drifting(self, tmp_path, monkeypatch):
         # propagators scaled by 1 + 2.5e-13 give a trace error of 5e-13 at
-        # every sample: above 10 * tol = 2e-13, inside the 1e-12 state checks
+        # every sample: above 10 * tol = 4e-13, inside the 1e-12 state
+        # checks; 2 laser periods at tol 4e-14 sit just above the floor
         exact = laserspin.simulate.propagate
         monkeypatch.setattr("laserspin.simulate.propagate",
                             lambda *args: (1.0 + 2.5e-13) * exact(*args))
         return write_config(tmp_path, base_config(t_end=2.0, samples=9,
-                                                  tol=2e-14))
+                                                  tol=4e-14))
 
     def test_simulate_exits_4(self, drifting, capsys):
         assert main(["simulate", "--config", drifting]) == 4

@@ -293,20 +293,23 @@ class TestPropagator:
 
     # the drives of the long_elliptic and dense_trace benchmark workloads,
     # a Delta = 0 drive and the U drive of the factorization oracle, each
-    # with its span and the H times its direct tol-1e-8 run may take
-    @pytest.mark.parametrize("drive, span, h_budget", [
-        pytest.param((0.5, 0.3, 6.0, 2.0, 0.5), 4.0 * math.pi, 2040,
+    # with its span and the H times its direct and its composed tol-1e-8
+    # runs may take; the factorization span is shorter than T, so its
+    # composed run is the direct one
+    @pytest.mark.parametrize("drive, span, h_budgets", [
+        pytest.param((0.5, 0.3, 6.0, 2.0, 0.5), 4.0 * math.pi, (2040, 560),
                      id="long_elliptic"),
-        pytest.param((0.1, 0.2, 4.0, 1.0, 0.1), 4.0 * math.pi, 504,
+        pytest.param((0.1, 0.2, 4.0, 1.0, 0.1), 4.0 * math.pi, (504, 304),
                      id="dense_trace"),
-        pytest.param((0.5, 0.3, 2.0, 2.0, 0.5), 4.0 * math.pi, 1016,
+        pytest.param((0.5, 0.3, 2.0, 2.0, 0.5), 4.0 * math.pi, (1016, 304),
                      id="delta0"),
-        pytest.param((0.2, 0.0, 2.0, 0.5, 0.08), 2.0 * math.pi, 248,
+        pytest.param((0.2, 0.0, 2.0, 0.5, 0.08), 2.0 * math.pi, (248, 248),
                      id="factorization")])
-    def test_global_error_within_tol(self, drive, span, h_budget):
+    def test_global_error_within_tol(self, drive, span, h_budgets):
         # against scipy DOP853; the halving test accepts the first grid
         # whose Richardson error estimate, the change / 15, is tol / 2,
-        # and the H-time budget pins that grid
+        # and the H-time budgets pin that grid and, for a composed run,
+        # the grid of the half period it integrates
         from scipy.integrate import solve_ivp
         H, T, calls = counted_drive(*drive)
         times = np.linspace(0.0, span, 33)
@@ -316,12 +319,14 @@ class TestPropagator:
                         method="DOP853", t_eval=times, rtol=1e-13, atol=1e-13)
         U_ref = ref.y.T.reshape(-1, 4, 4)
         for tol in (1e-6, 1e-8, 1e-10):
-            for period in (None, T):
+            for period, h_budget in zip((None, T), h_budgets):
                 calls.clear()
                 Us = propagate(H, times, tol, period)
                 assert np.abs(Us - U_ref).max() <= tol
-                if tol == 1e-8 and period is None:
+                if tol == 1e-8:
                     assert sum(np.size(t) for t in calls) <= h_budget
+                    if period is not None and span > T:
+                        assert max(t.max() for t in calls) <= 0.5 * T
 
     def test_overflowing_hamiltonian_is_a_domain_error(self):
         # [H1, H2] overflows to inf - inf; eigh would not converge on it
@@ -444,7 +449,9 @@ def counted_drive(eta, eps, gtilde_n, gtilde_p, g):
 
 
 class TestPeriodComposition:
-    """propagate(..., period=T): U(n T + s) = U(s) U(T)^n."""
+    """propagate(..., period=T): U(m T + r) = V(r) U(T)^m from one run over
+    [0, T/2], with m the nearest multiple and V(r) = U(|r|) conjugated
+    when r < 0."""
 
     # the onset drive of acceptance 4a, its Delta = 0 control (U(T) with a
     # degenerate triplet) and the drive of acceptance 4b and 4c
@@ -471,9 +478,13 @@ class TestPeriodComposition:
         assert np.array_equal(evolve_von_neumann(rho0, H, times, 1e-8, T),
                               evolve_von_neumann(rho0, H, times, 1e-8))
 
-    def test_samples_at_and_one_ulp_off_multiples_of_the_period(self):
+    # k T closes a period, and (k + 1/2) T is where the nearest multiple
+    # of T, and so the sign of the offset, changes
+    @pytest.mark.parametrize("shift", [pytest.param(0.0, id="whole"),
+                                       pytest.param(0.5, id="half")])
+    def test_samples_at_and_one_ulp_off_multiples_of_the_period(self, shift):
         H, T, _ = counted_drive(*self.DRIVES[2])
-        edges = [k * T for k in range(1, 5)]
+        edges = [(k + shift) * T for k in range(1, 5)]
         times = np.array([0.0] + [np.nextafter(e, d) for e in edges
                                   for d in (-np.inf, e, np.inf)])
         assert np.all(np.diff(times) > 0.0)
@@ -512,13 +523,18 @@ class TestPeriodComposition:
         assert defect < 1e-14
 
     def test_tolerance_floor_per_period(self):
+        # the half period is integrated at tol T / (2 t_end), so the floor
+        # 1e-14 admits at most tol / 2e-14 = 5e7 periods at tol 1e-6
         H, T, calls = counted_drive(*self.DRIVES[0])
-        with pytest.raises(DomainError, match="not above 1e-14"):
-            propagate(H, [0.0, 1e9], 1e-6, T)
+        for end in (1e9, 5e7 * (1.0 + 1e-6) * T):
+            with pytest.raises(DomainError, match="not above 1e-14"):
+                propagate(H, [0.0, end], 1e-6, T)
         for period in (0.0, -T, math.nan, math.inf):
             with pytest.raises(DomainError, match="period must be positive"):
                 propagate(H, [0.0, 2.0 * T], 1e-6, period)
         assert not calls
+        Us = propagate(H, [0.0, 5e7 * (1.0 - 1e-6) * T], 1e-6, T)
+        assert np.abs(Us[-1] @ Us[-1].conj().T - IDENTITY4).max() < 1e-14
 
 
 class TestTimeReversal:
