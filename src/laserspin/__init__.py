@@ -19,10 +19,11 @@ _EXPORTS = {
     "evolution": ("euler_representation", "evolve_von_neumann",
                   "interaction_picture_hamiltonian", "interaction_term",
                   "local_propagator", "perturbative_delta_rho_werner",
-                  "precession_angle", "propagate", "psi_integral",
+                  "precession_angle", "propagate", "propagate_batch",
+                  "psi_integral",
                   "single_spin_propagator", "theta_minus", "time_ordered_X",
                   "validate_density_matrix"),
-    "spinfield": ("BoundStateParams", "effective_field",
+    "spinfield": ("BoundStateParams", "DriveTable", "effective_field",
                   "interaction_hamiltonian", "omega_first_principles",
                   "spin_hamiltonian"),
     "trajectory": ("KinematicParams", "LaserParams", "com_acceleration",

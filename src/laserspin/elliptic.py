@@ -5,6 +5,9 @@ recursion (absolute tolerance 1e-14, hard cap of 32 iterations), for a
 modulus mu in the fundamental domain 0 <= mu < 1 and a real argument u,
 a float (giving floats) or an ndarray (giving arrays of its shape): the
 recursion loops over the AGM levels of mu, not over the elements of u.
+mu may also be an array broadcast against u, one modulus per element, as
+for a batch of scenarios; each element then has the bits of a call with
+its own modulus.
 No special-function library is involved, so these routines can be
 checked against independent quadrature oracles.
 
@@ -69,8 +72,15 @@ def complete_K(mu: float) -> float:
     return _agm_table(mu)[2]
 
 
-def _check(u, mu: float) -> tuple[np.ndarray, float]:
-    mu = _check_mu(mu)
+def _check(u, mu) -> tuple[np.ndarray, float | np.ndarray]:
+    if np.ndim(mu) == 0:
+        mu = _check_mu(mu)
+    else:
+        mu = np.asarray(mu, dtype=float)
+        bad = ~((0.0 <= mu) & (mu < 1.0))
+        if bad.any():
+            raise DomainError(
+                f"modulus must satisfy 0 <= mu < 1, got {mu[bad][0]}")
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise DomainError(
@@ -78,50 +88,78 @@ def _check(u, mu: float) -> tuple[np.ndarray, float]:
     return u, mu
 
 
-def _landen(u: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """n and am(u_r) by descending Landen, for u = 2nK + u_r, 0 <= u_r < 2K."""
-    a_seq, c_seq, K = _agm_table(mu)
+@lru_cache(maxsize=256)
+def _descent(moduli: tuple[float, ...]) -> tuple:
+    """K, 2^L a_L and the ratios c_k / a_k of levels k = L .. 1 of the
+    descending Landen recursion, one entry per modulus of moduli, with L
+    the deepest AGM level among them.  A shallower table is padded with
+    levels whose c is 0, where phi only halves, which is exact, so every
+    modulus keeps the bits of its own descent."""
+    tables = [_agm_table(mu) for mu in moduli]
+    depth = max(len(a_seq) for a_seq, _, _ in tables)
+    a = np.array([a_seq + a_seq[-1:] * (depth - len(a_seq))
+                  for a_seq, _, _ in tables])
+    c = np.array([c_seq + (0.0,) * (depth - len(c_seq))
+                  for _, c_seq, _ in tables])
+    levels = depth - 1
+    return (np.array([K for _, _, K in tables]),
+            (2.0 ** levels) * a[:, levels],
+            [c[:, k] / a[:, k] for k in range(levels, 0, -1)])
+
+
+def _landen(u: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
+    """n and am(u_r) by descending Landen, for u = 2nK + u_r, 0 <= u_r < 2K,
+    with mu a float or an array broadcast against u, as `_check` gives."""
+    if isinstance(mu, float):
+        moduli, which = (mu,), 0
+    else:
+        moduli, which = np.unique(mu, return_inverse=True)
+        moduli, which = tuple(moduli.tolist()), which.reshape(mu.shape)
+    K, top, ratios = _descent(moduli)
+    K = K[which]
     n = np.floor(u / (2.0 * K))
-    levels = len(a_seq) - 1
-    phi = (2.0 ** levels) * a_seq[levels] * (u - 2.0 * n * K)
-    for k in range(levels, 0, -1):
+    phi = top[which] * (u - 2.0 * n * K)
+    for ratio in ratios:
         # no clamp: c_k / a_k = (a - b) / (a + b) < 1 in floating point, as
         # b >= sqrt(1 - mu^2) >= 1.5e-8 for every accepted mu, and |sin| <= 1
-        phi = 0.5 * (phi + np.arcsin(c_seq[k] / a_seq[k] * np.sin(phi)))
+        phi = 0.5 * (phi + np.arcsin(ratio[which] * np.sin(phi)))
     return n, phi
 
 
-def jacobi_am(u, mu: float):
-    """Unwrapped Jacobi amplitude am(u, mu), elementwise over u.
+def jacobi_am(u, mu):
+    """Unwrapped Jacobi amplitude am(u, mu), elementwise over u and over an
+    array mu broadcast against it.
 
     Continuous and monotone increasing in u, am(0) = 0, and
     am(u + 2K) = am(u) + pi.  The half-period count is accumulated from
     floor(u / 2K) so no arcsin branch wrapping ever occurs.
     """
     u, mu = _check(u, mu)
-    if mu == 0.0:
-        return 1.0 * u      # a copy, never a view of the caller's array
     n, phi = _landen(u, mu)
-    return n * np.pi + phi
+    # am(u, 0) = u, a copy, never a view of the caller's array
+    return np.where(mu == 0.0, u, n * np.pi + phi)[()]
 
 
-def jacobi(u, mu: float) -> JacobiTriple:
+def jacobi(u, mu) -> JacobiTriple:
     """Jacobi elliptic triple (sn, cn, dn) at argument u, modulus mu,
-    elementwise over u.
+    elementwise over u and over an array mu broadcast against it; each
+    element has the bits of a call with its modulus alone.
 
     Satisfies sn**2 + cn**2 = 1 and dn**2 + mu**2 sn**2 = 1; sn is odd
     and cn, dn even in u; sn, cn have period 4K and dn period 2K.
     """
     u, mu = _check(u, mu)
-    if mu == 0.0:
-        return JacobiTriple(np.sin(u), np.cos(u), np.ones_like(u)[()])
     n, phi = _landen(u, mu)
     sign = 1.0 - 2.0 * (n % 2.0)
     s, c = np.sin(phi), np.cos(phi)
     ms2 = (mu * s) * (mu * s)
     # 1 - (mu sn)^2 cancels as mu sn -> 1, where (1 - mu^2) + (mu cn)^2,
-    # the same value, does not
+    # the same value, does not; at mu = 0 both are exactly 1
     dn = np.sqrt(np.where(ms2 > 0.5,
                           (1.0 - mu) * (1.0 + mu) + (mu * c) * (mu * c),
-                          1.0 - ms2))
-    return JacobiTriple(sign * s, sign * c, dn)
+                          1.0 - ms2))[()]
+    trig = mu == 0.0
+    if not np.any(trig):
+        return JacobiTriple(sign * s, sign * c, dn)
+    return JacobiTriple(np.where(trig, np.sin(u), sign * s)[()],
+                        np.where(trig, np.cos(u), sign * c)[()], dn)

@@ -31,6 +31,23 @@ structurally; the halving test's error estimate sets the accuracy.
 broadcast product, and :func:`validate_density_matrix` checks a single
 state or every sample of such a stack.
 
+:func:`propagate_batch` runs a batch of such propagations, the points
+of a sweep or of an oracle grid, at once, and :func:`propagate` is its
+batch of one.  Its source maps an (m,) array of times and an (m,) array
+of the points they belong to, so that one call serves every point and
+ragged sets of times fit; the 512 times per call are counted across the
+batch.  Each point plans its own grid and tol (below), all points share
+the halving round's n, each with its own h = span / n, and a point
+leaves the batch at its first passed halving test; the tail steps of
+all samples run together at the end.  So each round asks H once per 512
+times for the whole batch, while each point keeps the grid, the H
+times and the bits of its own run, and a point that fails ends only its
+own run.  A round holds at most BATCH_MATRICES = MAX_STEPS + 1 nodes
+across its points, or the nodes of one point, so that a batch never
+needs more memory for its rounds than one run on the finest grid: the
+points beyond that wait, and start again from the last grid they
+computed, which costs each of them that grid's H times once more.
+
 Periodic drives
 ---------------
 H_S(t) depends on t only through sn, cn and dn of u = w'_L t, so it has
@@ -115,6 +132,8 @@ from .spinfield import BoundStateParams
 from .trajectory import KinematicParams, LaserParams, _asinc
 
 HamiltonianSource = Callable[[np.ndarray], np.ndarray]
+# times and the point of each time in, their stack out (propagate_batch)
+BatchSource = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # the tolerances every propagation accepts, exclusive bounds
 TOL_BOUNDS = (1e-14, 1e-4)
@@ -123,6 +142,11 @@ _X_TOL = 1e-12
 # steps on the finest uniform grid of one integration; 8 192 is the most
 # a test needs
 MAX_STEPS = 2**16
+# 4x4 matrices in one stack of a batch: the nodes of a halving round
+# across its points (:func:`_propagate_grid`), and the samples of the
+# points that simulate.run_batch runs together; the nodes of the finest
+# grid of one run, 16 MB
+BATCH_MATRICES = MAX_STEPS + 1
 # the accepted change of U under halving, in units of tol: for a
 # fourth-order step the fine grid's error is about change / (2^4 - 1)
 # (Hairer, Nørsett & Wanner, Solving ODEs I, II.4), so 7.5 tol delivers
@@ -181,30 +205,40 @@ def _check_tol(tol: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")     # K is checked
-def _magnus4(H_of_t: HamiltonianSource, starts: np.ndarray,
-             lengths: np.ndarray) -> np.ndarray:
-    """The Magnus steps exp(-i K) over the intervals [a, a + h], a stack.
+def _magnus4(H_of_t: BatchSource, starts: np.ndarray, lengths: np.ndarray,
+             point: np.ndarray) -> tuple[np.ndarray, dict[int, DomainError]]:
+    """The Magnus steps exp(-i K) over the intervals [a, a + h] of a batch,
+    a stack, with interval j of point point[j].
 
     K = h/2 (H1 + H2) + i sqrt(3) h^2/12 [H1, H2], with H1 and H2 the
     values of H at the two Gauss-Legendre nodes of the interval.  H is
-    asked for at most _CHUNK intervals per call.  Raises DomainError,
-    naming the first interval, when K is not finite.
+    asked for at most _CHUNK intervals per call, across the batch.  A
+    point whose K is not finite fails with a DomainError naming its first
+    such interval; its steps are left unset, and its later intervals are
+    not sent to H.  Returns the steps and the failures by point.
     """
     out = np.empty((starts.size, 4, 4), dtype=complex)
-    for i in range(0, starts.size, _CHUNK):
-        a, h = starts[i:i + _CHUNK], lengths[i:i + _CHUNK]
+    failed = {}
+    todo = np.arange(starts.size)
+    while todo.size:
+        j, todo = todo[:_CHUNK], todo[_CHUNK:]
+        a, h, p = starts[j], lengths[j], point[j]
         times = (a[:, None] + h[:, None] * _GL2).ravel()
-        H = np.broadcast_to(H_of_t(times), (times.size, 4, 4))
+        H = np.broadcast_to(H_of_t(times, p.repeat(2)), (times.size, 4, 4))
         H1, H2, hm = H[0::2], H[1::2], h[:, None, None]
         K = (0.5 * hm) * (H1 + H2) \
             + (1j * math.sqrt(3.0) / 12.0 * hm * hm) * (H1 @ H2 - H2 @ H1)
-        bad = np.flatnonzero(~np.isfinite(K).all(axis=(-2, -1)))
-        if bad.size:
-            j = bad[0]
-            raise DomainError(f"Magnus exponent is not finite on "
-                              f"[{a[j]:.6g}, {a[j] + h[j]:.6g}]")
-        out[i:i + _CHUNK] = expm_hermitian(K)
-    return out
+        for k in np.flatnonzero(~np.isfinite(K).all(axis=(-2, -1))).tolist():
+            if p[k] not in failed:
+                failed[int(p[k])] = DomainError(
+                    f"Magnus exponent is not finite on "
+                    f"[{a[k]:.6g}, {a[k] + h[k]:.6g}]")
+                todo = todo[point[todo] != p[k]]
+        if failed:
+            live = ~np.isin(p, list(failed))
+            j, K = j[live], K[live]
+        out[j] = expm_hermitian(K)
+    return out, failed
 
 
 def period_tolerance(tol: float, period: float, span: float) -> float:
@@ -253,7 +287,64 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     the result is the one without a period, bit for bit.  Raises
     DomainError when tol * T / (2 t_grid[-1]) is not above the tolerance
     floor (:func:`period_tolerance`).
+
+    This is the batch of one of :func:`propagate_batch`.
     """
+    Us, = propagate_batch(lambda t, point: H_of_t(t), [t_grid], [tol],
+                          [period])
+    if isinstance(Us, Exception):
+        raise Us
+    return Us
+
+
+def propagate_batch(H_of_t: BatchSource, t_grids: Sequence[Sequence[float]],
+                    tols: Sequence[float],
+                    periods: Sequence[float | None] | None = None,
+                    ) -> list[np.ndarray | Exception]:
+    """:func:`propagate` for a batch of points, each with its own grid, tol
+    and period (None for none), in one run.
+
+    H_of_t maps an (m,) array of times and an (m,) integer array of the
+    points they belong to, indices into t_grids, to their (m, 4, 4)
+    stack, or to one 4x4 matrix when H is constant; each call asks for
+    at most 512 times, counted across the batch, in no particular order.
+    Each point plans its own grid and tol as :func:`propagate` does: its
+    t_grid, or the half-period grid at :func:`period_tolerance`.  All
+    points share the halving round's step count n, each with its own
+    h = span / n, and a point leaves the batch at its first passed
+    halving test.  So a halving round, and the tail steps of every
+    sample, ask H once per 512 times for the whole batch, while each
+    point's grid, H times and bits are those of its own
+    :func:`propagate`; a point held back by the node budget of a round
+    (module docstring) asks for one of its grids twice.  Returns, per
+    point, its (len(t_grid), 4, 4) stack, or the DomainError or
+    IntegratorError its :func:`propagate` raises, while the other points
+    run on.  An exception raised by H_of_t ends the whole batch.
+    """
+    if periods is None:
+        periods = [None] * len(t_grids)
+    results, plans = [], []
+    for t_grid, tol, period in zip(t_grids, tols, periods, strict=True):
+        try:
+            plans.append(_plan(t_grid, tol, period))
+            results.append(None)
+        except DomainError as exc:
+            results.append(exc)
+    live = np.array([p for p, r in enumerate(results) if r is None],
+                    dtype=np.int64)
+    inner = _propagate_grid(lambda t, point: H_of_t(t, live[point]),
+                            [grid for grid, _, _ in plans],
+                            [tol for _, tol, _ in plans])
+    for p, Us, (_, _, compose) in zip(live.tolist(), inner, plans):
+        results[p] = (Us if compose is None or isinstance(Us, Exception)
+                      else compose(Us))
+    return results
+
+
+def _plan(t_grid: Sequence[float], tol: float, period: float | None):
+    """Check one point of :func:`propagate_batch` and return the grid its
+    Magnus steps run on, the tol of that run, and the map from U on that
+    grid to U on t_grid, or None when the two grids are one."""
     tol = _check_tol(tol)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0.0:
@@ -263,7 +354,7 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     if period is not None and not (period > 0.0 and math.isfinite(period)):
         raise DomainError(f"period must be positive and finite, got {period}")
     if period is None or t_grid[-1] <= period:
-        return _propagate_grid(H_of_t, t_grid, tol)
+        return t_grid, tol, None
 
     tol_half = period_tolerance(tol, period, t_grid[-1])
     half = 0.5 * period
@@ -273,9 +364,13 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     r = t_grid - m * period
     inner, where = np.unique(np.append(np.minimum(np.abs(r), half), half),
                              return_inverse=True)
-    Us = _propagate_grid(H_of_t, inner, tol_half)
-    A = Us[where[-1]]
-    offsets = Us[where[:-1]]
+    return (inner, tol_half,
+            lambda Us: _compose(Us[where[:-1]], Us[where[-1]], m, r))
+
+
+def _compose(offsets: np.ndarray, A: np.ndarray, m: np.ndarray,
+             r: np.ndarray) -> np.ndarray:
+    """U(m T + r) = V(r) U(T)^m from offsets = U(|r|) and A = U(T/2)."""
     offsets[r < 0.0] = offsets[r < 0.0].conj()         # U(-s) = U(s)*
     # U(T)^m for every distinct m at once, bit by bit, from the projected
     # squares U(T)^(2^b); no eig, which the Delta = 0 triplet defeats
@@ -301,8 +396,9 @@ def _polar_step(U: np.ndarray) -> np.ndarray:
 
 
 def _prefix_product(S: np.ndarray) -> np.ndarray:
-    """Overwrite a stack whose length is a power of two with its prefix
-    products S[j] ... S[0], later factors on the left, and return it.
+    """Overwrite a stack whose length is a power of two, or each stack of
+    an array of them along axis -3, with its prefix products
+    S[j] ... S[0], later factors on the left, and return it.
 
     A work-efficient scan (Blelloch, CMU-CS-90-190, 1990) in place: the
     products of adjacent pairs overwrite the odd slots, which the
@@ -311,51 +407,117 @@ def _prefix_product(S: np.ndarray) -> np.ndarray:
     2 log2 len(S) batched calls.  Each prefix is a product of at most
     2 log2 len(S) factors.
     """
-    if len(S) > 1:
-        np.matmul(S[1::2], S[0::2], out=S[1::2])
-        _prefix_product(S[1::2])                       # P[2k + 1]
-        np.matmul(S[2::2], S[1:-1:2], out=S[2::2])     # P[2k + 2]
+    if S.shape[-3] > 1:
+        odd, even = S[..., 1::2, :, :], S[..., 0::2, :, :]
+        np.matmul(odd, even, out=odd)
+        _prefix_product(odd)                                 # P[2k + 1]
+        np.matmul(S[..., 2::2, :, :], S[..., 1:-1:2, :, :],
+                  out=S[..., 2::2, :, :])                    # P[2k + 2]
     return S
 
 
-def _propagate_grid(H_of_t: HamiltonianSource, t_grid: np.ndarray,
-                    tol: float) -> np.ndarray:
-    """The Magnus steps of :func:`propagate` over a checked time grid."""
-    if t_grid.size == 1:
-        return IDENTITY4[None].copy()
-    span, n, coarse, err = t_grid[-1], 8, None, math.inf
-    while True:
-        h = span / n
-        if not h >= np.finfo(float).tiny:
-            raise IntegratorError(
-                f"step size underflow at t = 0 (h = {h:.3e})")
-        # the steps are copied into the nodes and scanned there in place,
-        # so the round keeps no stack of its own beside U and the coarse U
-        U = np.empty((n + 1, 4, 4), dtype=complex)
-        U[0] = IDENTITY4
-        U[1:] = _magnus4(H_of_t, h * np.arange(n), np.full(n, h))
-        _prefix_product(U[1:])
-        # projected in slices, so that G and U G never span the grid
-        for i in range(1, n + 1, _CHUNK):
-            U[i:i + _CHUNK] = _polar_step(U[i:i + _CHUNK])
-        if coarse is not None:
-            # the global roundoff of n steps floors the attainable change
-            err = float(np.abs(U[::2] - coarse).max())
-            if err <= max(_ACCEPT_CHANGE * tol, 4e-15 * n):
+def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
+                    tols: list[float]) -> list[np.ndarray | Exception]:
+    """The Magnus steps of :func:`propagate_batch` over checked grids, one
+    per point: U on each grid, or the error that ended that point's run.
+
+    A round holds at most BATCH_MATRICES nodes across its points, or the
+    nodes of one point: the points beyond that are held back, and run in
+    a later group of rounds that starts at the last grid they computed
+    and does not test it again.
+    """
+    results = [IDENTITY4[None].copy() if t_grid.size == 1 else None
+               for t_grid in t_grids]
+    spans = np.array([t_grid[-1] for t_grid in t_grids])
+    tols = np.array(tols)
+    tails = []                 # per accepted point, its samples off the nodes
+    # the points of each group of rounds, by the step count it starts at
+    waiting = {8: [p for p, t_grid in enumerate(t_grids) if t_grid.size > 1]}
+    while waiting:
+        n = min(waiting)
+        active, coarse = np.array(sorted(waiting.pop(n)), dtype=np.int64), None
+        while active.size:
+            keep = max(1, BATCH_MATRICES // (n + 1))
+            if active.size > keep:
+                # a point that computed the coarse grid starts again there
+                start = n if coarse is None else n // 2
+                waiting.setdefault(start, []).extend(active[keep:].tolist())
+                active = active[:keep]
+                coarse = None if coarse is None else coarse[:keep].copy()
+            h = spans[active] / n
+            under = ~(h >= np.finfo(float).tiny)
+            if under.any():
+                for p, hp in zip(active[under].tolist(), h[under].tolist()):
+                    results[p] = IntegratorError(
+                        f"step size underflow at t = 0 (h = {hp:.3e})")
+                active, h = active[~under], h[~under]
+                coarse = None if coarse is None else coarse[~under]
+            # the steps are copied into the nodes and scanned there in
+            # place, so the round keeps no stack of its own beside U and
+            # the coarse U
+            U = np.empty((active.size, n + 1, 4, 4), dtype=complex)
+            U[:, 0] = IDENTITY4
+            steps, failed = _magnus4(H_of_t,
+                                     (h[:, None] * np.arange(n)).ravel(),
+                                     h.repeat(n), active.repeat(n))
+            U[:, 1:] = steps.reshape(U[:, 1:].shape)
+            del steps
+            if failed:
+                for p, exc in failed.items():
+                    results[p] = exc
+                ok = ~np.isin(active, list(failed))
+                active, h, U = active[ok], h[ok], U[ok]
+                coarse = None if coarse is None else coarse[ok]
+            _prefix_product(U[:, 1:])
+            # projected in slices of _CHUNK nodes, so that G and U G never
+            # span the round; U(0) = 1 is a fixed point of the step
+            nodes = U.reshape(-1, 4, 4)
+            for i in range(0, nodes.shape[0], _CHUNK):
+                nodes[i:i + _CHUNK] = _polar_step(nodes[i:i + _CHUNK])
+            del nodes
+            err = np.full(active.size, math.inf)
+            if coarse is not None:
+                # the global roundoff of n steps floors the attainable change
+                err = np.abs(U[:, ::2] - coarse).max(axis=(1, 2, 3))
+                passed = err <= np.maximum(_ACCEPT_CHANGE * tols[active],
+                                           4e-15 * n)
+                # U at the node at or before each sample, copied out of
+                # the round; the samples off the nodes take one more step
+                for j in np.flatnonzero(passed).tolist():
+                    p = int(active[j])
+                    k = np.floor(t_grids[p] / h[j]).astype(np.int64)
+                    tail = t_grids[p] - k * h[j]
+                    off = tail != 0.0
+                    results[p] = U[j, k]
+                    tails.append((p, off, k[off] * h[j], tail[off]))
+                # freed before the rows still running are copied out of U
+                coarse = None
+                if passed.any():
+                    active, U, err = active[~passed], U[~passed], err[~passed]
+            if 2 * n > MAX_STEPS:
+                for p, e in zip(active.tolist(), err.tolist()):
+                    results[p] = IntegratorError(
+                        f"{MAX_STEPS} steps on [0, {spans[p]:.6g}] do not "
+                        f"reach tol {tols[p]:.3g}: halving the step still "
+                        f"changes U by {e:.3e}")
                 break
-        if 2 * n > MAX_STEPS:
-            raise IntegratorError(
-                f"{MAX_STEPS} steps on [0, {span:.6g}] do not reach tol "
-                f"{tol:.3g}: halving the step still changes U by {err:.3e}")
-        n, coarse = 2 * n, U
-    # U at the node at or before each sample, and one more step for each
-    # sample off the nodes
-    k = np.floor(t_grid / h).astype(np.int64)
-    tail = t_grid - k * h
-    off = tail != 0.0
-    out = U[k]
-    out[off] = _magnus4(H_of_t, k[off] * h, tail[off]) @ U[k[off]]
-    return out
+            n, coarse = 2 * n, U
+
+    # the tail steps of all accepted points in one pass
+    if tails:
+        tails.sort(key=lambda tail: tail[0])
+        points, offs, starts, lengths = zip(*tails)
+        counts = [a.size for a in starts]
+        steps, failed = _magnus4(H_of_t, np.concatenate(starts),
+                                 np.concatenate(lengths),
+                                 np.repeat(points, counts))
+        for p, off, step in zip(points, offs,
+                                np.split(steps, np.cumsum(counts)[:-1])):
+            if p in failed:
+                results[p] = failed[p]
+            else:
+                results[p][off] = step @ results[p][off]
+    return results
 
 
 def evolve_von_neumann(rho0: np.ndarray, H_of_t: HamiltonianSource,

@@ -2,7 +2,10 @@
 
 Every sweep point is an independent pure computation; the CSV bytes of a
 point depend only on its configuration, never on scheduling, which makes
-sweep outputs byte-identical across parallelism degrees.
+sweep outputs byte-identical across parallelism degrees.  A sweep runs
+its points in batches that share each H call of the propagation
+(:func:`run_batch`), and each point keeps the bits of its own
+:func:`run_scenario`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 import os
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,9 +24,10 @@ from .entanglement import (concurrence_product_analytic,
                            concurrence_werner_analytic, unitary_orbit_bound,
                            wootters_concurrence)
 from .errors import ConfigError, IntegratorError, InvalidStateError
-from .evolution import propagate, validate_density_matrix
+from .evolution import (BATCH_MATRICES, propagate_batch,
+                        validate_density_matrix)
 from .pauli import IDENTITY4
-from .spinfield import spin_hamiltonian
+from .spinfield import DriveTable, spin_hamiltonian
 from .trajectory import modulus_from_params, motion_period
 
 # each sweepable parameter, with the record it sets: the laser, the bound
@@ -83,20 +87,94 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     IntegratorError when a propagated state fails the state checks, a
     trace error reaches 10 * tol or a concurrence exceeds the
     unitary-orbit bound of rho0 by 10 * tol, naming the first such
-    sample.
+    sample.  This is the batch of one of :func:`run_batch`.
     """
-    kin = modulus_from_params(cfg.laser, cfg.gamma_z)
-    rho0 = validate_density_matrix(cfg.initial_state.build())
-    t_grid = np.linspace(0.0, cfg.span, cfg.samples)
+    trace, = run_batch([cfg])
+    if isinstance(trace, Exception):
+        raise trace
+    return trace
 
-    H = lambda t: spin_hamiltonian(t, cfg.laser, kin, cfg.bound)
-    Us = propagate(H, t_grid, cfg.tol, motion_period(kin))
-    unitarity_error = np.abs(Us @ Us.conj().swapaxes(-1, -2)
-                             - IDENTITY4).max(axis=(-2, -1))
-    rhos = Us @ rho0 @ Us.conj().swapaxes(-1, -2)
-    # free the propagators before the concurrence allocates its
-    # temporaries, so that a long trace peaks one (N, 4, 4) stack lower
-    del Us
+
+def run_batch(cfgs: Sequence[ScenarioConfig]) -> list[Trace | Exception]:
+    """:func:`run_scenario` for each scenario of cfgs, propagated together
+    (:func:`propagate_batch`): each halving round and the tail steps ask
+    `spin_hamiltonian` once for every point still running.  Consecutive
+    points run together while their samples add up to at most
+    `evolution.BATCH_MATRICES`, the bound of each of a batch's stacks.
+
+    Returns, per scenario, the Trace of its :func:`run_scenario`, bit for
+    bit, or the exception that it raises; a failed point does not stop
+    the others.  When `spin_hamiltonian` itself raises, which names no
+    point, each point of that batch runs again alone, so that the error
+    is its own.
+    """
+    results = [None] * len(cfgs)
+    runs = []
+    for i, cfg in enumerate(cfgs):
+        try:
+            kin = modulus_from_params(cfg.laser, cfg.gamma_z)
+            rho0 = validate_density_matrix(cfg.initial_state.build())
+        except Exception as exc:
+            results[i] = exc
+        else:
+            runs.append((i, kin, rho0))
+    batch, samples = [], 0
+    for run in runs:
+        size = cfgs[run[0]].samples
+        if batch and samples + size > BATCH_MATRICES:
+            _run_together(cfgs, batch, results)
+            batch, samples = [], 0
+        batch.append(run)
+        samples += size
+    if batch:
+        _run_together(cfgs, batch, results)
+    return results
+
+
+def _run_together(cfgs: Sequence[ScenarioConfig], runs: list,
+                  results: list) -> None:
+    """Propagate the points of runs, (index, kin, rho0) each, as one batch
+    and put each one's Trace or exception into results at its index."""
+    kins = [kin for _, kin, _ in runs]
+    drives = DriveTable([cfgs[i].laser for i, _, _ in runs], kins,
+                        [cfgs[i].bound for i, _, _ in runs])
+    t_grids = [np.linspace(0.0, cfgs[i].span, cfgs[i].samples)
+               for i, _, _ in runs]
+    H = lambda t, point: spin_hamiltonian(t, drives=drives, point=point)
+    try:
+        all_Us = propagate_batch(H, t_grids, [cfgs[i].tol for i, _, _ in runs],
+                                 [motion_period(kin) for kin in kins])
+    except Exception as exc:
+        if len(runs) == 1:
+            results[runs[0][0]] = exc
+        else:
+            for run in runs:
+                _run_together(cfgs, [run], results)
+        return
+
+    for (i, _, rho0), t_grid in zip(runs, t_grids):
+        # taken out of the list, so that `del Us` frees them
+        Us = all_Us.pop(0)
+        if isinstance(Us, Exception):
+            results[i] = Us
+            continue
+        try:
+            unitarity_error = np.abs(Us @ Us.conj().swapaxes(-1, -2)
+                                     - IDENTITY4).max(axis=(-2, -1))
+            rhos = Us @ rho0 @ Us.conj().swapaxes(-1, -2)
+            # free the propagators before the concurrence allocates its
+            # temporaries, so that a long trace peaks one (N, 4, 4) stack
+            # lower
+            del Us
+            results[i] = _trace(cfgs[i], rho0, t_grid, rhos, unitarity_error)
+        except Exception as exc:
+            results[i] = exc
+
+
+def _trace(cfg: ScenarioConfig, rho0: np.ndarray, t_grid: np.ndarray,
+           rhos: np.ndarray, unitarity_error: np.ndarray) -> Trace:
+    """The CSV columns of one run from its states, after the checks of
+    :func:`run_scenario`."""
     try:
         concurrence = wootters_concurrence(rhos)
     except InvalidStateError as exc:
@@ -177,12 +255,25 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
                                            **{param: value})})
 
 
-def _sweep_point(args: tuple) -> tuple[str | None, str | None]:
-    cfg, param, value = args
-    try:
-        return scenario_csv(apply_sweep_value(cfg, param, value)), None
-    except Exception as exc:          # a failed point must not abort the sweep
-        return None, f"{type(exc).__name__}: {exc}"
+def _sweep_point(args: tuple) -> list[tuple[str | None, str | None]]:
+    """CSV text or error status of each value of one batch of a sweep,
+    whose points run together (:func:`run_batch`)."""
+    cfg, param, values = args
+    cfgs = []
+    for value in values:
+        try:
+            cfgs.append(apply_sweep_value(cfg, param, value))
+        except Exception as exc:      # a failed point must not abort the sweep
+            cfgs.append(exc)
+    traces = iter(run_batch([c for c in cfgs if not isinstance(c, Exception)]))
+    out = []
+    for c in cfgs:
+        result = c if isinstance(c, Exception) else next(traces)
+        if isinstance(result, Exception):
+            out.append((None, f"{type(result).__name__}: {result}"))
+        else:
+            out.append((rows_to_csv(result), None))
+    return out
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
@@ -192,9 +283,13 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
     A point that fails has no CSV: one left in out_dir under its name by
     an earlier sweep is removed.  Outputs are deterministic and independent
     of the parallelism degree: workers only compute CSV text, all files are
-    written sequentially in grid order by the caller.  The points run in a
-    process pool of min(jobs, len(values), cpu count) workers, or in this
-    process when that is 1.
+    written sequentially in grid order by the caller, and a point's CSV
+    has the bits of its own run.  The grid splits into
+    workers = min(jobs, len(values), cpu count) strided batches, values
+    k, k + workers, k + 2 workers, ..., so that a cost that grows along
+    the grid spreads evenly; each is propagated as one batch
+    (:func:`run_batch`) by a worker of a process pool, or in this process
+    when there is one batch.
     """
     if not values:
         raise ConfigError("sweep value grid must be nonempty")
@@ -206,16 +301,18 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
-    tasks = [(cfg, param, v) for v in values]
 
     workers = min(jobs, len(values), os.cpu_count() or 1)
+    tasks = [(cfg, param, values[k::workers]) for k in range(workers)]
     if workers <= 1:
-        results = [_sweep_point(task) for task in tasks]
+        batches = [_sweep_point(task) for task in tasks]
     else:
         # imported here, so that only a pooled sweep pays its start-up cost
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+            batches = list(pool.map(_sweep_point, tasks))
+    # back in grid order: value i is entry i // workers of batch i % workers
+    results = [batches[i % workers][i // workers] for i in range(len(values))]
 
     manifest = []
     for index, ((csv_text, error), value) in enumerate(zip(results, values)):

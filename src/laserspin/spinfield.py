@@ -26,8 +26,8 @@ exactly), which the tests use as the cross-check oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,16 +103,38 @@ class BoundStateParams:
                    g_coupling=g_coupling)
 
 
-def _field_components(gt: float, sn, cn, dn, laser: LaserParams,
-                      kin: KinematicParams) -> tuple:
+class _Drive(NamedTuple):
+    """The numbers H_S takes from the laser, kinematic and bound-state
+    records: floats for one scenario, or one array per field, over the
+    times of a batch, for several."""
+
+    eta: float | np.ndarray
+    epsilon: float | np.ndarray
+    omega_L: float | np.ndarray
+    gamma_z: float | np.ndarray
+    mu: float | np.ndarray
+    omega_L_prime: float | np.ndarray
+    gtilde_n: float | np.ndarray
+    gtilde_p: float | np.ndarray
+    g_coupling: float | np.ndarray
+
+
+def _drive(laser: LaserParams, kin: KinematicParams,
+           bound: BoundStateParams) -> _Drive:
+    return _Drive(laser.eta, laser.epsilon, laser.omega_L, kin.gamma_z,
+                  kin.mu, kin.omega_L_prime, bound.gtilde("n"),
+                  bound.gtilde("p"), bound.g_coupling)
+
+
+def _field_components(gt, sn, cn, dn, d: _Drive) -> tuple:
     """(Bx, By, Bz) of rescaled ratio gt from the Jacobi triple of u = w'_L t."""
-    eta, eps = laser.eta, laser.epsilon
-    gz, mu, wp = kin.gamma_z, kin.mu, kin.omega_L_prime
-    root = math.sqrt(1.0 - eps * eps)
+    eta, eps = d.eta, d.epsilon
+    gz, mu, wp = d.gamma_z, d.mu, d.omega_L_prime
+    root = np.sqrt(1.0 - eps * eps)
     return (
         eta * (wp / 2.0) * root * ((gt + 1.0) * dn - gz) * cn,
         eta * (wp / 2.0) * eps * ((gt + 1.0) * dn - gz * (1.0 - mu * mu)) * sn,
-        -eta * eta * (laser.omega_L / 2.0) * eps * root * (gt - gz * dn),
+        -eta * eta * (d.omega_L / 2.0) * eps * root * (gt - gz * dn),
     )
 
 
@@ -121,8 +143,8 @@ def effective_field(t, which: str, laser: LaserParams, kin: KinematicParams,
     """Closed-form precession field B^(i)(t) for constituent which in {n, p}:
     (Bx, By, Bz) at a float time, shape S + (3,) over an array of shape S."""
     return np.stack(_field_components(
-        bound.gtilde(which), *jacobi(kin.omega_L_prime * t, kin.mu), laser, kin),
-        axis=-1)
+        bound.gtilde(which), *jacobi(kin.omega_L_prime * t, kin.mu),
+        _drive(laser, kin, bound)), axis=-1)
 
 
 def omega_first_principles(t: float, which: str, laser: LaserParams,
@@ -155,17 +177,43 @@ def interaction_hamiltonian(bound: BoundStateParams) -> np.ndarray:
 _SINGLE_SPIN_BASIS = np.concatenate([PAIR[1:, 0], PAIR[0, 1:]]).reshape(6, 16)
 
 
-def spin_hamiltonian(t, laser: LaserParams, kin: KinematicParams,
-                     bound: BoundStateParams) -> np.ndarray:
+class DriveTable:
+    """The numbers H_S takes from each scenario of a batch, gathered once
+    per batch for :func:`spin_hamiltonian`: one record of floats per
+    scenario, and one array over the scenarios per field."""
+
+    def __init__(self, lasers, kins, bounds):
+        self.rows = [_drive(*records)
+                     for records in zip(lasers, kins, bounds, strict=True)]
+        self.columns = _Drive(*np.array(self.rows).T)
+
+    def at(self, point: np.ndarray) -> _Drive:
+        """The drive of each time whose scenario point names; the floats
+        of its scenario when point names one."""
+        if point.min() == point.max():
+            return self.rows[point.flat[0]]
+        return _Drive(*(column[point] for column in self.columns))
+
+
+def spin_hamiltonian(t, laser=None, kin=None, bound=None, *,
+                     drives: DriveTable | None = None,
+                     point=None) -> np.ndarray:
     """Hermitian two-spin Hamiltonian H_S(t): a 4x4 matrix at a float time,
     shape S + (4, 4) over an array of times of shape S.
+
+    For a batch of scenarios, drives, their :class:`DriveTable`, takes
+    the place of the three records, and point, an integer array of the
+    shape of t, names the scenario of each time: one call serves every
+    scenario, and each element has the bits of a call with its own
+    records.
 
     Periodic in the motion period and time-reversal symmetric,
     H_S(-t) = H_S(t)*, as `evolution.propagate` assumes given the period.
     """
-    jac = jacobi(kin.omega_L_prime * t, kin.mu)
-    coeffs = -0.5 * np.stack(
-        _field_components(bound.gtilde("n"), *jac, laser, kin)
-        + _field_components(bound.gtilde("p"), *jac, laser, kin), axis=-1)
+    d = _drive(laser, kin, bound) if drives is None else drives.at(point)
+    jac = jacobi(d.omega_L_prime * t, d.mu)
+    coeffs = -0.5 * np.stack(_field_components(d.gtilde_n, *jac, d)
+                             + _field_components(d.gtilde_p, *jac, d),
+                             axis=-1)
     return ((coeffs @ _SINGLE_SPIN_BASIS).reshape(coeffs.shape[:-1] + (4, 4))
-            + interaction_hamiltonian(bound))
+            + np.multiply.outer(d.g_coupling / 4.0, SIGMA_DOT_SIGMA))

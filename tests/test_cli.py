@@ -14,7 +14,7 @@ import laserspin
 from laserspin import modulus_from_params, motion_period
 from laserspin.cli import main
 from laserspin.config import config_from_dict, load_config
-from laserspin.errors import ConfigError
+from laserspin.errors import ConfigError, DomainError, IntegratorError
 from laserspin.simulate import (CSV_HEADER, apply_sweep_value, run_scenario,
                                 run_sweep, scenario_csv)
 
@@ -276,6 +276,31 @@ class TestExtremeButFiniteNumbers:
             tracemalloc.stop()
         assert peak < 3.2 * (2**13 + 1) * 256
 
+    def test_stiff_sweep_holds_under_3_2_node_stacks(self, tmp_path,
+                                                     monkeypatch):
+        # four such points in one batch: a round holds at most
+        # BATCH_MATRICES nodes across its points, here the finest grid of
+        # one run, so the batch peaks as one run does, and each point
+        # fails with the text of its own run
+        monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 2**13)
+        monkeypatch.setattr("laserspin.evolution.BATCH_MATRICES", 2**13 + 1)
+        raw = readme_config(("bound", "mass_p"), 1e-14)
+        raw["t_end"] = 0.5
+        cfg = config_from_dict(raw)
+        values = [0.1, 0.2, 0.3, 0.4]
+        tracemalloc.start()
+        try:
+            manifest = run_sweep(cfg, "g_coupling", values, 1,
+                                 str(tmp_path / "s"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * (2**13 + 1) * 256
+        for entry, g in zip(manifest, values):
+            with pytest.raises(IntegratorError) as alone:
+                run_scenario(apply_sweep_value(cfg, "g_coupling", g))
+            assert entry["status"] == f"error: IntegratorError: {alone.value}"
+
     def test_subnormal_span_exits_4(self, tmp_path, capsys):
         # h = span / 8 is subnormal: no grid of such steps tiles the span
         raw = readme_config(("t_end",), 5e-324)
@@ -377,6 +402,150 @@ class TestSweep:
         assert (tmp_path / "a" / "manifest.json").read_bytes() \
             == (tmp_path / "b" / "manifest.json").read_bytes()
 
+    # t_end 1.02 laser periods straddles the motion period 4 K(eta): eta 0
+    # (mu = 0) and 0.05 compose their samples from half a period, while
+    # 0.3, 0.5 and 0.9 (moduli of 5 to 7 AGM levels) run directly
+    STRADDLING_ETAS = [0.0, 0.05, 0.3, 0.5, 0.9]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_batched_points_match_their_own_runs(self, tmp_path, monkeypatch,
+                                                 jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = config_from_dict(base_config(t_end=1.02, samples=9))
+        etas = self.STRADDLING_ETAS
+        periods = [motion_period(modulus_from_params(
+            apply_sweep_value(cfg, "eta", eta).laser, 1.0)) for eta in etas]
+        assert [T < cfg.span for T in periods] == [True, True, False, False,
+                                                    False]
+        manifest = run_sweep(cfg, "eta", etas, jobs, str(tmp_path / "s"))
+        assert [m["status"] for m in manifest] == ["ok"] * len(etas)
+        for k, eta in enumerate(etas):
+            assert (tmp_path / "s" / f"point_{k:03d}.csv").read_bytes() \
+                == scenario_csv(apply_sweep_value(cfg, "eta", eta)).encode()
+
+    def test_one_batch_asks_h_once_per_round(self, tmp_path, monkeypatch):
+        # the points share each halving round's H call; the tail steps of
+        # all samples take one more, and every point its own H times
+        cfg = config_from_dict(base_config(t_end=1.02, samples=9))
+        exact = laserspin.simulate.spin_hamiltonian
+        sizes = []
+
+        def counted(t, *args, **kwargs):
+            sizes.append(t.size)
+            return exact(t, *args, **kwargs)
+        monkeypatch.setattr("laserspin.simulate.spin_hamiltonian", counted)
+        alone = []
+        for eta in self.STRADDLING_ETAS:
+            run_scenario(apply_sweep_value(cfg, "eta", eta))
+            alone.append(sizes[:])
+            sizes.clear()
+        run_sweep(cfg, "eta", self.STRADDLING_ETAS, 1, str(tmp_path / "s"))
+        assert len(sizes) <= max(len(calls) for calls in alone) + 1
+        assert sum(sizes) == sum(sum(calls) for calls in alone)
+
+    def test_batches_hold_at_most_batch_matrices(self, tmp_path,
+                                                 monkeypatch):
+        # 9 samples a point under a bound of 20: the points run in pairs
+        monkeypatch.setattr("laserspin.simulate.BATCH_MATRICES", 20)
+        cfg = config_from_dict(base_config(t_end=1.02, samples=9))
+        exact = laserspin.simulate.spin_hamiltonian
+        batches = set()
+
+        def counted(t, *, drives, point):
+            batches.add(tuple(drives.columns.eta.tolist()))
+            return exact(t, drives=drives, point=point)
+        monkeypatch.setattr("laserspin.simulate.spin_hamiltonian", counted)
+        etas = self.STRADDLING_ETAS
+        run_sweep(cfg, "eta", etas, 1, str(tmp_path / "s"))
+        assert batches == {tuple(etas[:2]), tuple(etas[2:4]), tuple(etas[4:])}
+        monkeypatch.undo()
+        for k, eta in enumerate(etas):
+            assert (tmp_path / "s" / f"point_{k:03d}.csv").read_text() \
+                == scenario_csv(apply_sweep_value(cfg, "eta", eta))
+
+    def test_workers_take_strided_batches(self, tmp_path, monkeypatch):
+        # value i goes to worker i % workers, so that a cost growing along
+        # the grid spreads over the workers; the files keep grid order
+        tasks = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                tasks.extend(work)
+                return map(fn, work)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = config_from_dict(base_config(samples=5))
+        values = [0.02, 0.04, 0.06, 0.08, 0.1]
+        run_sweep(cfg, "eta", values, 2, str(tmp_path / "pooled"))
+        assert [task[2] for task in tasks] == [values[0::2], values[1::2]]
+        run_sweep(cfg, "eta", values, 1, str(tmp_path / "serial"))
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
+        for name in names:
+            assert (tmp_path / "pooled" / name).read_bytes() \
+                == (tmp_path / "serial" / name).read_bytes()
+
+    def test_failed_points_fail_as_they_do_alone(self, tmp_path,
+                                                 monkeypatch):
+        # g 1e300 overflows H, and g 40 needs more than the 64 steps
+        # allowed here; the good points' CSVs are those of a sweep without
+        # the two
+        monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 64)
+        cfg = config_from_dict(base_config(t_end=1.02, samples=9))
+        values = [0.1, 1e300, 0.05, 40.0, 0.02]
+        manifest = run_sweep(cfg, "g_coupling", values, 1,
+                             str(tmp_path / "mixed"))
+        for entry, g in zip(manifest, values):
+            try:
+                run_scenario(apply_sweep_value(cfg, "g_coupling", g))
+                alone = "ok"
+            except Exception as exc:
+                alone = f"error: {type(exc).__name__}: {exc}"
+            assert entry["status"] == alone
+        assert manifest[1]["status"].startswith(
+            "error: DomainError: Magnus exponent is not finite on [0, ")
+        assert manifest[3]["status"].startswith(
+            "error: IntegratorError: 64 steps on [0, ")
+        run_sweep(cfg, "g_coupling", [0.1, 0.05, 0.02], 1,
+                  str(tmp_path / "good"))
+        for mixed, good in ((0, 0), (2, 1), (4, 2)):
+            assert (tmp_path / "mixed" / f"point_{mixed:03d}.csv"
+                    ).read_bytes() \
+                == (tmp_path / "good" / f"point_{good:03d}.csv").read_bytes()
+
+    def test_a_raising_hamiltonian_fails_its_own_point(self, tmp_path,
+                                                        monkeypatch):
+        # an error raised by H names no point, so the batch reruns its
+        # points alone
+        cfg = config_from_dict(base_config(samples=5))
+        good = [scenario_csv(apply_sweep_value(cfg, "eta", eta))
+                for eta in (0.05, 0.1)]
+        exact = laserspin.simulate.spin_hamiltonian
+
+        def refusing(t, *, drives, point):
+            if any(drives.rows[p].eta == 0.07 for p in np.unique(point)):
+                raise DomainError("no field at eta 0.07")
+            return exact(t, drives=drives, point=point)
+        monkeypatch.setattr("laserspin.simulate.spin_hamiltonian", refusing)
+        manifest = run_sweep(cfg, "eta", [0.05, 0.07, 0.1], 1,
+                             str(tmp_path / "s"))
+        assert [m["status"] for m in manifest] == [
+            "ok", "error: DomainError: no field at eta 0.07", "ok"]
+        for k, csv_text in zip((0, 2), good):
+            assert (tmp_path / "s" / f"point_{k:03d}.csv").read_text() \
+                == csv_text
+
     def test_werner_sweep_initial_concurrence(self, tmp_path):
         cfg = config_from_dict(base_config(samples=5))
         values = [0.2, 0.4, 0.6, 0.8, 1.0]
@@ -476,9 +645,10 @@ class TestInvariantChecks:
         # propagators scaled by 1 + 2.5e-13 give a trace error of 5e-13 at
         # every sample: above 10 * tol = 4e-13, inside the 1e-12 state
         # checks; 2 laser periods at tol 4e-14 sit just above the floor
-        exact = laserspin.simulate.propagate
-        monkeypatch.setattr("laserspin.simulate.propagate",
-                            lambda *args: (1.0 + 2.5e-13) * exact(*args))
+        exact = laserspin.simulate.propagate_batch
+        monkeypatch.setattr("laserspin.simulate.propagate_batch",
+                            lambda *args: [(1.0 + 2.5e-13) * Us
+                                           for Us in exact(*args)])
         return write_config(tmp_path, base_config(t_end=2.0, samples=9,
                                                   tol=4e-14))
 
@@ -499,9 +669,10 @@ class TestInvariantChecks:
     def broken(self, tmp_path, monkeypatch):
         # propagators scaled by 1 + 1e-11 give a trace error of 2e-11: far
         # inside 10 * tol = 1e-5, outside the 1e-12 state checks
-        exact = laserspin.simulate.propagate
-        monkeypatch.setattr("laserspin.simulate.propagate",
-                            lambda *args: (1.0 + 1e-11) * exact(*args))
+        exact = laserspin.simulate.propagate_batch
+        monkeypatch.setattr("laserspin.simulate.propagate_batch",
+                            lambda *args: [(1.0 + 1e-11) * Us
+                                           for Us in exact(*args)])
         return write_config(tmp_path, base_config(t_end=2.0, samples=9,
                                                   tol=1e-6))
 
@@ -527,11 +698,14 @@ class TestInvariantChecks:
         phi = np.zeros((4, 4), dtype=complex)
         phi[[0, 3], 0] = math.sqrt(2.0)
 
-        def propagate(H, t_grid, tol, period=None):
-            Us = np.repeat(phi[None], len(t_grid), axis=0)
-            Us[0] = np.eye(4)
-            return Us
-        monkeypatch.setattr("laserspin.simulate.propagate", propagate)
+        def propagate_batch(H, t_grids, tols, periods=None):
+            all_Us = [np.repeat(phi[None], len(t_grid), axis=0)
+                      for t_grid in t_grids]
+            for Us in all_Us:
+                Us[0] = np.eye(4)
+            return all_Us
+        monkeypatch.setattr("laserspin.simulate.propagate_batch",
+                            propagate_batch)
         return write_config(tmp_path, base_config(
             initial_state={"type": "werner", "p": 0.0}, samples=5))
 
@@ -742,17 +916,31 @@ class TestMainExitCodes:
     def test_concurrence_oracle_composes_periods(self, monkeypatch):
         # the product checks span two laser periods, past the motion
         # period, so run_scenario composes their later samples
-        from laserspin.simulate import propagate
+        from laserspin.simulate import propagate_batch
         from laserspin.validate import oracle_concurrence
         calls = []
 
-        def spy(H_of_t, t_grid, tol, period=None):
-            calls.append((period, t_grid[-1]))
-            return propagate(H_of_t, t_grid, tol, period)
+        def spy(H_of_t, t_grids, tols, periods=None):
+            calls.extend((period, t_grid[-1])
+                         for period, t_grid in zip(periods, t_grids))
+            return propagate_batch(H_of_t, t_grids, tols, periods)
 
-        monkeypatch.setattr("laserspin.simulate.propagate", spy)
+        monkeypatch.setattr("laserspin.simulate.propagate_batch", spy)
         assert oracle_concurrence().passed
         assert [period < span for period, span in calls] == [False, True, True]
+
+    def test_factorization_oracle_batches_its_u_runs(self, monkeypatch):
+        # the eight U runs of H_S share each halving round's H call
+        from laserspin import validate
+        exact, points = validate.spin_hamiltonian, []
+
+        def spy(t, *, drives, point):
+            points.append(set(point.tolist()))
+            return exact(t, drives=drives, point=point)
+
+        monkeypatch.setattr(validate, "spin_hamiltonian", spy)
+        assert validate.oracle_factorization().passed
+        assert points[0] == set(range(8)) and len(points) < 8
 
     def test_validate_unknown_filter_is_2(self, capsys):
         assert main(["validate", "--filter", "bogus"]) == 2

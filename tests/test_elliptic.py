@@ -198,3 +198,39 @@ class TestArrayArgument:
         assert np.isfinite([sn, cn, dn, jacobi_am(u, mu)]).all()
         assert np.abs(sn * sn + cn * cn - 1.0).max() <= 1e-15
         assert np.abs(dn * dn + (mu * sn) ** 2 - 1.0).max() <= 1e-15
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestArrayModulus:
+    """An array mu, one modulus per element, as for a batch of scenarios:
+    each element has the bits of its scalar call."""
+
+    # mu = 0 (the trig branch), moduli of 2 to 9 AGM levels and the
+    # largest accepted one
+    MODULI = st.one_of(st.just(0.0), MODULI,
+                       st.just(float(np.nextafter(1.0, 0.0))))
+
+    @given(st.lists(st.tuples(ARGS, MODULI), min_size=1, max_size=30))
+    def test_equals_the_scalar_calls_bit_for_bit(self, pairs):
+        u, mu = (np.array(column) for column in zip(*pairs))
+        triple, am = jacobi(u, mu), jacobi_am(u, mu)
+        for k, (x, m) in enumerate(pairs):
+            assert [bits(f[k]) for f in triple] \
+                == [bits(f) for f in jacobi(x, m)]
+            assert bits(am[k]) == bits(jacobi_am(x, m))
+
+    def test_broadcasts_against_u(self):
+        u = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        mu = np.array([0.0, 0.3, 0.6, 0.9])
+        sn, cn, dn = jacobi(u, mu)
+        assert sn.shape == cn.shape == dn.shape == jacobi_am(u, mu).shape \
+            == (3, 4)
+        assert bits(dn[:, 2]) == bits(jacobi(u[:, 2], 0.6).dn)
+
+    @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
+    def test_bad_element_rejected(self, bad):
+        with pytest.raises(DomainError, match="0 <= mu < 1"):
+            jacobi(np.zeros(3), np.array([0.2, bad, 0.5]))

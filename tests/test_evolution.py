@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from laserspin import (BoundStateParams, DomainError, IntegratorError,
-                       InvalidStateError, KinematicParams, LaserParams,
+from laserspin import (BoundStateParams, DomainError, DriveTable,
+                       IntegratorError, InvalidStateError, KinematicParams, LaserParams,
                        concurrence_product_analytic,
                        effective_field, euler_representation,
                        evolve_von_neumann,
@@ -18,7 +18,9 @@ from laserspin import (BoundStateParams, DomainError, IntegratorError,
                        spin_hamiltonian,
                        theta_minus, time_ordered_X, validate_density_matrix,
                        werner_state, wootters_concurrence)
-from laserspin.evolution import _polar_step, _prefix_product, expm_hermitian
+from laserspin import evolution
+from laserspin.evolution import (_polar_step, _prefix_product, expm_hermitian,
+                                propagate_batch)
 from laserspin.pauli import (IDENTITY4, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
                              SIGMA_DOT_SIGMA, hermiticity_defect)
 
@@ -381,6 +383,118 @@ class TestStepProducts:
         projected = _polar_step(P)
         defect = projected @ projected.conj().swapaxes(-1, -2) - IDENTITY4
         assert np.abs(defect).max() <= 1e-14
+
+
+class TestBatch:
+    """propagate_batch runs several points at once: each halving round and
+    the tail steps make one H call per 512 times for the whole batch, and
+    every point keeps the grid, H times and bits of its own propagate."""
+
+    # (eta, eps, gtilde_n, gtilde_p, g, laser periods, samples, tol): a
+    # mu = 0 point, moduli of 4 to 7 AGM levels, direct runs within the
+    # motion period and runs composed from half of it
+    POINTS = [(0.0, 0.3, 4.0, 1.0, 0.1, 3.0, 13, 1e-7),
+              (0.5, 0.3, 6.0, 2.0, 0.5, 0.7, 21, 1e-6),
+              (0.05, 0.0, 4.0, 1.0, 0.1, 1.02, 9, 1e-8),
+              (0.3, 0.0, 4.0, 1.0, 0.1, 1.02, 9, 1e-8),
+              (0.9, 0.1, 2.0, 1.5, 0.02, 5.0, 33, 1e-6),
+              (0.1, 0.0, 4.0, 1.0, 0.1, 0.0, 1, 1e-6)]
+
+    @staticmethod
+    def drives(points):
+        records, grids, tols, periods = [], [], [], []
+        for eta, eps, gtn, gtp, g, laser_periods, samples, tol in points:
+            laser = LaserParams(eta=eta, epsilon=eps)
+            kin = modulus_from_params(laser, 1.0)
+            records.append((laser, kin,
+                            BoundStateParams.from_gtildes(gtn, gtp, g)))
+            grids.append(np.linspace(0.0, 2.0 * math.pi * laser_periods,
+                                     samples))
+            tols.append(tol)
+            periods.append(motion_period(kin))
+        return records, grids, tols, periods
+
+    def test_points_keep_their_bits_and_h_times(self):
+        records, grids, tols, periods = self.drives(self.POINTS)
+        assert [grid[-1] > T for grid, T in zip(grids, periods)] \
+            == [True, False, True, False, True, False]
+        batch_calls = []
+
+        drives = DriveTable(*zip(*records))
+
+        def H(t, point):
+            batch_calls.append(t.size)
+            return spin_hamiltonian(t, drives=drives, point=point)
+        batch = propagate_batch(H, grids, tols, periods)
+
+        alone_calls = []
+        for rec, grid, tol, T, Us in zip(records, grids, tols, periods,
+                                         batch):
+            def H_alone(t):
+                alone_calls.append(t.size)
+                return spin_hamiltonian(t, *rec)
+            assert np.array_equal(Us, propagate(H_alone, grid, tol, T))
+        assert sum(batch_calls) == sum(alone_calls)
+        assert max(batch_calls) <= 512
+        assert len(batch_calls) < len(alone_calls)
+
+    def test_rounds_hold_at_most_batch_matrices(self, monkeypatch):
+        # under a budget of 60 nodes the points beyond it are held back and
+        # start again from the last grid they computed, with the bits of
+        # their own runs
+        records, grids, tols, periods = self.drives(self.POINTS)
+        drives = DriveTable(*zip(*records))
+        H = lambda t, point: spin_hamiltonian(t, drives=drives, point=point)
+        exact, rounds = evolution._magnus4, []
+
+        def spy(H_of_t, starts, lengths, point):
+            # the nodes of a round: its intervals and one more per point
+            rounds.append((np.unique(point).size, point.size
+                           + np.unique(point).size))
+            return exact(H_of_t, starts, lengths, point)
+
+        monkeypatch.setattr(evolution, "_magnus4", spy)
+        propagate_batch(H, grids, tols, periods)
+        assert max(nodes for points, nodes in rounds[:-1] if points > 1) > 60
+        rounds.clear()
+        monkeypatch.setattr(evolution, "BATCH_MATRICES", 60)
+        batch = propagate_batch(H, grids, tols, periods)
+        # the last call is the tail steps, not a round
+        assert all(points == 1 or nodes <= 60
+                   for points, nodes in rounds[:-1])
+        assert any(points > 1 for points, nodes in rounds[:-1])
+        for rec, grid, tol, T, Us in zip(records, grids, tols, periods,
+                                         batch):
+            assert np.array_equal(
+                Us, propagate(lambda t: spin_hamiltonian(t, *rec), grid, tol,
+                              T))
+
+    def test_a_failed_point_leaves_the_others_running(self, monkeypatch):
+        # a tol outside the bounds, an H that overflows, a grid that needs
+        # more steps than allowed, beside two good points
+        monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 64)
+        records, grids, tols, periods = self.drives(
+            [self.POINTS[2], self.POINTS[2], (0.1, 0.0, 4.0, 1.0, 1e300,
+                                              1.0, 5, 1e-6),
+             (0.1, 0.0, 4.0, 1.0, 60.0, 0.9, 5, 1e-6),
+             (0.3, 0.0, 4.0, 1.0, 0.1, 1.02, 9, 1e-6)])
+        tols[1] = 1.0
+        drives = DriveTable(*zip(*records))
+        batch = propagate_batch(
+            lambda t, point: spin_hamiltonian(t, drives=drives, point=point),
+            grids, tols, periods)
+        for rec, grid, tol, T, result in zip(records, grids, tols, periods,
+                                             batch):
+            H = lambda t: spin_hamiltonian(t, *rec)
+            if isinstance(result, Exception):
+                with pytest.raises(type(result)) as alone:
+                    propagate(H, grid, tol, T)
+                assert str(alone.value) == str(result)
+            else:
+                assert np.array_equal(result, propagate(H, grid, tol, T))
+        assert [type(r).__name__ for r in batch] == [
+            "ndarray", "DomainError", "DomainError", "IntegratorError",
+            "ndarray"]
 
 
 # the sources of H and of the analytic factors, each with its drive, the

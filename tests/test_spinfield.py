@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from laserspin import (BoundStateParams, DomainError, KinematicParams,
-                       LaserParams, effective_field, interaction_hamiltonian,
+from laserspin import (BoundStateParams, DomainError, DriveTable,
+                       KinematicParams, LaserParams, effective_field, interaction_hamiltonian,
                        modulus_from_params, motion_period,
                        omega_first_principles, spin_hamiltonian)
 from laserspin.pauli import PAULI, SWAP, hermiticity_defect
@@ -178,3 +178,23 @@ class TestSpinHamiltonian:
             H = spin_hamiltonian(t, laser, kin, bound)
             H_swapped = spin_hamiltonian(t, laser, kin, swapped)
             assert np.abs(SWAP @ H @ SWAP - H_swapped).max() < 1e-14
+
+    def test_batch_of_scenarios_matches_each_record_bit_for_bit(self):
+        # mu = 0, moduli of different AGM depth, gamma_z != 1, a huge g
+        records = [(*scenario(eta, eps, gz),
+                    BoundStateParams.from_gtildes(gtn, gtp, g_coupling=g))
+                   for eta, eps, gz, gtn, gtp, g in [
+                       (0.0, 0.3, 1.0, 4.0, 1.0, 0.1),
+                       (0.5, 0.3, 1.2, 6.0, 2.0, 0.5),
+                       (0.9, 0.1, 1.0, 2.0, 1.5, 0.02),
+                       (0.3, 0.0, 0.8, 3.0, 1.0, 1e300)]]
+        rng = np.random.default_rng(11)
+        t = rng.uniform(0.0, 20.0, 300)
+        point = rng.integers(0, len(records), t.size)
+        batch = spin_hamiltonian(t, drives=DriveTable(*zip(*records)),
+                                 point=point)
+        assert batch.shape == (300, 4, 4)
+        for p, (laser, kin, b) in enumerate(records):
+            mine = point == p
+            assert batch[mine].tobytes() \
+                == spin_hamiltonian(t[mine], laser, kin, b).tobytes()
