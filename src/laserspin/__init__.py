@@ -10,8 +10,10 @@ import importlib
 # each submodule, with the public names it exports
 _EXPORTS = {
     "elliptic": ("JacobiTriple", "complete_K", "jacobi", "jacobi_am"),
-    "entanglement": ("concurrence_product_analytic",
-                     "concurrence_werner_analytic", "product_state",
+    "entanglement": ("concurrence_from_factor",
+                     "concurrence_product_analytic",
+                     "concurrence_werner_analytic", "density_factor",
+                     "product_state",
                      "q_factor", "unitary_orbit_bound", "werner_state",
                      "wootters_concurrence"),
     "errors": ("ConfigError", "DomainError", "IntegratorError",

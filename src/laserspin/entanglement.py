@@ -12,7 +12,7 @@ q_factor and the two concurrence formulas are leading-order analytic
 references used for comparison against the full numeric evolution.  Their
 internal frequency convention (resonances at w_L = 4g) predates the
 exchange normalization H_I = (g/4) sigma.sigma used by the evolution
-module.  Known limits of the product formula (ROADMAP item 3): it does
+module.  Known limits of the product formula (ROADMAP item 4): it does
 not depend on eps, omits the exchange-only term and reaches 2.24 on the
 long_elliptic bench scenario (seed 1), above its 0.25 unitary-orbit bound.
 """
@@ -65,19 +65,40 @@ def product_state(alpha: float, beta: float) -> np.ndarray:
 def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Concurrence of an arbitrary two-qubit density matrix.
 
-    C = max(0, l1 - l2 - l3 - l4), the l_i the decreasing singular values
-    of B^T (sy x sy) B for rho = B B^+ from one eigh (Uhlmann, PRA 62,
-    032307 (2000)), so no roundoff eigenvalue enters a square root.
-    Invariant under local unitaries; 0 for separable states, 1 for Bell
-    states.  A 4x4 rho gives a float; an (N, 4, 4) stack gives the (N,)
-    array of the concurrences of its samples.
+    C = max(0, l1 - l2 - l3 - l4), from the factor rho = B B^+ of one
+    eigh (:func:`density_factor`) by :func:`concurrence_from_factor`, so
+    no roundoff eigenvalue enters a square root.  Invariant under local
+    unitaries; 0 for separable states, 1 for Bell states.  A 4x4 rho
+    gives a float; an (N, 4, 4) stack gives the (N,) array of the
+    concurrences of its samples.  The test oracle of the run path, which
+    reaches the same kernel from U R (`simulate.run_scenario`).
     """
-    w, B = np.linalg.eigh(validate_density_matrix(rho))
+    c = concurrence_from_factor(density_factor(validate_density_matrix(rho)))
+    return float(c) if c.ndim == 0 else c
+
+
+def density_factor(rho: np.ndarray) -> np.ndarray:
+    """B with rho = B B^+, V sqrt(w) from rho = V diag(w) V^+ (one eigh),
+    for a density matrix or each matrix of a stack of them; roundoff
+    eigenvalues below 0 count as 0."""
+    w, B = np.linalg.eigh(rho)
     B *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return B
+
+
+def concurrence_from_factor(B: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of rho = B B^+, for a 4x4 factor B (a 0-d
+    array) or each factor of an (N, 4, 4) stack (an (N,) array).
+
+    C = max(0, l1 - l2 - l3 - l4), the l_i the decreasing singular values
+    of B^T (sy x sy) B (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62,
+    032307 (2000)).  Any factor serves, square or not, so rho need not be
+    formed or diagonalised: U R for rho = U R R^+ U^+ gives the
+    concurrence of the evolved state from R of the initial one.
+    """
     lam = np.linalg.svd(B.swapaxes(-1, -2) @ (PAIR[2, 2] @ B),
                         compute_uv=False)
-    c = np.clip(lam[..., 0] - lam[..., 1:].sum(axis=-1), 0.0, 1.0)
-    return float(c) if c.ndim == 0 else c
+    return np.clip(lam[..., 0] - lam[..., 1:].sum(axis=-1), 0.0, 1.0)
 
 
 def unitary_orbit_bound(rho: np.ndarray) -> float:

@@ -15,13 +15,14 @@ class InvalidStateError(DomainError):
     """A density matrix violates Hermiticity, unit trace or positivity."""
 
     @classmethod
-    def unless(cls, ok, message: str) -> None:
+    def unless(cls, ok, message: str, first: int = 0) -> None:
         """Raise with message unless ok holds.  ok is one bool for a single
-        matrix, or one bool per sample of a stack, and then the message
-        names the first failing sample."""
+        matrix, or one bool per sample of a stack whose first sample is
+        sample first, and then the message names the first failing
+        sample."""
         ok = np.asarray(ok)
         if not ok.all():
-            where = f" at sample {int(ok.argmin())}" if ok.ndim else ""
+            where = f" at sample {first + int(ok.argmin())}" if ok.ndim else ""
             raise cls(message + where)
 
 

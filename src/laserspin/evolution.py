@@ -16,12 +16,15 @@ U at the nodes of the n/2-step grid moves by at most max(7.5 tol,
 For a fourth-order step the error of the n-step grid is about that
 change / (2^4 - 1) (Richardson; Hairer, Nørsett & Wanner, Solving
 Ordinary Differential Equations I, Sec. II.4), so the accepted grid
-carries about tol / 2 against a tight reference.  U at the
-nodes is the prefix product of the steps, formed pairwise in 2 log2 n
-batched matmuls and projected once per halving round by a Newton step
-of the polar projection.  Each sample off the grid nodes then takes
-one more step, from the node before it; a sample on a node takes U
-there.  A Hamiltonian source maps an (m,) array of times to their
+carries about tol / 2 against a tight reference.  The steps of a
+round are written straight into its nodes, where the prefix product of
+the steps, formed pairwise in 2 log2 n batched matmuls, replaces them;
+the nodes are projected once per halving round by a Newton step of the
+polar projection.  Each sample off the grid nodes then takes one more
+step, from the node before it, applied in place _CHUNK = 256 samples
+at a time; a sample on a node takes U there.  So a run holds its
+(N, 4, 4) stack of U and temporaries of one chunk beside the nodes of
+its rounds.  A Hamiltonian source maps an (m,) array of times to their
 (m, 4, 4) stack, or to one constant 4x4, and is asked for at most 512
 times per call, in no particular order.  Every factor is the
 exponential of a Hermitian matrix, so U stays unitary to roundoff and
@@ -29,7 +32,9 @@ rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
 structurally; the halving test's error estimate sets the accuracy.
 :func:`evolve_von_neumann` forms the whole stack of states in one
 broadcast product, and :func:`validate_density_matrix` checks a single
-state or every sample of such a stack.
+state or every sample of such a stack; `simulate.run_scenario` forms
+no state at all, but takes each sample's outputs from U R, with
+rho(0) = R R^+.
 
 :func:`propagate_batch` runs a batch of such propagations, the points
 of a sweep or of an oracle grid, at once, and :func:`propagate` is its
@@ -68,7 +73,9 @@ one run over [0, T/2] gives every sample (Floquet; Shirley, Phys. Rev.
 with V(r) = U(|r|), conjugated when r < 0.  A and every U(|r|) are
 samples of that one run, and U(T) is projected once by the polar step,
 so H is asked for times in [0, T/2] only; a run that stays within
-[0, T] is the direct run unchanged.  Errors add along the products: with e_h the error of
+[0, T] is the direct run unchanged.  The samples are composed _CHUNK
+at a time into their preallocated stack, beside the half run's own.
+Errors add along the products: with e_h the error of
 the half run, U(T) carries 2 e_h and U(m T + r) carries
 (2 m + 1) e_h <= (2 t / T + 2) e_h.  The half run is therefore asked for
 tol T / (2 t_end), the direct run's error budget over half a period, and
@@ -157,7 +164,9 @@ _GL2 = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 # intervals per H call, so at most 512 times per call, which the H-call
 # contract states; batched 4x4 matmul and eigh cost a flat 0.5 and 5-6 us
 # per matrix from 256 to 32 768 matrices, on one thread, and one call for a
-# whole grid of 512 to 65 536 steps was no faster (6-10 us a step either way)
+# whole grid of 512 to 65 536 steps was no faster (6-10 us a step either way).
+# Also the samples per chunk of all per-sample work: tail steps, composed
+# samples, and simulate's trace columns and CSV rows
 _CHUNK = 256
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -182,13 +191,20 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
                              "density matrix has a non-finite entry")
     InvalidStateError.unless(hermiticity_defect(rho) <= _HERM_TOL,
                              "density matrix is not Hermitian")
-    trace = np.trace(rho, axis1=-2, axis2=-1)
-    InvalidStateError.unless((abs(trace.real - 1.0) <= _TRACE_TOL)
-                             & (abs(trace.imag) <= _TRACE_TOL),
-                             "density matrix trace differs from 1")
+    InvalidStateError.unless(
+        has_unit_trace(np.trace(rho, axis1=-2, axis2=-1)),
+        "density matrix trace differs from 1")
     InvalidStateError.unless(np.linalg.eigvalsh(rho).min(axis=-1) >= _PSD_TOL,
                              "density matrix has a negative eigenvalue")
     return rho
+
+
+def has_unit_trace(trace: np.ndarray) -> np.ndarray:
+    """Whether a trace, or each of an array of them, is 1 to 1e-12 in its
+    real and its imaginary part: the trace check of
+    :func:`validate_density_matrix`."""
+    return ((abs(trace.real - 1.0) <= _TRACE_TOL)
+            & (abs(trace.imag) <= _TRACE_TOL))
 
 
 def expm_hermitian(H: np.ndarray) -> np.ndarray:
@@ -206,18 +222,20 @@ def _check_tol(tol: float) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")     # K is checked
 def _magnus4(H_of_t: BatchSource, starts: np.ndarray, lengths: np.ndarray,
-             point: np.ndarray) -> tuple[np.ndarray, dict[int, DomainError]]:
+             point: np.ndarray,
+             sink: Callable[[np.ndarray, np.ndarray], None],
+             ) -> dict[int, DomainError]:
     """The Magnus steps exp(-i K) over the intervals [a, a + h] of a batch,
-    a stack, with interval j of point point[j].
+    with interval j of point point[j], handed to sink(j, steps) at most
+    _CHUNK intervals at a time, in order, for the caller to store.
 
     K = h/2 (H1 + H2) + i sqrt(3) h^2/12 [H1, H2], with H1 and H2 the
     values of H at the two Gauss-Legendre nodes of the interval.  H is
-    asked for at most _CHUNK intervals per call, across the batch.  A
-    point whose K is not finite fails with a DomainError naming its first
-    such interval; its steps are left unset, and its later intervals are
-    not sent to H.  Returns the steps and the failures by point.
+    asked for one chunk per call, across the batch.  A point whose K is
+    not finite fails with a DomainError naming its first such interval;
+    its steps of that chunk are not handed on, and its later intervals
+    are not sent to H.  Returns the failures by point.
     """
-    out = np.empty((starts.size, 4, 4), dtype=complex)
     failed = {}
     todo = np.arange(starts.size)
     while todo.size:
@@ -237,8 +255,8 @@ def _magnus4(H_of_t: BatchSource, starts: np.ndarray, lengths: np.ndarray,
         if failed:
             live = ~np.isin(p, list(failed))
             j, K = j[live], K[live]
-        out[j] = expm_hermitian(K)
-    return out, failed
+        sink(j, expm_hermitian(K))
+    return failed
 
 
 def period_tolerance(tol: float, period: float, span: float) -> float:
@@ -365,13 +383,13 @@ def _plan(t_grid: Sequence[float], tol: float, period: float | None):
     inner, where = np.unique(np.append(np.minimum(np.abs(r), half), half),
                              return_inverse=True)
     return (inner, tol_half,
-            lambda Us: _compose(Us[where[:-1]], Us[where[-1]], m, r))
+            lambda Us: _compose(Us, where[:-1], Us[where[-1]], m, r))
 
 
-def _compose(offsets: np.ndarray, A: np.ndarray, m: np.ndarray,
-             r: np.ndarray) -> np.ndarray:
-    """U(m T + r) = V(r) U(T)^m from offsets = U(|r|) and A = U(T/2)."""
-    offsets[r < 0.0] = offsets[r < 0.0].conj()         # U(-s) = U(s)*
+def _compose(Us: np.ndarray, where: np.ndarray, A: np.ndarray,
+             m: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """U(m T + r) = V(r) U(T)^m from the half run Us, whose rows where are
+    U(|r|), and A = U(T/2), filled in _CHUNK samples at a time."""
     # U(T)^m for every distinct m at once, bit by bit, from the projected
     # squares U(T)^(2^b); no eig, which the Delta = 0 triplet defeats
     levels, level_of = np.unique(m.astype(np.int64), return_inverse=True)
@@ -381,7 +399,14 @@ def _compose(offsets: np.ndarray, A: np.ndarray, m: np.ndarray,
         has_bit = (levels >> b & 1).astype(bool)
         powers[has_bit] = _polar_step(powers[has_bit] @ square)
         square = _polar_step(square @ square)
-    return offsets @ powers[level_of]
+    out = np.empty((m.size, 4, 4), dtype=complex)
+    for i in range(0, m.size, _CHUNK):
+        rows = slice(i, i + _CHUNK)
+        V = Us[where[rows]]
+        back = r[rows] < 0.0
+        V[back] = V[back].conj()                         # U(-s) = U(s)*
+        np.matmul(V, powers[level_of[rows]], out=out[rows])
+    return out
 
 
 def _polar_step(U: np.ndarray) -> np.ndarray:
@@ -452,16 +477,20 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
                         f"step size underflow at t = 0 (h = {hp:.3e})")
                 active, h = active[~under], h[~under]
                 coarse = None if coarse is None else coarse[~under]
-            # the steps are copied into the nodes and scanned there in
-            # place, so the round keeps no stack of its own beside U and
-            # the coarse U
+            # the steps go straight into the nodes and are scanned there
+            # in place, so the round keeps no stack beside U and the
+            # coarse U
             U = np.empty((active.size, n + 1, 4, 4), dtype=complex)
             U[:, 0] = IDENTITY4
-            steps, failed = _magnus4(H_of_t,
-                                     (h[:, None] * np.arange(n)).ravel(),
-                                     h.repeat(n), active.repeat(n))
-            U[:, 1:] = steps.reshape(U[:, 1:].shape)
-            del steps
+            nodes = U.reshape(-1, 4, 4)
+            # the node that each interval ends at
+            ends = np.arange(nodes.shape[0]).reshape(-1, n + 1)[:, 1:].ravel()
+
+            def put(j, steps):
+                nodes[ends[j]] = steps
+            failed = _magnus4(H_of_t, (h[:, None] * np.arange(n)).ravel(),
+                              h.repeat(n), active.repeat(n), put)
+            del ends
             if failed:
                 for p, exc in failed.items():
                     results[p] = exc
@@ -477,8 +506,11 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
             del nodes
             err = np.full(active.size, math.inf)
             if coarse is not None:
-                # the global roundoff of n steps floors the attainable change
-                err = np.abs(U[:, ::2] - coarse).max(axis=(1, 2, 3))
+                # the global roundoff of n steps floors the attainable change;
+                # the difference overwrites the coarse U, which is dropped
+                # after the test
+                err = np.abs(np.subtract(U[:, ::2], coarse, out=coarse)
+                             ).max(axis=(1, 2, 3))
                 passed = err <= np.maximum(_ACCEPT_CHANGE * tols[active],
                                            4e-15 * n)
                 # U at the node at or before each sample, copied out of
@@ -487,7 +519,7 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
                     p = int(active[j])
                     k = np.floor(t_grids[p] / h[j]).astype(np.int64)
                     tail = t_grids[p] - k * h[j]
-                    off = tail != 0.0
+                    off = np.flatnonzero(tail != 0.0)
                     results[p] = U[j, k]
                     tails.append((p, off, k[off] * h[j], tail[off]))
                 # freed before the rows still running are copied out of U
@@ -503,20 +535,23 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
                 break
             n, coarse = 2 * n, U
 
-    # the tail steps of all accepted points in one pass
+    # the tail steps of all accepted points, a chunk at a time, each chunk
+    # applied in place to the samples it serves
     if tails:
         tails.sort(key=lambda tail: tail[0])
-        points, offs, starts, lengths = zip(*tails)
-        counts = [a.size for a in starts]
-        steps, failed = _magnus4(H_of_t, np.concatenate(starts),
-                                 np.concatenate(lengths),
-                                 np.repeat(points, counts))
-        for p, off, step in zip(points, offs,
-                                np.split(steps, np.cumsum(counts)[:-1])):
-            if p in failed:
-                results[p] = failed[p]
-            else:
-                results[p][off] = step @ results[p][off]
+        owners, rows, starts, lengths = zip(*tails)
+        points = np.repeat(owners, [r.size for r in rows])
+        rows, starts, lengths = (np.concatenate(column)
+                                 for column in (rows, starts, lengths))
+
+        def advance(j, steps):
+            for p in set(points[j].tolist()):
+                mine = points[j] == p
+                Us, r = results[p], rows[j[mine]]
+                Us[r] = steps[mine] @ Us[r]
+        failed = _magnus4(H_of_t, starts, lengths, points, advance)
+        for p, exc in failed.items():
+            results[p] = exc
     return results
 
 

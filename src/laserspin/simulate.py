@@ -20,11 +20,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import STATE_KEYS, ScenarioConfig
-from .entanglement import (concurrence_product_analytic,
-                           concurrence_werner_analytic, unitary_orbit_bound,
-                           wootters_concurrence)
+from . import evolution
+from .entanglement import (concurrence_from_factor,
+                           concurrence_product_analytic,
+                           concurrence_werner_analytic, density_factor,
+                           unitary_orbit_bound)
 from .errors import ConfigError, IntegratorError, InvalidStateError
-from .evolution import (BATCH_MATRICES, propagate_batch,
+from .evolution import (BATCH_MATRICES, has_unit_trace, propagate_batch,
                         validate_density_matrix)
 from .pauli import IDENTITY4
 from .spinfield import DriveTable, spin_hamiltonian
@@ -50,19 +52,22 @@ class Trace(NamedTuple):
 
 
 CSV_HEADER = ",".join(Trace._fields)
-_CSV_ROW = "%.12g,%.12g,%s,%.12g,%.12g,%.12g"
+_CSV_ROW = "%.12g,%.12g,%s,%.12g,%.12g,%.12g\n"
 
 
 def rows_to_csv(trace: Trace) -> str:
     """The header and one line per sample, 12 significant digits, the
-    analytic field left empty when there is no analytic column."""
-    columns = [[None] * len(trace.t) if c is None else c.tolist()
-               for c in trace]
-    lines = [CSV_HEADER]
-    for t, numeric, analytic, *rest in zip(*columns):
-        lines.append(_CSV_ROW % (t, numeric, "" if analytic is None
-                                 else "%.12g" % analytic, *rest))
-    return "\n".join(lines) + "\n"
+    analytic field left empty when there is no analytic column; rendered
+    `evolution._CHUNK` rows at a time."""
+    parts = [CSV_HEADER + "\n"]
+    for i in range(0, len(trace.t), evolution._CHUNK):
+        rows = slice(i, i + evolution._CHUNK)
+        columns = [[None] * len(trace.t[rows]) if c is None
+                   else c[rows].tolist() for c in trace]
+        parts.append("".join(_CSV_ROW % (t, numeric, "" if analytic is None
+                                         else "%.12g" % analytic, *rest)
+                             for t, numeric, analytic, *rest in zip(*columns)))
+    return "".join(parts)
 
 
 def _analytic_column(cfg: ScenarioConfig,
@@ -78,16 +83,24 @@ def _analytic_column(cfg: ScenarioConfig,
 
 
 def run_scenario(cfg: ScenarioConfig) -> Trace:
-    """Evolve the configured initial state and return its CSV columns,
-    each evaluated on the whole time grid at once.
+    """Evolve the configured initial state and return its CSV columns.
 
     H_S is periodic in the motion period and time-reversal symmetric,
     H_S(-t) = H_S(t)*, so a run of many periods integrates half of one
-    (see :func:`propagate`).  Raises
-    IntegratorError when a propagated state fails the state checks, a
-    trace error reaches 10 * tol or a concurrence exceeds the
-    unitary-orbit bound of rho0 by 10 * tol, naming the first such
-    sample.  This is the batch of one of :func:`run_batch`.
+    (see :func:`propagate`).  The columns come from the propagators U
+    and one factor rho0 = R R^+, `evolution._CHUNK` samples at a time,
+    with no state formed: B = U R gives the concurrence
+    (:func:`concurrence_from_factor`), and G = B^+ B the trace tr G and
+    the purity tr G^2 of rho = B B^+.  Raises IntegratorError, naming
+    the first such sample, when a propagated state has a non-finite
+    entry or a trace off 1 by more than 1e-12 (the state checks), when
+    a trace error reaches 10 * tol, or when a concurrence exceeds the
+    unitary-orbit bound of rho0 by 10 * tol.  rho = B B^+ is Hermitian
+    and PSD for any U, a congruence of the validated rho0, so the
+    Hermiticity and positivity checks of a state are not made per
+    sample; a U that is not unitary shows in the trace and the
+    unitary-orbit checks and in the unitarity_error column.  This is
+    the batch of one of :func:`run_batch`.
     """
     trace, = run_batch([cfg])
     if isinstance(trace, Exception):
@@ -153,34 +166,52 @@ def _run_together(cfgs: Sequence[ScenarioConfig], runs: list,
         return
 
     for (i, _, rho0), t_grid in zip(runs, t_grids):
-        # taken out of the list, so that `del Us` frees them
+        # taken out of the list, so that each is freed with its trace
         Us = all_Us.pop(0)
         if isinstance(Us, Exception):
             results[i] = Us
             continue
         try:
-            unitarity_error = np.abs(Us @ Us.conj().swapaxes(-1, -2)
-                                     - IDENTITY4).max(axis=(-2, -1))
-            rhos = Us @ rho0 @ Us.conj().swapaxes(-1, -2)
-            # free the propagators before the concurrence allocates its
-            # temporaries, so that a long trace peaks one (N, 4, 4) stack
-            # lower
-            del Us
-            results[i] = _trace(cfgs[i], rho0, t_grid, rhos, unitarity_error)
+            results[i] = _trace(cfgs[i], rho0, t_grid, Us)
         except Exception as exc:
             results[i] = exc
 
 
 def _trace(cfg: ScenarioConfig, rho0: np.ndarray, t_grid: np.ndarray,
-           rhos: np.ndarray, unitarity_error: np.ndarray) -> Trace:
-    """The CSV columns of one run from its states, after the checks of
-    :func:`run_scenario`."""
+           Us: np.ndarray) -> Trace:
+    """The CSV columns of one run from its propagators, after the checks of
+    :func:`run_scenario`.
+
+    They are filled `evolution._CHUNK` samples at a time from B = U R,
+    rho0 = R R^+: rho = B B^+ shares its trace and purity with
+    G = B^+ B, and its concurrence is that of the factor B, so no state
+    is formed.
+    """
+    R = density_factor(rho0)
+    concurrence, purity, trace_error, unitarity_error = (
+        np.empty(t_grid.size) for _ in range(4))
+    unit_trace = np.empty(t_grid.size, dtype=bool)
     try:
-        concurrence = wootters_concurrence(rhos)
+        for i in range(0, t_grid.size, evolution._CHUNK):
+            rows = slice(i, i + evolution._CHUNK)
+            U = Us[rows]
+            unitarity_error[rows] = np.abs(U @ U.conj().swapaxes(-1, -2)
+                                           - IDENTITY4).max(axis=(-2, -1))
+            B = U @ R
+            InvalidStateError.unless(np.isfinite(B).all(axis=(-2, -1)),
+                                     "density matrix has a non-finite entry",
+                                     first=i)
+            G = B.conj().swapaxes(-1, -2) @ B
+            trace = np.trace(G, axis1=-2, axis2=-1)
+            unit_trace[rows] = has_unit_trace(trace)
+            trace_error[rows] = np.abs(trace - 1.0)
+            purity[rows] = np.trace(G @ G, axis1=-2, axis2=-1).real
+            concurrence[rows] = concurrence_from_factor(B)
+        InvalidStateError.unless(unit_trace,
+                                 "density matrix trace differs from 1")
     except InvalidStateError as exc:
         # rho0 passed the same checks, so the propagation broke the state
         raise IntegratorError(f"propagated state: {exc}") from exc
-    trace_error = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
     drifted = np.flatnonzero(trace_error >= 10.0 * cfg.tol)
     if drifted.size:
         k = drifted[0]
@@ -194,8 +225,7 @@ def _trace(cfg: ScenarioConfig, rho0: np.ndarray, t_grid: np.ndarray,
                               f"unitary-orbit bound {bound:.6g} of the initial "
                               f"state at t = {float(t_grid[k])}")
 
-    return Trace(t_grid, concurrence, _analytic_column(cfg, t_grid),
-                 np.trace(rhos @ rhos, axis1=-2, axis2=-1).real,
+    return Trace(t_grid, concurrence, _analytic_column(cfg, t_grid), purity,
                  trace_error, unitarity_error)
 
 

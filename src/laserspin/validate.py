@@ -27,7 +27,7 @@ from .evolution import (euler_representation, interaction_term,
                         local_propagator, perturbative_delta_rho_werner,
                         propagate, propagate_batch, psi_integral,
                         time_ordered_X)
-from .pauli import SIGMA_10, SIGMA_32, SIGMA_DOT_SIGMA
+from .pauli import PAIR, SIGMA_10, SIGMA_32, SIGMA_DOT_SIGMA
 from .simulate import run_scenario
 from .spinfield import BoundStateParams, DriveTable, spin_hamiltonian
 from .trajectory import (KinematicParams, LaserParams, lorentz_residual,
@@ -208,34 +208,60 @@ def oracle_commutator() -> OracleResult:
 # --- full-evolution concurrence oracle ----------------------------------------
 
 def oracle_concurrence() -> OracleResult:
-    """Concurrence traces of `run_scenario` against their analytic columns.
+    """Concurrence traces of `run_scenario` against their analytic columns,
+    and a Werner trace against its closed form in U.
 
-    Each check runs a linearly polarized drive at gtildes (4, 4 - Delta),
-    g = 0.1.  Werner p = 0.8 over one laser period stays within 10 eta^2
-    of (3p - 1)/2.  The product state (0.999, 0.001) runs two laser
-    periods, past the motion period 4 K(0.3), so its later samples are
-    composed from half a period: at Delta = 3 it tracks the leading-order
-    formula within 10 eta^2, and at Delta = 0, where the analytic column
-    is 0, the deviation is max C.
+    Each check runs a drive at gtildes (4, 4 - Delta), g = 0.1.  Werner
+    p = 0.8 over one laser period of a linearly polarized drive stays
+    within 10 eta^2 of (3p - 1)/2.  The product state (0.999, 0.001) runs
+    two laser periods, past the motion period 4 K(0.3), so its later
+    samples are composed from half a period: at Delta = 3 it tracks the
+    leading-order formula within 10 eta^2, and at Delta = 0, where the
+    analytic column is 0, the deviation is max C.  Werner p = 0.8 over
+    two laser periods at eps 0.3 matches, to roundoff,
+    C = max(0, p |psi^T (s2 (x) s2) psi| - (1 - p)/2) with psi = U|s>,
+    U from :func:`propagate` on the run's grid: rho_W = (1 - p)/4 I +
+    p |s><s|, and the concurrence of a pure state psi is
+    |psi^T (s2 (x) s2) psi| (Wootters, PRL 80, 2245 (1998)).
     """
     werner = InitialState("werner", p=0.8)
     product = InitialState("product", alpha=0.999, beta=0.001)
-    # label, initial state, eta, Delta, laser periods, samples, gate
-    checks = (("werner dev", werner, 0.05, 3.0, 1.0, 40, 10.0 * 0.05 * 0.05),
-              ("tracking dev", product, 0.3, 3.0, 2.0, 80, 10.0 * 0.3 * 0.3),
-              ("null max C", product, 0.3, 0.0, 2.0, 80, 1e-10))
+    analytic = lambda cfg, trace: trace.concurrence_analytic
+    # label, initial state, eta, eps, Delta, laser periods, samples, gate,
+    # reference
+    checks = (("werner dev", werner, 0.05, 0.0, 3.0, 1.0, 40,
+               10.0 * 0.05 * 0.05, analytic),
+              ("tracking dev", product, 0.3, 0.0, 3.0, 2.0, 80,
+               10.0 * 0.3 * 0.3, analytic),
+              ("null max C", product, 0.3, 0.0, 0.0, 2.0, 80, 1e-10, analytic),
+              ("werner closed form", werner, 0.3, 0.3, 3.0, 2.0, 80, 1e-12,
+               _werner_closed_form))
     rows = []
-    for label, state, eta, delta, t_end, samples, gate in checks:
-        trace = run_scenario(ScenarioConfig(
-            laser=LaserParams(eta=eta, epsilon=0.0),
+    for label, state, eta, eps, delta, t_end, samples, gate, reference \
+            in checks:
+        cfg = ScenarioConfig(
+            laser=LaserParams(eta=eta, epsilon=eps),
             bound=BoundStateParams.from_gtildes(4.0, 4.0 - delta,
                                                 g_coupling=0.1),
             gamma_z=1.0, initial_state=state, t_end=t_end, samples=samples,
-            tol=1e-8))
+            tol=1e-8)
+        trace = run_scenario(cfg)
         rows.append(Check(label, float(np.abs(
-            trace.concurrence_numeric - trace.concurrence_analytic).max()),
-            gate))
+            trace.concurrence_numeric - reference(cfg, trace)).max()), gate))
     return OracleResult("concurrence", tuple(rows))
+
+
+def _werner_closed_form(cfg: ScenarioConfig, trace) -> np.ndarray:
+    """max(0, p |psi^T (s2 (x) s2) psi| - (1 - p)/2), psi = U|s>, at each
+    time of the trace of the Werner scenario cfg."""
+    kin = modulus_from_params(cfg.laser, cfg.gamma_z)
+    Us = propagate(lambda t: spin_hamiltonian(t, cfg.laser, kin, cfg.bound),
+                   trace.t, cfg.tol, motion_period(kin))
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    psi = Us @ singlet
+    pure = np.abs((psi * (psi @ PAIR[2, 2].T)).sum(axis=-1))
+    p = cfg.initial_state.p
+    return np.maximum(0.0, p * pure - 0.5 * (1.0 - p))
 
 
 def run_validate(name_filter: str | None = None,

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import laserspin
-from laserspin import modulus_from_params, motion_period
+from laserspin import (modulus_from_params, motion_period, product_state,
+                       werner_state, wootters_concurrence)
 from laserspin.cli import main
 from laserspin.config import config_from_dict, load_config
 from laserspin.errors import ConfigError, DomainError, IntegratorError
-from laserspin.simulate import (CSV_HEADER, apply_sweep_value, run_scenario,
-                                run_sweep, scenario_csv)
+from laserspin.simulate import (CSV_HEADER, apply_sweep_value, rows_to_csv,
+                                run_scenario, run_sweep, scenario_csv)
 
 
 def base_config(**overrides):
@@ -276,6 +277,25 @@ class TestExtremeButFiniteNumbers:
             tracemalloc.stop()
         assert peak < 3.2 * (2**13 + 1) * 256
 
+    def test_stiff_run_holds_under_2_2_node_stacks(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the Magnus steps go straight into the round's nodes, so the
+        # finest round holds its nodes, the coarse nodes, which the
+        # halving test overwrites with the difference, and per-interval
+        # index arrays and temporaries of one H call
+        monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 2**13)
+        raw = readme_config(("bound", "mass_p"), 1e-14)
+        raw["t_end"] = 0.5
+        path = write_config(tmp_path, raw)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", path]) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "8192 steps on [0, " in capsys.readouterr().err
+        assert peak < 2.2 * (2**13 + 1) * 256
+
     def test_stiff_sweep_holds_under_3_2_node_stacks(self, tmp_path,
                                                      monkeypatch):
         # four such points in one batch: a round holds at most
@@ -381,6 +401,133 @@ class TestRunScenario:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == pytest.approx(0.7, abs=1e-9)
+
+
+def haar_unitaries(rng, n):
+    """n Haar-random 4x4 unitaries (Mezzadri, Notices AMS 54, 592 (2007))."""
+    a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def explicit_state(rho):
+    """The config entry of an explicit initial state."""
+    return {"type": "explicit",
+            "matrix": [[[z.real, z.imag] for z in row] for row in rho]}
+
+
+class TestConcurrenceFromPropagator:
+    """run_scenario takes C from the factor U R of U rho0 U^+, rho0 = R R^+;
+    wootters_concurrence of the state itself is the oracle."""
+
+    @pytest.fixture
+    def haar(self, monkeypatch):
+        # the run's propagators are 200 seeded Haar unitaries
+        Us = haar_unitaries(np.random.default_rng(2000), 200)
+        monkeypatch.setattr("laserspin.simulate.propagate_batch",
+                            lambda H, t_grids, tols, periods=None:
+                            [Us.copy() for _ in t_grids])
+        return Us
+
+    def assert_run_matches_oracle(self, Us, state, rho0):
+        trace = run_scenario(config_from_dict(base_config(
+            initial_state=state, samples=len(Us))))
+        oracle = wootters_concurrence(Us @ rho0 @ Us.conj().swapaxes(-1, -2))
+        assert np.abs(trace.concurrence_numeric - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [-1.0 / 3.0, 0.0, 1.0 / 3.0, 0.8, 1.0])
+    def test_werner(self, haar, p):
+        self.assert_run_matches_oracle(haar, {"type": "werner", "p": p},
+                                       werner_state(p))
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 1.0),
+                                             (0.3, 0.8)])
+    def test_product(self, haar, alpha, beta):
+        self.assert_run_matches_oracle(
+            haar, {"type": "product", "alpha": alpha, "beta": beta},
+            product_state(alpha, beta))
+
+    def test_explicit_bell_state(self, haar):
+        phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        rho = np.outer(phi, phi)
+        self.assert_run_matches_oracle(haar, explicit_state(rho), rho)
+
+    def test_explicit_full_rank_state(self, haar):
+        a = np.random.default_rng(2001).normal(size=(4, 4, 2)) @ [1.0, 1j]
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        # the config keeps what a JSON file would: the numbers as given
+        rho0 = config_from_dict(base_config(
+            initial_state=explicit_state(rho))).initial_state.build()
+        assert np.linalg.eigvalsh(rho0).min() > 1e-3
+        self.assert_run_matches_oracle(haar, explicit_state(rho), rho0)
+
+
+class TestChunks:
+    """Per-sample work runs in chunks of evolution._CHUNK samples, whose size
+    changes no bit; a trace holds about one (N, 4, 4) stack."""
+
+    # a direct run within the motion period and a composed one beyond it,
+    # neither a multiple of 256 samples
+    RUNS = {"direct": (0.5, 601), "composed": (3.0, 601)}
+
+    def run(self, t_end, samples):
+        cfg = config_from_dict(base_config(
+            laser={"eta": 0.3, "epsilon": 0.3, "omega_L": 1.0},
+            t_end=t_end, samples=samples))
+        kin = modulus_from_params(cfg.laser, cfg.gamma_z)
+        Us = laserspin.propagate(
+            lambda t: laserspin.spin_hamiltonian(t, cfg.laser, kin, cfg.bound),
+            np.linspace(0.0, cfg.span, cfg.samples), cfg.tol,
+            motion_period(kin))
+        return cfg.span > motion_period(kin), run_scenario(cfg), Us
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_chunk_size_changes_no_bit(self, monkeypatch, name):
+        composed, trace, Us = self.run(*self.RUNS[name])
+        assert composed == (name == "composed")
+        csv = rows_to_csv(trace)
+        for chunk in (1, 3, 256, 2**20):
+            monkeypatch.setattr("laserspin.evolution._CHUNK", chunk)
+            _, chunked, chunked_Us = self.run(*self.RUNS[name])
+            assert np.array_equal(chunked_Us, Us)
+            for column, expected in zip(chunked, trace):
+                assert np.array_equal(column, expected)
+            assert rows_to_csv(chunked) == csv
+
+    @pytest.mark.parametrize("breach, message", [
+        (math.nan, "density matrix has a non-finite entry at sample 300"),
+        (1.0 + 1e-11, "density matrix trace differs from 1 at sample 300")])
+    def test_state_checks_name_the_sample_across_chunks(self, monkeypatch,
+                                                        breach, message):
+        # sample 300 lies in the second chunk of 256; a NaN, or a scale
+        # that moves the trace by 2e-11, there and nowhere else
+        exact = laserspin.simulate.propagate_batch
+
+        def propagate_batch(*args):
+            all_Us = exact(*args)
+            for Us in all_Us:
+                Us[300] *= breach
+            return all_Us
+        monkeypatch.setattr("laserspin.simulate.propagate_batch",
+                            propagate_batch)
+        with pytest.raises(IntegratorError,
+                           match=f"^propagated state: {message}$"):
+            run_scenario(config_from_dict(base_config(samples=601)))
+
+    @pytest.mark.parametrize("t_end, stacks", [(0.5, 2.0), (5.0, 2.6)])
+    def test_a_long_trace_holds_about_one_stack(self, t_end, stacks):
+        # 20 001 samples, direct and composed; a composed run also holds
+        # the stack of its half-period run, one U per distinct offset
+        cfg = config_from_dict(base_config(t_end=t_end, samples=20001))
+        tracemalloc.start()
+        try:
+            scenario_csv(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stacks * 20001 * 256
 
 
 class TestSweep:
@@ -857,7 +1004,8 @@ class TestMainExitCodes:
         assert main(["validate", "--filter", "concurrence"]) == 0
         line = capsys.readouterr().out
         assert line.startswith("[PASS] concurrence")
-        for label in ("werner dev", "tracking dev", "null max C"):
+        for label in ("werner dev", "tracking dev", "null max C",
+                      "werner closed form"):
             assert label in line
 
     # the gate of every check of the oracles with more than one
@@ -865,7 +1013,7 @@ class TestMainExitCodes:
         "lorentz": {"residual": 1e-6, "invariant drift": 1e-8},
         "factorization": {"U vs W X": 1e-6, "X vs S Y": 1e-6},
         "concurrence": {"werner dev": 0.025, "tracking dev": 0.9,
-                        "null max C": 1e-10}}
+                        "null max C": 1e-10, "werner closed form": 1e-12}}
 
     def test_validate_prints_each_check_beside_its_gate(self, monkeypatch,
                                                         capsys):
@@ -914,8 +1062,9 @@ class TestMainExitCodes:
         assert "(gate 0.025); tracking dev 0.000e+00 (gate 0.9)" in line
 
     def test_concurrence_oracle_composes_periods(self, monkeypatch):
-        # the product checks span two laser periods, past the motion
-        # period, so run_scenario composes their later samples
+        # the product checks and the closed-form Werner check span two
+        # laser periods, past the motion period, so run_scenario composes
+        # their later samples
         from laserspin.simulate import propagate_batch
         from laserspin.validate import oracle_concurrence
         calls = []
@@ -927,7 +1076,25 @@ class TestMainExitCodes:
 
         monkeypatch.setattr("laserspin.simulate.propagate_batch", spy)
         assert oracle_concurrence().passed
-        assert [period < span for period, span in calls] == [False, True, True]
+        assert [period < span for period, span in calls] \
+            == [False, True, True, True]
+
+    def test_werner_closed_form_catches_a_concurrence_error(self, monkeypatch,
+                                                            capsys):
+        # 1e-9 added by the run path's kernel stays far inside the
+        # leading-order gates, but not inside the roundoff gate of the
+        # closed form in U
+        from laserspin import simulate
+        kernel = simulate.concurrence_from_factor
+        monkeypatch.setattr(simulate, "concurrence_from_factor",
+                            lambda B: kernel(B) + 1e-9)
+        from laserspin.validate import oracle_concurrence
+        row, = (c for c in oracle_concurrence().checks
+                if c.label == "werner closed form")
+        assert not row.passed and row.deviation == pytest.approx(1e-9,
+                                                                 rel=1e-3)
+        assert main(["validate", "--filter", "concurrence"]) == 1
+        assert "[FAIL] concurrence" in capsys.readouterr().out
 
     def test_factorization_oracle_batches_its_u_runs(self, monkeypatch):
         # the eight U runs of H_S share each halving round's H call

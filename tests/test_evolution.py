@@ -447,11 +447,11 @@ class TestBatch:
         H = lambda t, point: spin_hamiltonian(t, drives=drives, point=point)
         exact, rounds = evolution._magnus4, []
 
-        def spy(H_of_t, starts, lengths, point):
+        def spy(H_of_t, starts, lengths, point, sink):
             # the nodes of a round: its intervals and one more per point
             rounds.append((np.unique(point).size, point.size
                            + np.unique(point).size))
-            return exact(H_of_t, starts, lengths, point)
+            return exact(H_of_t, starts, lengths, point, sink)
 
         monkeypatch.setattr(evolution, "_magnus4", spy)
         propagate_batch(H, grids, tols, periods)
