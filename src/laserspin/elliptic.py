@@ -3,11 +3,11 @@
 Everything is computed from scratch with the descending Landen / AGM
 recursion (absolute tolerance 1e-14, hard cap of 32 iterations), for a
 modulus mu in the fundamental domain 0 <= mu < 1 and a real argument u,
-a float (giving floats) or an ndarray (giving arrays of its shape): the
-recursion loops over the AGM levels of mu, not over the elements of u.
-mu may also be an array broadcast against u, one modulus per element, as
-for a batch of scenarios; each element then has the bits of a call with
-its own modulus.
+floats (giving floats) or arrays broadcast against each other, one
+modulus per element as for a batch of scenarios.  A float is a 0-d array,
+so one modulus runs the code of a batch, and each element has the bits of
+a call with its own modulus; the recursion loops over the AGM levels of
+the distinct moduli, not over the elements.
 No special-function library is involved, so these routines can be
 checked against independent quadrature oracles.
 
@@ -37,13 +37,6 @@ class JacobiTriple(NamedTuple):
     dn: float | np.ndarray
 
 
-def _check_mu(mu: float) -> float:
-    mu = float(mu)
-    if math.isnan(mu) or not (0.0 <= mu < 1.0):
-        raise DomainError(f"modulus must satisfy 0 <= mu < 1, got {mu}")
-    return mu
-
-
 @lru_cache(maxsize=256)
 def _agm_table(mu: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     """AGM scales (a_n, c_n) for the descending Landen recursion, plus K."""
@@ -62,25 +55,24 @@ def _agm_table(mu: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     return tuple(a_seq), tuple(c_seq), K
 
 
-def complete_K(mu: float) -> float:
-    """Complete elliptic integral of the first kind, K(mu).
+def complete_K(mu):
+    """Complete elliptic integral of the first kind K(mu), elementwise.
 
     Quarter period of sn and cn in u; monotone increasing in mu, with
     K(0) = pi/2 and a logarithmic divergence as mu -> 1.
     """
-    mu = _check_mu(mu)
-    return _agm_table(mu)[2]
+    _, mu = _check(0.0, mu)
+    K, _, _, which = _descent_of(mu)
+    return K[which]
 
 
-def _check(u, mu) -> tuple[np.ndarray, float | np.ndarray]:
-    if np.ndim(mu) == 0:
-        mu = _check_mu(mu)
-    else:
-        mu = np.asarray(mu, dtype=float)
-        bad = ~((0.0 <= mu) & (mu < 1.0))
-        if bad.any():
-            raise DomainError(
-                f"modulus must satisfy 0 <= mu < 1, got {mu[bad][0]}")
+def _check(u, mu) -> tuple[np.ndarray, np.ndarray]:
+    """u and mu as float arrays, 0-d for a float, after the domain checks."""
+    mu = np.asarray(mu, dtype=float)
+    bad = ~((0.0 <= mu) & (mu < 1.0))
+    if bad.any():
+        raise DomainError(
+            f"modulus must satisfy 0 <= mu < 1, got {mu[bad][0]}")
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise DomainError(
@@ -107,15 +99,17 @@ def _descent(moduli: tuple[float, ...]) -> tuple:
             [c[:, k] / a[:, k] for k in range(levels, 0, -1)])
 
 
-def _landen(u: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
+def _descent_of(mu: np.ndarray) -> tuple:
+    """:func:`_descent` of the distinct moduli of mu, and the index of
+    each element's modulus among them, in the shape of mu."""
+    moduli, which = np.unique(mu, return_inverse=True)
+    return *_descent(tuple(moduli.tolist())), which.reshape(mu.shape)
+
+
+def _landen(u: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """n and am(u_r) by descending Landen, for u = 2nK + u_r, 0 <= u_r < 2K,
-    with mu a float or an array broadcast against u, as `_check` gives."""
-    if isinstance(mu, float):
-        moduli, which = (mu,), 0
-    else:
-        moduli, which = np.unique(mu, return_inverse=True)
-        moduli, which = tuple(moduli.tolist()), which.reshape(mu.shape)
-    K, top, ratios = _descent(moduli)
+    with mu an array broadcast against u, 0-d for one, as `_check` gives."""
+    K, top, ratios, which = _descent_of(mu)
     K = K[which]
     n = np.floor(u / (2.0 * K))
     phi = top[which] * (u - 2.0 * n * K)

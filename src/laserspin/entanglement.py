@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .evolution import validate_density_matrix
+from .evolution import _check_werner, validate_density_matrix
 from .pauli import IDENTITY4, PAIR, SIGMA_DOT_SIGMA
 
 
@@ -34,8 +34,7 @@ def werner_state(p: float) -> np.ndarray:
     Eigenvalues (1 - p)/4 (x3) and (1 + 3p)/4; separable iff p <= 1/3;
     p = 1 is the pure singlet projector.
     """
-    if not (-1.0 / 3.0 <= p <= 1.0):
-        raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
+    _check_werner(p)
     return 0.25 * (IDENTITY4 - p * SIGMA_DOT_SIGMA)
 
 
@@ -146,8 +145,7 @@ def q_factor(t, omega_L: float, g: float):
 
 def concurrence_werner_analytic(p: float) -> float:
     """Leading-order concurrence of an evolved Werner state: max(0, (3p-1)/2)."""
-    if not (-1.0 / 3.0 <= p <= 1.0):
-        raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
+    _check_werner(p)
     return max(0.0, (3.0 * p - 1.0) / 2.0)
 
 

@@ -214,6 +214,11 @@ def expm_hermitian(H: np.ndarray) -> np.ndarray:
     return (V * np.exp(-1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
+def _check_werner(p: float) -> None:
+    if not (-1.0 / 3.0 <= p <= 1.0):
+        raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
+
+
 def _check_tol(tol: float) -> float:
     if not (TOL_BOUNDS[0] < tol < TOL_BOUNDS[1]):
         raise DomainError(f"tolerance must lie in {TOL_BOUNDS}, got {tol}")
@@ -622,7 +627,7 @@ def psi_integral(t, laser: LaserParams, kin: KinematicParams,
     """
     _require_linear(laser)
     t = np.asarray(t, dtype=float)
-    quarter = complete_K(kin.mu) / kin.omega_L_prime
+    quarter = float(complete_K(kin.mu)) / kin.omega_L_prime
     amplitude = 0.5 * abs(laser.eta * bound.Delta)
     n_panels = max(1, math.ceil(np.abs(t).max() / quarter * (1.0 + amplitude)))
     half = 0.5 * t / n_panels
@@ -729,8 +734,7 @@ def perturbative_delta_rho_werner(t: float, p: float, laser: LaserParams,
 
     Traceless and Hermitian; vanishes at t = 0 and for p = 0.
     """
-    if abs(p) > 1.0:
-        raise DomainError(f"|p| must be <= 1, got {p}")
+    _check_werner(p)
     g = bound.g_coupling
     thm = 0.5 * laser.eta * bound.Delta * math.sin(laser.omega_L * t)
     return (-(p * g / 4.0) * math.sin(thm)

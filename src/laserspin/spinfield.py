@@ -106,7 +106,7 @@ class BoundStateParams:
 class _Drive(NamedTuple):
     """The numbers H_S takes from the laser, kinematic and bound-state
     records: floats for one scenario, or one array per field, over the
-    times of a batch, for several."""
+    scenarios of a :class:`DriveTable` or over the times of a batch."""
 
     eta: float | np.ndarray
     epsilon: float | np.ndarray
@@ -179,19 +179,17 @@ _SINGLE_SPIN_BASIS = np.concatenate([PAIR[1:, 0], PAIR[0, 1:]]).reshape(6, 16)
 
 class DriveTable:
     """The numbers H_S takes from each scenario of a batch, gathered once
-    per batch for :func:`spin_hamiltonian`: one record of floats per
-    scenario, and one array over the scenarios per field."""
+    per batch for :func:`spin_hamiltonian`: one array over the scenarios
+    per field, a table of one for a single scenario."""
 
     def __init__(self, lasers, kins, bounds):
-        self.rows = [_drive(*records)
-                     for records in zip(lasers, kins, bounds, strict=True)]
-        self.columns = _Drive(*np.array(self.rows).T)
+        self.columns = _Drive(*np.array(
+            [_drive(*records)
+             for records in zip(lasers, kins, bounds, strict=True)]).T)
 
     def at(self, point: np.ndarray) -> _Drive:
-        """The drive of each time whose scenario point names; the floats
-        of its scenario when point names one."""
-        if point.min() == point.max():
-            return self.rows[point.flat[0]]
+        """The drive of each time whose scenario point names, gathered
+        from the columns in the shape of point, also when it names one."""
         return _Drive(*(column[point] for column in self.columns))
 
 

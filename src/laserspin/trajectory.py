@@ -104,7 +104,8 @@ def modulus_from_params(laser: LaserParams, gamma_z: float) -> KinematicParams:
 
 def motion_period(kin: KinematicParams) -> float:
     """Lab-time period of the transverse motion, 4 K(mu) / w'_L."""
-    return 4.0 * complete_K(kin.mu) / kin.omega_L_prime
+    # a float, which overflows to inf without a warning
+    return 4.0 * float(complete_K(kin.mu)) / kin.omega_L_prime
 
 
 def _asinc(mu: float, s):

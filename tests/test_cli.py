@@ -120,6 +120,31 @@ class TestConfig:
         assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 2
         assert "4 rows of 4 [re, im] pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        (("samples",), "9", "config.samples must be an integer, got '9'"),
+        (("initial_state", "type"), 5,
+         "initial_state.type must be a string, got 5"),
+        (("laser",), 5, "config.laser must be an object, got 5"),
+        (("initial_state", "matrix"), 5,
+         "initial_state.matrix must be 4 rows of 4 [re, im] pairs")],
+        ids=["samples", "initial_state.type", "laser", "matrix"])
+    def test_wrong_type_is_2_naming_the_key(self, tmp_path, capsys, key,
+                                            value, message):
+        raw = base_config(initial_state=copy.deepcopy(_EXPLICIT))
+        node = raw
+        for k in key[:-1]:
+            node = node[k]
+        node[key[-1]] = value
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_missing_config_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config: ")
+        assert str(path) in err
+
     def test_bad_samples_and_tol(self, tmp_path):
         with pytest.raises(ConfigError):
             config_from_dict(base_config(samples=1))
@@ -681,7 +706,7 @@ class TestSweep:
         exact = laserspin.simulate.spin_hamiltonian
 
         def refusing(t, *, drives, point):
-            if any(drives.rows[p].eta == 0.07 for p in np.unique(point)):
+            if any(drives.at(p).eta == 0.07 for p in np.unique(point)):
                 raise DomainError("no field at eta 0.07")
             return exact(t, drives=drives, point=point)
         monkeypatch.setattr("laserspin.simulate.spin_hamiltonian", refusing)
@@ -692,6 +717,17 @@ class TestSweep:
         for k, csv_text in zip((0, 2), good):
             assert (tmp_path / "s" / f"point_{k:03d}.csv").read_text() \
                 == csv_text
+
+    def test_a_value_the_records_reject_fails_its_own_point(self, tmp_path):
+        cfg = config_from_dict(base_config(samples=5))
+        values = [0.05, -0.1, 0.1]
+        manifest = run_sweep(cfg, "eta", values, 1, str(tmp_path / "s"))
+        assert [m["status"] for m in manifest] == [
+            "ok", "error: DomainError: eta must be >= 0, got -0.1", "ok"]
+        assert not (tmp_path / "s" / "point_001.csv").exists()
+        for k in (0, 2):
+            assert (tmp_path / "s" / f"point_{k:03d}.csv").read_text() \
+                == scenario_csv(apply_sweep_value(cfg, "eta", values[k]))
 
     def test_werner_sweep_initial_concurrence(self, tmp_path):
         cfg = config_from_dict(base_config(samples=5))
@@ -964,6 +1000,19 @@ class TestMainExitCodes:
         path = write_config(tmp_path, base_config(samples=5))
         assert main(["sweep", "--config", path, "--param", "eta",
                      "--values", "0.1,zap"]) == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["--values", "0.1", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["--values", ","], "sweep value grid must be nonempty")],
+        ids=["no-jobs", "no-values"])
+    def test_sweep_bad_grid_or_jobs_is_2(self, tmp_path, capsys, args,
+                                         message):
+        path = write_config(tmp_path, base_config(samples=5))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--config", path, "--param", "eta", *args,
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("state, param", [
         (_PRODUCT, "p"), ({"type": "werner", "p": 0.8}, "alpha"),

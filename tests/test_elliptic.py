@@ -234,3 +234,34 @@ class TestArrayModulus:
     def test_bad_element_rejected(self, bad):
         with pytest.raises(DomainError, match="0 <= mu < 1"):
             jacobi(np.zeros(3), np.array([0.2, bad, 0.5]))
+
+
+class TestModulusForms:
+    """A float, a 0-d and a (k,) modulus run one path: the same bits, and
+    the same error for a modulus outside [0, 1)."""
+
+    @staticmethod
+    def forms(mu):
+        return mu, np.array(mu), np.full(3, mu)
+
+    @given(ARGS, TestArrayModulus.MODULI)
+    def test_same_bits(self, u, mu):
+        us = np.full(3, u)
+        for form in self.forms(mu):
+            for f, ref in zip(jacobi(us, form), jacobi(u, mu)):
+                assert all(bits(x) == bits(ref) for x in np.broadcast_to(f, 3))
+            assert all(bits(x) == bits(jacobi_am(u, mu))
+                       for x in np.broadcast_to(jacobi_am(us, form), 3))
+            assert all(bits(x) == bits(complete_K(mu))
+                       for x in np.broadcast_to(complete_K(form), 3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.0])
+    def test_same_error(self, bad):
+        for f in (lambda mu: jacobi(0.5, mu), lambda mu: jacobi_am(0.5, mu),
+                  complete_K):
+            messages = set()
+            for form in self.forms(bad):
+                with pytest.raises(DomainError) as info:
+                    f(form)
+                messages.add(str(info.value))
+            assert messages == {f"modulus must satisfy 0 <= mu < 1, got {bad}"}

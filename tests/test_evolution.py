@@ -186,6 +186,15 @@ class TestVonNeumann:
         with pytest.raises(InvalidStateError):
             evolve_von_neumann(np.eye(4), H, [0.0, 1.0], tol=1e-9)
 
+    def test_rejects_a_stack_of_initial_states(self, linear_scenario):
+        # each state of the stack is valid, but rho0 is one state
+        laser, kin, bound = linear_scenario
+        H = lambda t: spin_hamiltonian(t, laser, kin, bound)
+        with pytest.raises(InvalidStateError,
+                           match=r"one 4x4 matrix, got \(2, 4, 4\)$"):
+            evolve_von_neumann(np.array([werner_state(0.5)] * 2), H,
+                               [0.0, 1.0], tol=1e-9)
+
     def test_step_underflow(self):
         # noise-like gigantic Hamiltonian defeats any step size
         H = lambda t: (1e8 * np.sin(1e25 * t + 0.5)[:, None, None]
@@ -495,6 +504,28 @@ class TestBatch:
         assert [type(r).__name__ for r in batch] == [
             "ndarray", "DomainError", "DomainError", "IntegratorError",
             "ndarray"]
+
+    def test_a_point_whose_tail_steps_fail_fails_alone(self):
+        # point 1's H is NaN below t = 2e-3, which only the tail step of its
+        # sample 1e-3 asks for: the rounds pass at h >= 1/16, whose first
+        # Gauss-Legendre node lies at 0.013
+        records, _, _, _ = self.drives(self.POINTS[1:4])
+        grid = [0.0, 1e-3, 0.5, 1.0]
+        drives = DriveTable(*zip(*records))
+
+        def H(t, point, poisoned=(1,)):
+            out = spin_hamiltonian(t, drives=drives, point=point)
+            out[np.isin(point, poisoned) & (t < 2e-3)] = np.nan
+            return out
+        batch = propagate_batch(H, [grid] * 3, [1e-6] * 3)
+        assert isinstance(batch[1], DomainError)
+        assert str(batch[1]) == "Magnus exponent is not finite on [0, 0.001]"
+        clean = propagate_batch(lambda t, point: H(t, point, ()),
+                                [grid] * 3, [1e-6] * 3)
+        for p in (0, 2):
+            assert np.array_equal(batch[p], clean[p])
+            assert np.array_equal(batch[p], propagate(
+                lambda t: spin_hamiltonian(t, *records[p]), grid, 1e-6))
 
 
 # the sources of H and of the analytic factors, each with its drive, the
@@ -976,9 +1007,11 @@ class TestPerturbativeWernerChange:
         assert np.abs(brute - closed).max() < 1e-12
 
     def test_rejects_bad_p(self, linear_scenario):
+        # -0.5 lies in [-1, -1/3), where rho_W is not a state
         laser, _, bound = linear_scenario
-        with pytest.raises(DomainError):
-            perturbative_delta_rho_werner(1.0, 1.5, laser, bound)
+        for p in (1.5, -0.5):
+            with pytest.raises(DomainError, match=r"\[-1/3, 1\], got "):
+                perturbative_delta_rho_werner(1.0, p, laser, bound)
 
     def test_interaction_term_first_order_consistency(self):
         # the leading-order commutator input matches interaction_term's

@@ -198,3 +198,12 @@ class TestSpinHamiltonian:
             mine = point == p
             assert batch[mine].tobytes() \
                 == spin_hamiltonian(t[mine], laser, kin, b).tobytes()
+            # a table of one scenario, at a float time (a 0-d point) and at
+            # an array of times, takes the same path
+            one = DriveTable([laser], [kin], [b])
+            assert spin_hamiltonian(t[0], drives=one, point=np.array(0)
+                                    ).tobytes() \
+                == spin_hamiltonian(t[0], laser, kin, b).tobytes()
+            assert spin_hamiltonian(t, drives=one, point=np.zeros_like(point)
+                                    ).tobytes() \
+                == spin_hamiltonian(t, laser, kin, b).tobytes()
