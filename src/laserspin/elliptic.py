@@ -7,7 +7,8 @@ floats (giving floats) or arrays broadcast against each other, one
 modulus per element as for a batch of scenarios.  A float is a 0-d array,
 so one modulus runs the code of a batch, and each element has the bits of
 a call with its own modulus; the recursion loops over the AGM levels of
-the distinct moduli, not over the elements.
+the distinct moduli, not over the elements.  Each modulus runs its AGM
+in floats, and the padded table of a set of moduli is kept in one cache.
 No special-function library is involved, so these routines can be
 checked against independent quadrature oracles.
 
@@ -35,24 +36,6 @@ class JacobiTriple(NamedTuple):
     sn: float | np.ndarray
     cn: float | np.ndarray
     dn: float | np.ndarray
-
-
-@lru_cache(maxsize=256)
-def _agm_table(mu: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-    """AGM scales (a_n, c_n) for the descending Landen recursion, plus K."""
-    a = 1.0
-    b = math.sqrt((1.0 - mu) * (1.0 + mu))
-    c = mu
-    a_seq = [a]
-    c_seq = [c]
-    for _ in range(_AGM_MAX_ITER):
-        if abs(c) <= _AGM_TOL:
-            break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        a_seq.append(a)
-        c_seq.append(c)
-    K = math.pi / (2.0 * a_seq[-1])
-    return tuple(a_seq), tuple(c_seq), K
 
 
 def complete_K(mu):
@@ -84,18 +67,22 @@ def _check(u, mu) -> tuple[np.ndarray, np.ndarray]:
 def _descent(moduli: tuple[float, ...]) -> tuple:
     """K, 2^L a_L and the ratios c_k / a_k of levels k = L .. 1 of the
     descending Landen recursion, one entry per modulus of moduli, with L
-    the deepest AGM level among them.  A shallower table is padded with
-    levels whose c is 0, where phi only halves, which is exact, so every
-    modulus keeps the bits of its own descent."""
-    tables = [_agm_table(mu) for mu in moduli]
-    depth = max(len(a_seq) for a_seq, _, _ in tables)
-    a = np.array([a_seq + a_seq[-1:] * (depth - len(a_seq))
-                  for a_seq, _, _ in tables])
-    c = np.array([c_seq + (0.0,) * (depth - len(c_seq))
-                  for _, c_seq, _ in tables])
+    the deepest AGM level among them.  Each modulus runs its own AGM in
+    floats; a shallower table is padded with levels whose c is 0, where
+    phi only halves, which is exact, so every modulus keeps the bits of
+    its own descent."""
+    tables = []
+    for mu in moduli:
+        a, b, c = 1.0, math.sqrt((1.0 - mu) * (1.0 + mu)), mu
+        tables.append([(a, c)])
+        while abs(c) > _AGM_TOL and len(tables[-1]) <= _AGM_MAX_ITER:
+            a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+            tables[-1].append((a, c))
+    depth = max(map(len, tables))
+    a, c = np.array([table + [(table[-1][0], 0.0)] * (depth - len(table))
+                     for table in tables]).transpose(2, 0, 1)
     levels = depth - 1
-    return (np.array([K for _, _, K in tables]),
-            (2.0 ** levels) * a[:, levels],
+    return (np.pi / (2.0 * a[:, levels]), (2.0 ** levels) * a[:, levels],
             [c[:, k] / a[:, k] for k in range(levels, 0, -1)])
 
 

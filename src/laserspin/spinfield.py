@@ -12,7 +12,8 @@ The full Hamiltonian (hbar = 1, S = sigma / 2) is
     H_I = (g / 4) sum_k sigma_k (x) sigma_k,
 
 so the spin-spin constant g carries angular-frequency units and H_I has
-eigenvalues {g/4 (x3), -3g/4}.
+eigenvalues {g/4 (x3), -3g/4}.  Each scenario's drive is folded once into
+field amplitudes, and H_S is a coefficient series times seven operators.
 
 omega_first_principles evaluates the precession vector directly from the
 Larmor term in the instantaneous rest frame plus the Thomas correction,
@@ -26,6 +27,7 @@ exactly), which the tests use as the cross-check oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,9 +45,9 @@ from .trajectory import (KinematicParams, LaserParams, com_acceleration,
 class BoundStateParams:
     """Masses, charges and gyromagnetic ratios of the two constituents.
 
-    q_B is minus the net constituent charge and must be nonzero; the
-    spin-spin constant g_coupling is the frozen contact value of the
-    spin-spin potential, in angular-frequency units.
+    Every field must be finite.  q_B is minus the net constituent charge
+    and must be nonzero; the spin-spin constant g_coupling is the frozen
+    contact value of the spin-spin potential, in angular-frequency units.
     """
 
     mass_n: float
@@ -57,6 +59,9 @@ class BoundStateParams:
     g_coupling: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.mass_n <= 0.0 or self.mass_p <= 0.0:
             raise DomainError("constituent masses must be positive")
         if self.charge_n + self.charge_p == 0.0:
@@ -105,15 +110,17 @@ class BoundStateParams:
 
 class _Drive(NamedTuple):
     """The numbers H_S takes from the laser, kinematic and bound-state
-    records: floats for one scenario, or one array per field, over the
+    records, with the drive folded into the amplitudes of the field
+    components: floats for one scenario, or one array per field, over the
     scenarios of a :class:`DriveTable` or over the times of a batch."""
 
-    eta: float | np.ndarray
-    epsilon: float | np.ndarray
-    omega_L: float | np.ndarray
-    gamma_z: float | np.ndarray
-    mu: float | np.ndarray
     omega_L_prime: float | np.ndarray
+    mu: float | np.ndarray
+    gamma_z: float | np.ndarray
+    amp_x: float | np.ndarray          # eta (w'_L/2) sqrt(1 - eps^2)
+    amp_y: float | np.ndarray          # eta (w'_L/2) eps
+    amp_z: float | np.ndarray          # -eta^2 (w_L/2) eps sqrt(1 - eps^2)
+    gamma_z_comp: float | np.ndarray   # gamma_z (1 - mu^2)
     gtilde_n: float | np.ndarray
     gtilde_p: float | np.ndarray
     g_coupling: float | np.ndarray
@@ -121,21 +128,20 @@ class _Drive(NamedTuple):
 
 def _drive(laser: LaserParams, kin: KinematicParams,
            bound: BoundStateParams) -> _Drive:
-    return _Drive(laser.eta, laser.epsilon, laser.omega_L, kin.gamma_z,
-                  kin.mu, kin.omega_L_prime, bound.gtilde("n"),
+    eta, eps, wp = laser.eta, laser.epsilon, kin.omega_L_prime
+    root = math.sqrt(1.0 - eps * eps)
+    return _Drive(wp, kin.mu, kin.gamma_z, eta * (wp / 2.0) * root,
+                  eta * (wp / 2.0) * eps,
+                  -eta * eta * (laser.omega_L / 2.0) * eps * root,
+                  kin.gamma_z * (1.0 - kin.mu * kin.mu), bound.gtilde("n"),
                   bound.gtilde("p"), bound.g_coupling)
 
 
 def _field_components(gt, sn, cn, dn, d: _Drive) -> tuple:
     """(Bx, By, Bz) of rescaled ratio gt from the Jacobi triple of u = w'_L t."""
-    eta, eps = d.eta, d.epsilon
-    gz, mu, wp = d.gamma_z, d.mu, d.omega_L_prime
-    root = np.sqrt(1.0 - eps * eps)
-    return (
-        eta * (wp / 2.0) * root * ((gt + 1.0) * dn - gz) * cn,
-        eta * (wp / 2.0) * eps * ((gt + 1.0) * dn - gz * (1.0 - mu * mu)) * sn,
-        -eta * eta * (d.omega_L / 2.0) * eps * root * (gt - gz * dn),
-    )
+    return (d.amp_x * ((gt + 1.0) * dn - d.gamma_z) * cn,
+            d.amp_y * ((gt + 1.0) * dn - d.gamma_z_comp) * sn,
+            d.amp_z * (gt - d.gamma_z * dn))
 
 
 def effective_field(t, which: str, laser: LaserParams, kin: KinematicParams,
@@ -173,14 +179,16 @@ def interaction_hamiltonian(bound: BoundStateParams) -> np.ndarray:
     return (bound.g_coupling / 4.0) * SIGMA_DOT_SIGMA
 
 
-# single-spin operators (s_k x 1), k = 1..3, then (1 x s_k), one per row
-_SINGLE_SPIN_BASIS = np.concatenate([PAIR[1:, 0], PAIR[0, 1:]]).reshape(6, 16)
+# H_S = sum_k coefficient_k OPERATORS[k]: the single-spin operators
+# (s_k x 1), k = 1..3, then (1 x s_k), then sigma . sigma, one per row
+_OPERATORS = np.concatenate([PAIR[1:, 0], PAIR[0, 1:], SIGMA_DOT_SIGMA[None]]
+                            ).reshape(7, 16)
 
 
 class DriveTable:
-    """The numbers H_S takes from each scenario of a batch, gathered once
+    """The numbers H_S takes from each scenario of a batch, folded once
     per batch for :func:`spin_hamiltonian`: one array over the scenarios
-    per field, a table of one for a single scenario."""
+    per field of :class:`_Drive`, a table of one for a single scenario."""
 
     def __init__(self, lasers, kins, bounds):
         self.columns = _Drive(*np.array(
@@ -199,19 +207,30 @@ def spin_hamiltonian(t, laser=None, kin=None, bound=None, *,
     """Hermitian two-spin Hamiltonian H_S(t): a 4x4 matrix at a float time,
     shape S + (4, 4) over an array of times of shape S.
 
+    H_S is one matrix product: the coefficient series of each time, the
+    six field components -B/2 and then g/4, times the constant table of
+    the six single-spin operators and then sigma . sigma.
+
     For a batch of scenarios, drives, their :class:`DriveTable`, takes
     the place of the three records, and point, an integer array of the
     shape of t, names the scenario of each time: one call serves every
     scenario, and each element has the bits of a call with its own
-    records.
+    records.  Either form alone is accepted, else TypeError.
 
     Periodic in the motion period and time-reversal symmetric,
     H_S(-t) = H_S(t)*, as `evolution.propagate` assumes given the period.
     """
-    d = _drive(laser, kin, bound) if drives is None else drives.at(point)
-    jac = jacobi(d.omega_L_prime * t, d.mu)
-    coeffs = -0.5 * np.stack(_field_components(d.gtilde_n, *jac, d)
-                             + _field_components(d.gtilde_p, *jac, d),
-                             axis=-1)
-    return ((coeffs @ _SINGLE_SPIN_BASIS).reshape(coeffs.shape[:-1] + (4, 4))
-            + np.multiply.outer(d.g_coupling / 4.0, SIGMA_DOT_SIGMA))
+    given = [x is not None for x in (laser, kin, bound, drives, point)]
+    if given == [True, True, True, False, False]:
+        d = _drive(laser, kin, bound)
+    elif given == [False, False, False, True, True]:
+        d = drives.at(point)
+    else:
+        raise TypeError("spin_hamiltonian takes the records laser, kin and "
+                        "bound, or drives= and point=, and not both")
+    sn, cn, dn = jacobi(d.omega_L_prime * t, d.mu)
+    fields = (_field_components(d.gtilde_n, sn, cn, dn, d)
+              + _field_components(d.gtilde_p, sn, cn, dn, d))
+    coeffs = np.stack([-0.5 * b for b in fields]
+                      + [np.broadcast_to(d.g_coupling / 4.0, dn.shape)], axis=-1)
+    return (coeffs @ _OPERATORS).reshape(coeffs.shape[:-1] + (4, 4))

@@ -43,18 +43,22 @@ _MU_SERIES_TOL = 1e-4      # switch transverse closed forms to their mu -> 0 ser
 
 @dataclass(frozen=True)
 class LaserParams:
-    """Plane-wave drive: field strength eta, polarization eps, frequency w_L."""
+    """Plane-wave drive: field strength eta, polarization eps, frequency w_L,
+    each finite."""
 
     eta: float
     epsilon: float
     omega_L: float = 1.0
 
     def __post_init__(self):
-        if math.isnan(self.eta) or self.eta < 0.0:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if self.eta < 0.0:
             raise DomainError(f"eta must be >= 0, got {self.eta}")
-        if math.isnan(self.epsilon) or not (0.0 <= self.epsilon <= 1.0):
+        if not (0.0 <= self.epsilon <= 1.0):
             raise DomainError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if math.isnan(self.omega_L) or self.omega_L <= 0.0:
+        if self.omega_L <= 0.0:
             raise DomainError(f"omega_L must be > 0, got {self.omega_L}")
 
 

@@ -269,6 +269,14 @@ class TestExtremeButFiniteNumbers:
         assert manifest[0]["status"].startswith(
             "error: DomainError: Magnus exponent is not finite")
 
+    def test_overflowing_g_p_fails_its_own_point(self, tmp_path):
+        # (gtilde_n - Delta) m_p / e_p = -2e308 overflows on the way to g_p
+        cfg = config_from_dict(readme_config())
+        manifest = run_sweep(cfg, "Delta-via-g_p", [3.0, -1e308], jobs=1,
+                             out_dir=str(tmp_path / "s"))
+        assert [m["status"] for m in manifest] == [
+            "ok", "error: DomainError: g_p must be finite, got -inf"]
+
     def test_step_budget_exits_4(self, tmp_path, capsys, monkeypatch):
         # valid, but its field needs far more steps than any budget allows
         monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 100)
@@ -624,7 +632,7 @@ class TestSweep:
         batches = set()
 
         def counted(t, *, drives, point):
-            batches.add(tuple(drives.columns.eta.tolist()))
+            batches.add(tuple(drives.columns.mu.tolist()))
             return exact(t, drives=drives, point=point)
         monkeypatch.setattr("laserspin.simulate.spin_hamiltonian", counted)
         etas = self.STRADDLING_ETAS
@@ -706,7 +714,7 @@ class TestSweep:
         exact = laserspin.simulate.spin_hamiltonian
 
         def refusing(t, *, drives, point):
-            if any(drives.at(p).eta == 0.07 for p in np.unique(point)):
+            if any(drives.at(p).mu == 0.07 for p in np.unique(point)):
                 raise DomainError("no field at eta 0.07")
             return exact(t, drives=drives, point=point)
         monkeypatch.setattr("laserspin.simulate.spin_hamiltonian", refusing)
@@ -1144,6 +1152,30 @@ class TestMainExitCodes:
                                                                  rel=1e-3)
         assert main(["validate", "--filter", "concurrence"]) == 1
         assert "[FAIL] concurrence" in capsys.readouterr().out
+
+    def test_elliptic_oracle_catches_a_quarter_period_error(self,
+                                                            monkeypatch,
+                                                            capsys):
+        # K off by 1e-9 moves the inversion of the first-kind integral by
+        # about 1e-8, against a roundoff gate of 1e-12
+        from laserspin import elliptic
+        exact = elliptic._descent
+        monkeypatch.setattr(elliptic, "_descent", lambda moduli: (
+            exact(moduli)[0] * (1.0 + 1e-9), *exact(moduli)[1:]))
+        assert main(["validate", "--filter", "elliptic"]) == 1
+        assert "[FAIL] elliptic" in capsys.readouterr().out
+
+    def test_factorization_oracle_catches_an_exchange_error(self,
+                                                            monkeypatch,
+                                                            capsys):
+        # the sigma . sigma row of H_S off by 1e-5 moves U by about 2.5e-6,
+        # while the analytic W X keeps the exact g
+        from laserspin import spinfield
+        operators = spinfield._OPERATORS.copy()
+        operators[-1] *= 1.0 + 1e-5
+        monkeypatch.setattr(spinfield, "_OPERATORS", operators)
+        assert main(["validate", "--filter", "factorization"]) == 1
+        assert "[FAIL] factorization: U vs W X" in capsys.readouterr().out
 
     def test_factorization_oracle_batches_its_u_runs(self, monkeypatch):
         # the eight U runs of H_S share each halving round's H call

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -208,12 +208,16 @@ class TestArrayModulus:
     """An array mu, one modulus per element, as for a batch of scenarios:
     each element has the bits of its scalar call."""
 
-    # mu = 0 (the trig branch), moduli of 2 to 9 AGM levels and the
-    # largest accepted one
-    MODULI = st.one_of(st.just(0.0), MODULI,
+    # mu = 0 (the trig branch), 5e-15, whose AGM takes no level though it
+    # is not the trig branch, moduli of 2 to 9 AGM levels and the largest
+    # accepted one
+    MODULI = st.one_of(st.just(0.0), st.just(5e-15), MODULI,
                        st.just(float(np.nextafter(1.0, 0.0))))
 
     @given(st.lists(st.tuples(ARGS, MODULI), min_size=1, max_size=30))
+    @example([(u, mu) for u in (-7.3, 1.3)
+              for mu in (5e-15, 1e-14, 0.0, 1e-300, 5e-324, 0.9,
+                         float(np.nextafter(1.0, 0.0)))])
     def test_equals_the_scalar_calls_bit_for_bit(self, pairs):
         u, mu = (np.array(column) for column in zip(*pairs))
         triple, am = jacobi(u, mu), jacobi_am(u, mu)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,18 @@ class TestBoundStateParams:
     def test_unknown_tag(self, bound):
         with pytest.raises(DomainError):
             bound.gtilde("x")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record, field", [
+    (record, field.name)
+    for record in (BoundStateParams(1.0, 1.0, -0.5, -0.5, -4.0, -1.0, 0.1),
+                   LaserParams(eta=0.1, epsilon=0.3))
+    for field in dataclasses.fields(record)])
+def test_records_reject_non_finite_fields(record, field, value):
+    with pytest.raises(DomainError,
+                       match=f"^{field} must be finite, got {value}$"):
+        dataclasses.replace(record, **{field: value})
 
 
 class TestEffectiveField:
@@ -178,6 +191,17 @@ class TestSpinHamiltonian:
             H = spin_hamiltonian(t, laser, kin, bound)
             H_swapped = spin_hamiltonian(t, laser, kin, swapped)
             assert np.abs(SWAP @ H @ SWAP - H_swapped).max() < 1e-14
+
+    @pytest.mark.parametrize("records, table", [(False, False),
+                                                (True, True)])
+    def test_takes_the_records_or_a_table_alone(self, bound, records, table):
+        laser, kin = scenario(0.3, 0.2)
+        args = (laser, kin, bound) if records else ()
+        kwargs = ({"drives": DriveTable([laser], [kin], [bound]),
+                   "point": np.array(0)} if table else {})
+        with pytest.raises(TypeError, match="records laser, kin and bound, "
+                                            "or drives= and point="):
+            spin_hamiltonian(0.7, *args, **kwargs)
 
     def test_batch_of_scenarios_matches_each_record_bit_for_bit(self):
         # mu = 0, moduli of different AGM depth, gamma_z != 1, a huge g
