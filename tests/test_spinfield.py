@@ -192,13 +192,13 @@ class TestSpinHamiltonian:
             H_swapped = spin_hamiltonian(t, laser, kin, swapped)
             assert np.abs(SWAP @ H @ SWAP - H_swapped).max() < 1e-14
 
-    @pytest.mark.parametrize("records, table", [(False, False),
-                                                (True, True)])
-    def test_takes_the_records_or_a_table_alone(self, bound, records, table):
+    @pytest.mark.parametrize("both", [False, True])
+    def test_takes_the_records_or_a_table_alone(self, bound, both):
+        # neither form, or both
         laser, kin = scenario(0.3, 0.2)
-        args = (laser, kin, bound) if records else ()
+        args = (laser, kin, bound) if both else ()
         kwargs = ({"drives": DriveTable([laser], [kin], [bound]),
-                   "point": np.array(0)} if table else {})
+                   "point": np.array(0)} if both else {})
         with pytest.raises(TypeError, match="records laser, kin and bound, "
                                             "or drives= and point="):
             spin_hamiltonian(0.7, *args, **kwargs)
