@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,16 +90,21 @@ class ScenarioConfig:
         """The run's time span: t_end laser periods in time units."""
         return self.t_end * (2.0 * math.pi / self.laser.omega_L)
 
+    @cached_property
+    def period(self) -> float:
+        """The drive's :func:`motion_period`, derived once; every access
+        raises the DomainError of invalid kinematics."""
+        return motion_period(modulus_from_params(self.laser, self.gamma_z))
+
     def _check_periods(self) -> None:
         """A run beyond one motion period integrates half that period at
         the `period_tolerance` of tol; reject a t_end that puts it on the
         floor, or a time span that is not finite."""
         try:
-            kin = modulus_from_params(self.laser, self.gamma_z)
+            period = self.period
         except DomainError:
             return      # reported as a physics-domain error by the run
         span = self.span
-        period = motion_period(kin)
         if span > period:
             try:
                 period_tolerance(self.tol, period, span)

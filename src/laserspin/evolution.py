@@ -151,8 +151,8 @@ _X_TOL = 1e-12
 MAX_STEPS = 2**16
 # 4x4 matrices in one stack of a batch: the nodes of a halving round
 # across its points (:func:`_propagate_grid`), and the samples of the
-# points that simulate.run_batch runs together; the nodes of the finest
-# grid of one run, 16 MB
+# points of a sweep batch, which simulate._sweep_point cuts to fit; the
+# nodes of the finest grid of one run, 16 MB
 BATCH_MATRICES = MAX_STEPS + 1
 # the accepted change of U under halving, in units of tol: for a
 # fourth-order step the fine grid's error is about change / (2^4 - 1)

@@ -2,9 +2,10 @@
 
 Every sweep point is an independent pure computation; the CSV bytes of a
 point depend only on its configuration, never on scheduling, which makes
-sweep outputs byte-identical across parallelism degrees.  A sweep runs
-its points in batches that share each H call of the propagation
-(:func:`run_batch`), and each point keeps the bits of its own
+sweep outputs byte-identical across parallelism degrees.  A sweep cuts
+each worker's points into batches of at most `BATCH_MATRICES` samples
+(:func:`_sweep_point`); the points of a batch share each H call of the
+propagation (:func:`run_batch`), and each keeps the bits of its own
 :func:`run_scenario`.
 """
 
@@ -30,7 +31,7 @@ from .evolution import (BATCH_MATRICES, has_unit_trace, propagate_batch,
                         validate_density_matrix)
 from .pauli import IDENTITY4
 from .spinfield import DriveTable, spin_hamiltonian
-from .trajectory import modulus_from_params, motion_period
+from .trajectory import modulus_from_params
 
 # each sweepable parameter, with the record it sets: the laser, the bound
 # system, or the initial state of the kind in STATE_KEYS it needs
@@ -109,72 +110,50 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
 
 
 def run_batch(cfgs: Sequence[ScenarioConfig]) -> list[Trace | Exception]:
-    """:func:`run_scenario` for each scenario of cfgs, propagated together
-    (:func:`propagate_batch`): each halving round and the tail steps ask
-    `spin_hamiltonian` once for every point still running.  Consecutive
-    points run together while their samples add up to at most
-    `evolution.BATCH_MATRICES`, the bound of each of a batch's stacks.
+    """:func:`run_scenario` for each scenario of cfgs, propagated as one
+    batch (:func:`propagate_batch`): each halving round and the tail steps
+    ask `spin_hamiltonian` once for every point still running.  The caller
+    sizes the batch: :func:`_sweep_point` gives it one point, or points of
+    at most `evolution.BATCH_MATRICES` samples in all, the bound of each
+    of a batch's stacks.
 
     Returns, per scenario, the Trace of its :func:`run_scenario`, bit for
     bit, or the exception that it raises; a failed point does not stop
     the others.  When `spin_hamiltonian` itself raises, which names no
-    point, each point of that batch runs again alone, so that the error
-    is its own.
+    point, each point of a batch of more than one runs again alone, so
+    that the error is its own.
     """
     results = [None] * len(cfgs)
     runs = []
     for i, cfg in enumerate(cfgs):
         try:
-            kin = modulus_from_params(cfg.laser, cfg.gamma_z)
-            rho0 = validate_density_matrix(cfg.initial_state.build())
+            runs.append((i, modulus_from_params(cfg.laser, cfg.gamma_z),
+                         validate_density_matrix(cfg.initial_state.build())))
         except Exception as exc:
             results[i] = exc
-        else:
-            runs.append((i, kin, rho0))
-    batch, samples = [], 0
-    for run in runs:
-        size = cfgs[run[0]].samples
-        if batch and samples + size > BATCH_MATRICES:
-            _run_together(cfgs, batch, results)
-            batch, samples = [], 0
-        batch.append(run)
-        samples += size
-    if batch:
-        _run_together(cfgs, batch, results)
-    return results
-
-
-def _run_together(cfgs: Sequence[ScenarioConfig], runs: list,
-                  results: list) -> None:
-    """Propagate the points of runs, (index, kin, rho0) each, as one batch
-    and put each one's Trace or exception into results at its index."""
-    kins = [kin for _, kin, _ in runs]
-    drives = DriveTable([cfgs[i].laser for i, _, _ in runs], kins,
-                        [cfgs[i].bound for i, _, _ in runs])
-    t_grids = [np.linspace(0.0, cfgs[i].span, cfgs[i].samples)
-               for i, _, _ in runs]
+    if not runs:
+        return results
+    batch = [cfgs[i] for i, _, _ in runs]
+    drives = DriveTable([c.laser for c in batch], [kin for _, kin, _ in runs],
+                        [c.bound for c in batch])
+    t_grids = [np.linspace(0.0, c.span, c.samples) for c in batch]
     H = lambda t, point: spin_hamiltonian(t, drives=drives, point=point)
     try:
-        all_Us = propagate_batch(H, t_grids, [cfgs[i].tol for i, _, _ in runs],
-                                 [motion_period(kin) for kin in kins])
+        all_Us = propagate_batch(H, t_grids, [c.tol for c in batch],
+                                 [c.period for c in batch])
     except Exception as exc:
-        if len(runs) == 1:
-            results[runs[0][0]] = exc
-        else:
-            for run in runs:
-                _run_together(cfgs, [run], results)
-        return
-
+        for i, _, _ in runs:
+            results[i] = exc if len(runs) == 1 else run_batch([cfgs[i]])[0]
+        return results
     for (i, _, rho0), t_grid in zip(runs, t_grids):
         # taken out of the list, so that each is freed with its trace
         Us = all_Us.pop(0)
-        if isinstance(Us, Exception):
-            results[i] = Us
-            continue
         try:
-            results[i] = _trace(cfgs[i], rho0, t_grid, Us)
+            results[i] = (Us if isinstance(Us, Exception)
+                          else _trace(cfgs[i], rho0, t_grid, Us))
         except Exception as exc:
             results[i] = exc
+    return results
 
 
 def _trace(cfg: ScenarioConfig, rho0: np.ndarray, t_grid: np.ndarray,
@@ -286,8 +265,10 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
 
 
 def _sweep_point(args: tuple) -> list[tuple[str | None, str | None]]:
-    """CSV text or error status of each value of one batch of a sweep,
-    whose points run together (:func:`run_batch`)."""
+    """CSV text or error status of each value of one worker's share of a
+    sweep.  The configs that build run in grid order, one batch
+    (:func:`run_batch`) at a time of `BATCH_MATRICES` // samples points and
+    at least one; no sweep parameter sets samples, so all share cfg's."""
     cfg, param, values = args
     cfgs = []
     for value in values:
@@ -295,7 +276,10 @@ def _sweep_point(args: tuple) -> list[tuple[str | None, str | None]]:
             cfgs.append(apply_sweep_value(cfg, param, value))
         except Exception as exc:      # a failed point must not abort the sweep
             cfgs.append(exc)
-    traces = iter(run_batch([c for c in cfgs if not isinstance(c, Exception)]))
+    built = [c for c in cfgs if not isinstance(c, Exception)]
+    size = max(1, BATCH_MATRICES // cfg.samples)
+    traces = (trace for i in range(0, len(built), size)
+              for trace in run_batch(built[i:i + size]))
     out = []
     for c in cfgs:
         result = c if isinstance(c, Exception) else next(traces)
@@ -315,11 +299,11 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list[float],
     of the parallelism degree: workers only compute CSV text, all files are
     written sequentially in grid order by the caller, and a point's CSV
     has the bits of its own run.  The grid splits into
-    workers = min(jobs, len(values), cpu count) strided batches, values
+    workers = min(jobs, len(values), cpu count) strided shares, values
     k, k + workers, k + 2 workers, ..., so that a cost that grows along
-    the grid spreads evenly; each is propagated as one batch
-    (:func:`run_batch`) by a worker of a process pool, or in this process
-    when there is one batch.
+    the grid spreads evenly; each runs in batches of at most
+    `BATCH_MATRICES` samples (:func:`_sweep_point`) in a worker of a
+    process pool, or in this process when there is one worker.
     """
     if not values:
         raise ConfigError("sweep value grid must be nonempty")

@@ -68,7 +68,9 @@ class KinematicParams:
 
     Use :func:`modulus_from_params` to build a record whose fields satisfy
     gamma_z^2 mu^2 = (1 - 2 eps^2) eta^2 by construction.  Tests may pin mu
-    directly to probe the closed forms off the physical sheet.
+    directly to probe the closed forms off the physical sheet.  Every field
+    must be finite, and omega_L_prime, which gamma_z omega_L can overflow
+    or underflow, must be > 0.
     """
 
     gamma_z: float
@@ -76,10 +78,16 @@ class KinematicParams:
     omega_L_prime: float
 
     def __post_init__(self):
-        if self.gamma_z <= 0.0 or math.isnan(self.gamma_z):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if self.gamma_z <= 0.0:
             raise DomainError(f"gamma_z must be > 0, got {self.gamma_z}")
-        if math.isnan(self.mu) or not (0.0 <= self.mu < 1.0):
+        if not (0.0 <= self.mu < 1.0):
             raise DomainError(f"modulus must satisfy 0 <= mu < 1, got {self.mu}")
+        if self.omega_L_prime <= 0.0:
+            raise DomainError(f"omega_L_prime must be > 0, got "
+                              f"{self.omega_L_prime}")
 
 
 def modulus_from_params(laser: LaserParams, gamma_z: float) -> KinematicParams:

@@ -256,7 +256,7 @@ def _werner_closed_form(cfg: ScenarioConfig, trace) -> np.ndarray:
     time of the trace of the Werner scenario cfg."""
     kin = modulus_from_params(cfg.laser, cfg.gamma_z)
     Us = propagate(lambda t: spin_hamiltonian(t, cfg.laser, kin, cfg.bound),
-                   trace.t, cfg.tol, motion_period(kin))
+                   trace.t, cfg.tol, cfg.period)
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     psi = Us @ singlet
     pure = np.abs((psi * (psi @ PAIR[2, 2].T)).sum(axis=-1))

@@ -262,6 +262,22 @@ class TestExtremeButFiniteNumbers:
         assert main(["simulate", "--config", path]) == 3
         assert "Magnus exponent is not finite on [0, " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, message", [
+        # omega_L_prime = gamma_z omega_L overflows, so the motion period is 0
+        ({("gamma_z",): 1e200, ("laser", "omega_L"): 1e200},
+         "omega_L_prime must be finite, got inf"),
+        # it underflows, and the motion period would divide by it
+        ({("laser", "eta"): 0.0, ("gamma_z",): 1e-200,
+          ("laser", "omega_L"): 1e-200}, "omega_L_prime must be > 0, got 0.0")])
+    def test_overflowing_kinematics_exit_3(self, tmp_path, capsys, fields,
+                                           message):
+        raw = readme_config()
+        for path, value in fields.items():
+            set_field(raw, path, value)
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 3
+        err = capsys.readouterr().err
+        assert f"domain error: {message}" in err and "Traceback" not in err
+
     def test_overflow_recorded_by_a_sweep_point(self, tmp_path):
         cfg = config_from_dict(readme_config(("bound", "g_n"), 1e200))
         manifest = run_sweep(cfg, "eta", [0.1], jobs=1,
@@ -642,6 +658,47 @@ class TestSweep:
         for k, eta in enumerate(etas):
             assert (tmp_path / "s" / f"point_{k:03d}.csv").read_text() \
                 == scenario_csv(apply_sweep_value(cfg, "eta", eta))
+
+    def test_rejected_values_take_no_batch_slot(self, tmp_path,
+                                                monkeypatch):
+        # -1e308 overflows g_p and fails alone; the four values that build
+        # run in pairs under a bound of 20 samples at 9 samples a point
+        monkeypatch.setattr("laserspin.simulate.BATCH_MATRICES", 20)
+        cfg = config_from_dict(readme_config())
+        exact = laserspin.simulate.spin_hamiltonian
+        batches = set()
+
+        def counted(t, *, drives, point):
+            batches.add(tuple(np.round(drives.columns.gtilde_p, 9).tolist()))
+            return exact(t, drives=drives, point=point)
+        monkeypatch.setattr("laserspin.simulate.spin_hamiltonian", counted)
+        values = [3.0, -1e308, 2.0, 1.0, 0.5]
+        manifest = run_sweep(cfg, "Delta-via-g_p", values, 1,
+                             str(tmp_path / "s"))
+        assert [m["status"] for m in manifest] == [
+            "ok", "error: DomainError: g_p must be finite, got -inf",
+            "ok", "ok", "ok"]
+        assert batches == {(1.0, 2.0), (3.0, 3.5)}
+        monkeypatch.undo()
+        for k, value in enumerate(values):
+            if k != 1:
+                assert (tmp_path / "s" / f"point_{k:03d}.csv").read_text() \
+                    == scenario_csv(apply_sweep_value(cfg, "Delta-via-g_p",
+                                                      value))
+
+    def test_a_point_derives_its_motion_period_once(self, tmp_path,
+                                                    monkeypatch):
+        # once when the point's config is built, none when it runs
+        cfg = config_from_dict(base_config(samples=5))
+        exact = laserspin.trajectory.complete_K
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return exact(mu)
+        monkeypatch.setattr("laserspin.trajectory.complete_K", counted)
+        run_sweep(cfg, "eta", [0.02, 0.05, 0.1], 1, str(tmp_path / "s"))
+        assert len(calls) == 3
 
     def test_workers_take_strided_batches(self, tmp_path, monkeypatch):
         # value i goes to worker i % workers, so that a cost growing along

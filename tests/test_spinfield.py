@@ -47,7 +47,8 @@ class TestBoundStateParams:
 @pytest.mark.parametrize("record, field", [
     (record, field.name)
     for record in (BoundStateParams(1.0, 1.0, -0.5, -0.5, -4.0, -1.0, 0.1),
-                   LaserParams(eta=0.1, epsilon=0.3))
+                   LaserParams(eta=0.1, epsilon=0.3),
+                   KinematicParams(gamma_z=1.0, mu=0.3, omega_L_prime=1.0))
     for field in dataclasses.fields(record)])
 def test_records_reject_non_finite_fields(record, field, value):
     with pytest.raises(DomainError,
