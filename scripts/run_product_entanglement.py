@@ -5,10 +5,11 @@ Runs the antiparallel boundary product state (alpha = 0, beta = 1) under
 an elliptically polarized drive, where the exact evolution crosses the
 separability boundary within a few periods, and writes the concurrence
 trace together with the leading-order growth estimate.  The scenario
-goes through `run_scenario`, so the drive is integrated over half a
-motion period, every later sample is composed from it by periodicity
-and time reversal, and the propagated states get the same invariant
-checks as `laserspin simulate`.
+goes through `run_scenario`, so the drive is integrated over a quarter
+of a motion period, every later sample is composed from it by
+periodicity, time reversal and the half-period shift, and the
+propagated states get the same invariant checks as `laserspin
+simulate`.
 
 Usage: python scripts/run_product_entanglement.py [out.csv]
 """

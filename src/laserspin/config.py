@@ -97,9 +97,10 @@ class ScenarioConfig:
         return motion_period(modulus_from_params(self.laser, self.gamma_z))
 
     def _check_periods(self) -> None:
-        """A run beyond one motion period integrates half that period at
-        the `period_tolerance` of tol; reject a t_end that puts it on the
-        floor, or a time span that is not finite."""
+        """A run beyond one motion period integrates a quarter of that
+        period at the `period_tolerance` of tol; reject a t_end that puts
+        the half-period budget on the floor, or a time span that is not
+        finite."""
         try:
             period = self.period
         except DomainError:

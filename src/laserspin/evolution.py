@@ -61,26 +61,34 @@ are even in t and By is odd, so H_S is also time-reversal symmetric,
 H_S(-t) = H_S(t)*, at every eps; so are H'_I and V, because
 sin(theta_minus) and psi are odd and s3(x)s2 - s2(x)s3 is imaginary
 (pinned at 1e-14 for `spin_hamiltonian` at three drives and for
-`interaction_picture_hamiltonian` and `interaction_term`).  Passing T to
-:func:`propagate` asserts both, H(t + T) = H(t) and H(-t) = H(t)*.  Then
-U(-s) = U(s)*, the second half period is the first one reversed, and
-one run over [0, T/2] gives every sample (Floquet; Shirley, Phys. Rev.
-138, B979 (1965)):
+`interaction_picture_hamiltonian` and `interaction_term`).  H_S also
+shifts by half a period: sn(u + 2K) = -sn u, cn(u + 2K) = -cn u and
+dn(u + 2K) = dn u (DLMF 22.4.3), so Bx and By change sign and Bz does
+not, and with P = s3(x)s3, which leaves s.s alone,
+H_S(t + T/2) = P H_S(t) P (pinned at 1e-14 at four drives).  Passing T
+to :func:`propagate` asserts all three, H(t + T) = H(t),
+H(-t) = H(t)* and H(t + T/2) = P H(t) P.  Then U(-s) = U(s)*,
+U(s + T/2) = P U(s) P U(T/2), so the second quarter period is the first
+one reversed and shifted, and one run over [0, T/4] gives every sample
+(Floquet; Shirley, Phys. Rev. 138, B979 (1965)):
 
-    U(T) = A^T A,              A = U(T/2),
+    C = B^T P B,               B = U(T/4),
+    U(T/2) = P C,              U(T) = C C,
+    V(a) = U(a) for a <= T/4,  V(a) = P U(T/2 - a)* C for T/4 < a <= T/2,
     U(m T + r) = V(r) U(T)^m,  m = rint(t / T),  |r| <= T/2,
 
-with V(r) = U(|r|), conjugated when r < 0.  A and every U(|r|) are
-samples of that one run, and U(T) is projected once by the polar step,
-so H is asked for times in [0, T/2] only; a run that stays within
-[0, T] is the direct run unchanged.  The samples are composed _CHUNK
-at a time into their preallocated stack, beside the half run's own.
-Errors add along the products: with e_h the error of
-the half run, U(T) carries 2 e_h and U(m T + r) carries
-(2 m + 1) e_h <= (2 t / T + 2) e_h.  The half run is therefore asked for
-tol T / (2 t_end), the direct run's error budget over half a period, and
-delivers about half that (above), so every sample carries about
-(t_end + T) / (2 t_end) tol < tol, while the cost grows only like
+with V(r) = V(|r|), conjugated when r < 0.  B and every U(a) are
+samples of that one run, C is symmetric, and C and U(T) are projected
+once each by the polar step, so H is asked for times in [0, T/4] only;
+a run that stays within [0, T] is the direct run unchanged.  The
+samples are composed _CHUNK at a time into their preallocated stack,
+beside the quarter run's own.  Errors add along the products: with e_q
+the error of the quarter run, C carries 2 e_q, U(T) 4 e_q, V(a) about
+2 e_q at most, as U(T/2) does, and U(m T + r) about
+(4 m + 2) e_q <= (4 t / T + 4) e_q.  The quarter run is therefore asked
+for tol T / (4 t_end), the direct run's error budget over a quarter
+period, and delivers about half that (above), so every sample carries
+about (t_end + T) / (2 t_end) tol < tol, while the cost grows only like
 (t_end / T)^(1/4).  The powers U(T)^m are matrix products, never an
 eigendecomposition, because at Delta = 0 U(T) has a degenerate triplet
 whose eigenvectors `eig` need not return orthogonal.  All distinct m
@@ -265,21 +273,28 @@ def _magnus4(H_of_t: BatchSource, starts: np.ndarray, lengths: np.ndarray,
 
 
 def period_tolerance(tol: float, period: float, span: float) -> float:
-    """Tolerance of the half-period run that composes a run over span > period.
+    """Tolerance of the quarter-period run that composes a run over
+    span > period.
 
-    tol * period / (2 span), the direct run's error budget over half a
-    period: U(T/2) then carries e_h = tol T / (2 span), and a sample at
-    t = m T + r carries at most (2 m + 1) e_h <= (t + T) / span tol, of
-    which the halving test delivers about half (module docstring).
-    Raises DomainError when it is not above the floor TOL_BOUNDS[0], so
-    a span of more than tol / 2e-14 periods.
+    tol * period / (4 span), the direct run's error budget over a quarter
+    period: U(T/4) then carries e_q = tol T / (4 span), U(T/2) and U(T)
+    carry 2 e_q and 4 e_q, and a sample at t = m T + r carries about
+    (4 m + 2) e_q <= (t + T) / span tol, of which the halving test
+    delivers about half (module docstring).  Raises DomainError when the
+    half-period budget tol T / (2 span) is not above the floor
+    TOL_BOUNDS[0], so a span of more than tol / 2e-14 periods; the
+    quarter run is then asked for at least 5e-15.  Below 8.5e-15 the
+    accepted change max(7.5 tol, 4e-15 n) is the roundoff term 4e-15 n
+    at every tested n >= 16, so near the floor tol no longer sets the
+    grid, and the quarter run's is the one a run at the floor takes
+    (measured: the same grid at 5e-15, 1e-14 and 2e-14 on three drives).
     """
     tol_half = 0.5 * tol * (period / span)
     if not tol_half > TOL_BOUNDS[0]:
         raise DomainError(
             f"{span / period:.6g} periods leave tol * T / (2 t_end) = "
             f"{tol_half:.3g} for half of one, not above {TOL_BOUNDS[0]}")
-    return tol_half
+    return 0.5 * tol_half
 
 
 def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
@@ -298,18 +313,19 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     MAX_STEPS steps do not pass the halving test, and DomainError when a
     Magnus exponent is not finite (H overflows).
 
-    Passing the period T asserts H(t + T) = H(t) and H(-t) = H(t)*, as
-    `spin_hamiltonian`, `interaction_picture_hamiltonian` and
-    `interaction_term` satisfy (module docstring).  When a sample lies
-    beyond T, only [0, T/2] is integrated, at tol * T / (2 t_grid[-1]),
-    and H is asked for no time outside it: with m = rint(t / T) the
-    nearest multiple and r = t - m T,
-    U(t) = V(r) U(T)^m, V(r) = U(|r|) conjugated when r < 0, and
-    U(T) = U(T/2)^T U(T/2).  Each sample then carries about
-    (t_grid[-1] + T) / (2 t_grid[-1]) tol.  When no sample lies beyond T
-    the result is the one without a period, bit for bit.  Raises
-    DomainError when tol * T / (2 t_grid[-1]) is not above the tolerance
-    floor (:func:`period_tolerance`).
+    Passing the period T asserts H(t + T) = H(t), H(-t) = H(t)* and
+    H(t + T/2) = P H(t) P with P = s3 (x) s3, as `spin_hamiltonian`
+    satisfies (module docstring).  When a sample lies beyond T, only
+    [0, T/4] is integrated, at tol * T / (4 t_grid[-1]), and H is asked
+    for no time outside it: with m = rint(t / T) the nearest multiple,
+    r = t - m T and a = |r|, U(t) = V(r) U(T)^m, where V(a) = U(a) up to
+    T/4 and P U(T/2 - a)* C beyond, V(r) is conjugated when r < 0,
+    C = U(T/4)^T P U(T/4) and U(T) = C C.  Each sample then carries
+    about (t_grid[-1] + T) / (2 t_grid[-1]) tol.  When no sample lies
+    beyond T the result is the one without a period, bit for bit.
+    Raises DomainError when the half-period budget
+    tol * T / (2 t_grid[-1]) is not above the tolerance floor
+    (:func:`period_tolerance`).
 
     This is the batch of one of :func:`propagate_batch`.
     """
@@ -332,7 +348,7 @@ def propagate_batch(H_of_t: BatchSource, t_grids: Sequence[Sequence[float]],
     stack, or to one 4x4 matrix when H is constant; each call asks for
     at most 512 times, counted across the batch, in no particular order.
     Each point plans its own grid and tol as :func:`propagate` does: its
-    t_grid, or the half-period grid at :func:`period_tolerance`.  All
+    t_grid, or the quarter-period grid at :func:`period_tolerance`.  All
     points share the halving round's step count n, each with its own
     h = span / n, and a point leaves the batch at its first passed
     halving test.  So a halving round, and the tail steps of every
@@ -379,27 +395,33 @@ def _plan(t_grid: Sequence[float], tol: float, period: float | None):
     if period is None or t_grid[-1] <= period:
         return t_grid, tol, None
 
-    tol_half = period_tolerance(tol, period, t_grid[-1])
-    half = 0.5 * period
-    # the nearest multiple m of T and the offset r = t - m T; roundoff can
-    # put |r| just beyond T/2, which is taken back to the end of the run
+    tol_quarter = period_tolerance(tol, period, t_grid[-1])
+    half, quarter = 0.5 * period, 0.25 * period
+    # the nearest multiple m of T and the offset a = |t - m T|; roundoff
+    # can put a just beyond T/2, which is taken back to T/2.  V(a) takes
+    # U(a) up to T/4 and U(T/2 - a) beyond it
     m = np.rint(t_grid / period)
     r = t_grid - m * period
-    inner, where = np.unique(np.append(np.minimum(np.abs(r), half), half),
+    a = np.minimum(np.abs(r), half)
+    far = a > quarter
+    inner, where = np.unique(np.append(np.where(far, half - a, a), quarter),
                              return_inverse=True)
-    return (inner, tol_half,
-            lambda Us: _compose(Us, where[:-1], Us[where[-1]], m, r))
+    return (inner, tol_quarter,
+            lambda Us: _compose(Us, where[:-1], Us[where[-1]], m, r, far))
 
 
-def _compose(Us: np.ndarray, where: np.ndarray, A: np.ndarray,
-             m: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """U(m T + r) = V(r) U(T)^m from the half run Us, whose rows where are
-    U(|r|), and A = U(T/2), filled in _CHUNK samples at a time."""
+def _compose(Us: np.ndarray, where: np.ndarray, B: np.ndarray,
+             m: np.ndarray, r: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """U(m T + r) = V(r) U(T)^m from the quarter run Us, whose rows where
+    are U(|r|), or U(T/2 - |r|) where far, and B = U(T/4), filled in
+    _CHUNK samples at a time."""
+    P = PAIR[3, 3]
+    C = _polar_step(B.T @ P @ B)                 # U(T/2) = P C
     # U(T)^m for every distinct m at once, bit by bit, from the projected
     # squares U(T)^(2^b); no eig, which the Delta = 0 triplet defeats
     levels, level_of = np.unique(m.astype(np.int64), return_inverse=True)
     powers = np.broadcast_to(IDENTITY4, (levels.size, 4, 4)).copy()
-    square = _polar_step(A.T @ A)                # U(T)^(2^b) at bit b
+    square = _polar_step(C @ C)                  # U(T)^(2^b) at bit b
     for b in range(int(levels[-1]).bit_length()):
         has_bit = (levels >> b & 1).astype(bool)
         powers[has_bit] = _polar_step(powers[has_bit] @ square)
@@ -408,6 +430,8 @@ def _compose(Us: np.ndarray, where: np.ndarray, A: np.ndarray,
     for i in range(0, m.size, _CHUNK):
         rows = slice(i, i + _CHUNK)
         V = Us[where[rows]]
+        beyond = far[rows]
+        V[beyond] = P @ V[beyond].conj() @ C     # V(a) = P U(T/2 - a)* C
         back = r[rows] < 0.0
         V[back] = V[back].conj()                         # U(-s) = U(s)*
         np.matmul(V, powers[level_of[rows]], out=out[rows])

@@ -86,9 +86,10 @@ def _analytic_column(cfg: ScenarioConfig,
 def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Evolve the configured initial state and return its CSV columns.
 
-    H_S is periodic in the motion period and time-reversal symmetric,
-    H_S(-t) = H_S(t)*, so a run of many periods integrates half of one
-    (see :func:`propagate`).  The columns come from the propagators U
+    H_S is periodic in the motion period, time-reversal symmetric,
+    H_S(-t) = H_S(t)*, and shifted by P = s3 (x) s3 over half a period,
+    H_S(t + T/2) = P H_S(t) P, so a run of many periods integrates a
+    quarter of one (see :func:`propagate`).  The columns come from the propagators U
     and one factor rho0 = R R^+, `evolution._CHUNK` samples at a time,
     with no state formed: B = U R gives the concurrence
     (:func:`concurrence_from_factor`), and G = B^+ B the trace tr G and

@@ -217,8 +217,10 @@ def spin_hamiltonian(t, laser=None, kin=None, bound=None, *,
     scenario, and each element has the bits of a call with its own
     records.  Either form alone is accepted, else TypeError.
 
-    Periodic in the motion period and time-reversal symmetric,
-    H_S(-t) = H_S(t)*, as `evolution.propagate` assumes given the period.
+    Periodic in the motion period T, time-reversal symmetric,
+    H_S(-t) = H_S(t)*, and shifted by P = s3 (x) s3 over half a period,
+    H_S(t + T/2) = P H_S(t) P, as `evolution.propagate` assumes given
+    the period.
     """
     given = [x is not None for x in (laser, kin, bound, drives, point)]
     if given == [True, True, True, False, False]:

@@ -215,7 +215,7 @@ def oracle_concurrence() -> OracleResult:
     p = 0.8 over one laser period of a linearly polarized drive stays
     within 10 eta^2 of (3p - 1)/2.  The product state (0.999, 0.001) runs
     two laser periods, past the motion period 4 K(0.3), so its later
-    samples are composed from half a period: at Delta = 3 it tracks the
+    samples are composed from a quarter period: at Delta = 3 it tracks the
     leading-order formula within 10 eta^2, and at Delta = 0, where the
     analytic column is 0, the deviation is max C.  Werner p = 0.8 over
     two laser periods at eps 0.3 matches, to roundoff,

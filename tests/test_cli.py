@@ -157,8 +157,8 @@ class TestConfig:
             assert main(["simulate", "--config", path]) == 2
 
     def test_long_run_tolerance_floor(self, tmp_path, capsys):
-        # half a motion period is integrated at tol T_m / (2 t_end), which
-        # 1e9 laser periods at tol 1e-6 put below the floor 1e-14; the edge
+        # the floor 1e-14 bounds the half-period budget tol T_m / (2 t_end),
+        # which 1e9 laser periods at tol 1e-6 put below it; the edge
         # lies at tol / 2e-14 = 5e7 motion periods, the library's edge
         path = write_config(tmp_path, base_config(t_end=1e9))
         assert main(["simulate", "--config", path]) == 2
@@ -568,7 +568,7 @@ class TestChunks:
     @pytest.mark.parametrize("t_end, stacks", [(0.5, 2.0), (5.0, 2.6)])
     def test_a_long_trace_holds_about_one_stack(self, t_end, stacks):
         # 20 001 samples, direct and composed; a composed run also holds
-        # the stack of its half-period run, one U per distinct offset
+        # the stack of its quarter-period run, one U per distinct offset
         cfg = config_from_dict(base_config(t_end=t_end, samples=20001))
         tracemalloc.start()
         try:
@@ -735,12 +735,12 @@ class TestSweep:
 
     def test_failed_points_fail_as_they_do_alone(self, tmp_path,
                                                  monkeypatch):
-        # g 1e300 overflows H, and g 40 needs more than the 64 steps
-        # allowed here; the good points' CSVs are those of a sweep without
-        # the two
+        # g 1e300 overflows H, and g 120 needs more than the 64 steps
+        # allowed here over the quarter period; the good points' CSVs are
+        # those of a sweep without the two
         monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 64)
         cfg = config_from_dict(base_config(t_end=1.02, samples=9))
-        values = [0.1, 1e300, 0.05, 40.0, 0.02]
+        values = [0.1, 1e300, 0.05, 120.0, 0.02]
         manifest = run_sweep(cfg, "g_coupling", values, 1,
                              str(tmp_path / "mixed"))
         for entry, g in zip(manifest, values):

@@ -21,8 +21,8 @@ from laserspin import (BoundStateParams, DomainError, DriveTable,
 from laserspin import evolution
 from laserspin.evolution import (_polar_step, _prefix_product, expm_hermitian,
                                 propagate_batch)
-from laserspin.pauli import (IDENTITY4, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
-                             SIGMA_DOT_SIGMA, hermiticity_defect)
+from laserspin.pauli import (IDENTITY4, PAIR, SIGMA0, SIGMA1, SIGMA_10,
+                             SIGMA_32, SIGMA_DOT_SIGMA, hermiticity_defect)
 
 from conftest import random_density_matrix
 
@@ -310,7 +310,7 @@ class TestPropagator:
     @pytest.mark.parametrize("drive, span, h_budgets", [
         pytest.param((0.5, 0.3, 6.0, 2.0, 0.5), 4.0 * math.pi, (2040, 560),
                      id="long_elliptic"),
-        pytest.param((0.1, 0.2, 4.0, 1.0, 0.1), 4.0 * math.pi, (504, 304),
+        pytest.param((0.1, 0.2, 4.0, 1.0, 0.1), 4.0 * math.pi, (504, 176),
                      id="dense_trace"),
         pytest.param((0.5, 0.3, 2.0, 2.0, 0.5), 4.0 * math.pi, (1016, 304),
                      id="delta0"),
@@ -320,7 +320,7 @@ class TestPropagator:
         # against scipy DOP853; the halving test accepts the first grid
         # whose Richardson error estimate, the change / 15, is tol / 2,
         # and the H-time budgets pin that grid and, for a composed run,
-        # the grid of the half period it integrates
+        # the grid of the quarter period it integrates
         from scipy.integrate import solve_ivp
         H, T, calls = counted_drive(*drive)
         times = np.linspace(0.0, span, 33)
@@ -337,7 +337,7 @@ class TestPropagator:
                 if tol == 1e-8:
                     assert sum(np.size(t) for t in calls) <= h_budget
                     if period is not None and span > T:
-                        assert max(t.max() for t in calls) <= 0.5 * T
+                        assert max(t.max() for t in calls) <= 0.25 * T
 
     def test_overflowing_hamiltonian_is_a_domain_error(self):
         # [H1, H2] overflows to inf - inf; eigh would not converge on it
@@ -401,7 +401,7 @@ class TestBatch:
 
     # (eta, eps, gtilde_n, gtilde_p, g, laser periods, samples, tol): a
     # mu = 0 point, moduli of 4 to 7 AGM levels, direct runs within the
-    # motion period and runs composed from half of it
+    # motion period and runs composed from a quarter of it
     POINTS = [(0.0, 0.3, 4.0, 1.0, 0.1, 3.0, 13, 1e-7),
               (0.5, 0.3, 6.0, 2.0, 0.5, 0.7, 21, 1e-6),
               (0.05, 0.0, 4.0, 1.0, 0.1, 1.02, 9, 1e-8),
@@ -579,11 +579,10 @@ def test_time_arrays_match_per_float_calls(name):
 
 
 
-def counted_drive(eta, eps, gtilde_n, gtilde_p, g):
-    """H_S of a drive at gamma_z = 1 that records its calls, and its
-    motion period."""
+def counted_drive(eta, eps, gtilde_n, gtilde_p, g, gamma_z=1.0):
+    """H_S of a drive that records its calls, and its motion period."""
     laser = LaserParams(eta=eta, epsilon=eps)
-    kin = modulus_from_params(laser, 1.0)
+    kin = modulus_from_params(laser, gamma_z)
     bound = BoundStateParams.from_gtildes(gtilde_n, gtilde_p, g_coupling=g)
     calls = []
 
@@ -595,8 +594,9 @@ def counted_drive(eta, eps, gtilde_n, gtilde_p, g):
 
 class TestPeriodComposition:
     """propagate(..., period=T): U(m T + r) = V(r) U(T)^m from one run over
-    [0, T/2], with m the nearest multiple and V(r) = U(|r|) conjugated
-    when r < 0."""
+    [0, T/4], with m the nearest multiple, V(a) = U(a) up to a = T/4 and
+    P U(T/2 - a)* C beyond, C = B^T P B with B = U(T/4) and P = s3 (x) s3,
+    and V(r) = V(|r|) conjugated when r < 0."""
 
     # the onset drive of acceptance 4a, its Delta = 0 control (U(T) with a
     # degenerate triplet) and the drive of acceptance 4b and 4c
@@ -611,6 +611,19 @@ class TestPeriodComposition:
         composed = propagate(H, times, 1e-9, T)
         reference = propagate(H, times, 1e-12)
         assert np.abs(composed - reference).max() <= 1e-9
+
+    def test_a_source_without_the_half_wave_shift_is_composed_wrong(self):
+        # H_S + 0.1 s1 (x) 1 is periodic and time-reversal symmetric, but
+        # P s1 (x) 1 P = -s1 (x) 1, so the quarter run does not give the
+        # second quarter: period asserts the shift, and a wrong P shows
+        H, T, _ = counted_drive(*self.DRIVES[0])
+        skewed = lambda t: H(t) + 0.1 * PAIR[1, 0]
+        times = np.linspace(0.0, 10.0 * math.pi, 251)
+        assert np.abs(skewed(-times) - skewed(times).conj()).max() <= 1e-14
+        gap = lambda source: np.abs(propagate(source, times, 1e-9, T)
+                                    - propagate(source, times, 1e-12)).max()
+        assert gap(H) <= 1e-9
+        assert gap(skewed) > 1e-3
 
     def test_first_period_is_the_direct_run_bit_for_bit(self):
         H, T, _ = counted_drive(*self.DRIVES[0])
@@ -668,8 +681,8 @@ class TestPeriodComposition:
         assert defect < 1e-14
 
     def test_tolerance_floor_per_period(self):
-        # the half period is integrated at tol T / (2 t_end), so the floor
-        # 1e-14 admits at most tol / 2e-14 = 5e7 periods at tol 1e-6
+        # the floor 1e-14 bounds the half-period budget tol T / (2 t_end),
+        # so it admits at most tol / 2e-14 = 5e7 periods at tol 1e-6
         H, T, calls = counted_drive(*self.DRIVES[0])
         for end in (1e9, 5e7 * (1.0 + 1e-6) * T):
             with pytest.raises(DomainError, match="not above 1e-14"):
@@ -691,6 +704,20 @@ class TestTimeReversal:
         H, T, _ = counted_drive(*drive)
         t = np.linspace(0.0, 2.5 * T, 301)
         assert np.abs(H(-t) - H(t).conj()).max() <= 1e-14
+
+    # the drives of the composition tests, and one at the widest eps that
+    # loads, off gamma_z = 1
+    @pytest.mark.parametrize("drive", TestPeriodComposition.DRIVES
+                             + [(0.5, 0.7, 6.0, 2.0, 0.5, 0.8)])
+    def test_half_wave_shift_of_spin_hamiltonian(self, drive):
+        # sn and cn change sign over 2K and dn does not, so Bx and By flip
+        # after T/2 and Bz does not: H(t + T/2) = P H(t) P, P = s3 (x) s3,
+        # and with time reversal H(T/2 - t) = P H(t)* P
+        H, T, _ = counted_drive(*drive)
+        P = PAIR[3, 3]
+        t = np.linspace(0.0, 2.5 * T, 301)
+        assert np.abs(H(t + 0.5 * T) - P @ H(t) @ P).max() <= 1e-14
+        assert np.abs(H(0.5 * T - t) - P @ H(t).conj() @ P).max() <= 1e-14
 
     @pytest.mark.parametrize("source", [interaction_picture_hamiltonian,
                                         interaction_term])
