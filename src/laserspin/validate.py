@@ -23,10 +23,10 @@ from .config import InitialState, ScenarioConfig
 from .elliptic import jacobi
 from .entanglement import werner_state
 from .errors import ConfigError
-from .evolution import (euler_representation, interaction_term,
+from .evolution import (X_TOL, euler_representation,
+                        interaction_picture_hamiltonian, interaction_term,
                         local_propagator, perturbative_delta_rho_werner,
-                        propagate, propagate_batch, psi_integral,
-                        time_ordered_X)
+                        propagate, propagate_batch, psi_integral)
 from .pauli import PAIR, SIGMA_10, SIGMA_32, SIGMA_DOT_SIGMA
 from .simulate import run_scenario
 from .spinfield import BoundStateParams, DriveTable, spin_hamiltonian
@@ -135,7 +135,9 @@ _FACTORIZATION_TOL = 1e-8
 def oracle_factorization() -> OracleResult:
     """U = W X, and X = exp(-i g/4 psi S) Y[V], over one period.
 
-    The eight U runs of H_S make one batch (:func:`propagate_batch`)."""
+    The eight U runs of H_S make one batch (:func:`propagate_batch`), and
+    so do the eight X runs of H'_I and the eight Y runs of V, whose
+    sources are evaluated point by point."""
     points = []
     for eta in (0.1, 0.2):
         for delta in (0.5, 1.5):
@@ -146,17 +148,19 @@ def oracle_factorization() -> OracleResult:
                                                              g)))
     times = np.linspace(0.0, 2.0 * math.pi, 9)
     drives = DriveTable(*zip(*points))
+    grids, tols = [times] * len(points), [_FACTORIZATION_TOL] * len(points)
     all_Us = propagate_batch(
         lambda t, point: spin_hamiltonian(t, drives=drives, point=point),
-        [times] * len(points), [_FACTORIZATION_TOL] * len(points))
+        grids, tols)
+    all_Xs = propagate_batch(_per_point(interaction_picture_hamiltonian,
+                                        points), grids, [X_TOL] * len(points))
+    all_Ys = propagate_batch(_per_point(interaction_term, points), grids, tols)
     worst_u = worst_x = 0.0
-    for a, Us in zip(points, all_Us):
-        if isinstance(Us, Exception):
-            raise Us
+    for a, Us, Xs, Ys in zip(points, all_Us, all_Xs, all_Ys):
+        for result in (Us, Xs, Ys):
+            if isinstance(result, Exception):
+                raise result
         g = a[2].g_coupling
-        Ys = propagate(lambda t: interaction_term(t, *a), times,
-                       _FACTORIZATION_TOL)
-        Xs = time_ordered_X(times, *a)
         S = euler_representation(-g / 4 * psi_integral(times, *a))
         worst_u = max(worst_u, float(np.abs(
             Us - local_propagator(times, *a) @ Xs).max()))
@@ -164,6 +168,18 @@ def oracle_factorization() -> OracleResult:
     return OracleResult("factorization", (Check("U vs W X", worst_u, 1e-6),
                                           Check("X vs S Y", worst_x, 1e-6)),
                         "S = exp(-i g/4 psi sum_k s_k(x)s_k)")
+
+
+def _per_point(source, points):
+    """The batch source of source(t, *points[p]), called once per point
+    for the times that belong to it."""
+    def H(t, point):
+        out = np.empty((t.size, 4, 4), dtype=complex)
+        for p in np.unique(point).tolist():
+            mine = point == p
+            out[mine] = source(t[mine], *points[p])
+        return out
+    return H
 
 
 # --- Eulerian representation oracle ------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,13 +12,21 @@ import numpy as np
 import pytest
 
 import laserspin
-from laserspin import (modulus_from_params, motion_period, product_state,
-                       werner_state, wootters_concurrence)
+from laserspin import (BoundStateParams, LaserParams, modulus_from_params,
+                       motion_period, product_state, propagate, werner_state,
+                       wootters_concurrence)
 from laserspin.cli import main
 from laserspin.config import config_from_dict, load_config
 from laserspin.errors import ConfigError, DomainError, IntegratorError
 from laserspin.simulate import (CSV_HEADER, apply_sweep_value, rows_to_csv,
                                 run_scenario, run_sweep, scenario_csv)
+
+
+def factorization_rows(out):
+    """The deviation of each row of the factorization oracle, as
+    `laserspin validate` prints it."""
+    return {label: float(value) for label, value in re.findall(
+        r"(U vs W X|X vs S Y) (\S+) \(gate 1e-06\)", out)}
 
 
 def base_config(**overrides):
@@ -1232,7 +1241,20 @@ class TestMainExitCodes:
         operators[-1] *= 1.0 + 1e-5
         monkeypatch.setattr(spinfield, "_OPERATORS", operators)
         assert main(["validate", "--filter", "factorization"]) == 1
-        assert "[FAIL] factorization: U vs W X" in capsys.readouterr().out
+        rows = factorization_rows(capsys.readouterr().out)
+        assert rows["X vs S Y"] < 1e-6 < rows["U vs W X"]
+
+    def test_factorization_oracle_catches_a_psi_error(self, monkeypatch,
+                                                      capsys):
+        # psi off by 1e-4 in S = exp(-i g/4 psi S) moves the X row to about
+        # 2.5e-5, while the U row, which takes no psi, stays at 3.3e-10
+        from laserspin import validate
+        exact = validate.psi_integral
+        monkeypatch.setattr(validate, "psi_integral",
+                            lambda t, *a: exact(t, *a) * (1.0 + 1e-4))
+        assert main(["validate", "--filter", "factorization"]) == 1
+        rows = factorization_rows(capsys.readouterr().out)
+        assert rows["U vs W X"] < 1e-6 < rows["X vs S Y"]
 
     def test_factorization_oracle_batches_its_u_runs(self, monkeypatch):
         # the eight U runs of H_S share each halving round's H call
@@ -1246,6 +1268,35 @@ class TestMainExitCodes:
         monkeypatch.setattr(validate, "spin_hamiltonian", spy)
         assert validate.oracle_factorization().passed
         assert points[0] == set(range(8)) and len(points) < 8
+
+    def test_factorization_oracle_batches_its_x_and_y_runs(self,
+                                                           monkeypatch):
+        # one batch each for U, X and Y, no run of one point; X keeps the
+        # bits of time_ordered_X, and Y those of its own propagate run
+        from laserspin import validate
+        from laserspin.evolution import interaction_term, time_ordered_X
+        exact, batches = validate.propagate_batch, []
+
+        def spy(H_of_t, t_grids, tols, periods=None):
+            batches.append(exact(H_of_t, t_grids, tols, periods))
+            return batches[-1]
+
+        def alone(*args):
+            raise AssertionError("a run of one point")
+
+        monkeypatch.setattr(validate, "propagate_batch", spy)
+        monkeypatch.setattr(validate, "propagate", alone)
+        assert validate.oracle_factorization().passed
+        assert [len(batch) for batch in batches] == [8, 8, 8]
+        times = np.linspace(0.0, 2.0 * math.pi, 9)
+        # the oracle's last two points: eta 0.2, Delta 1.5
+        for p, g in ((6, 0.02), (7, 0.08)):
+            laser = LaserParams(eta=0.2, epsilon=0.0)
+            point = (laser, modulus_from_params(laser, 1.0),
+                     BoundStateParams.from_gtildes(2.0, 0.5, g))
+            assert np.array_equal(batches[1][p], time_ordered_X(times, *point))
+            assert np.array_equal(batches[2][p], propagate(
+                lambda t: interaction_term(t, *point), times, 1e-8))
 
     def test_validate_unknown_filter_is_2(self, capsys):
         assert main(["validate", "--filter", "bogus"]) == 2

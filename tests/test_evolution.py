@@ -244,7 +244,10 @@ class TestPropagator:
             return spin_hamiltonian(t, laser, kin, bound)
 
         step_grid = None
-        for n in (2, 33, 4001):
+        # spacings 4 pi / 3, 4 pi / 33 and 4 pi / 4000 miss nodes of every
+        # grid of 2^j steps, so each run takes tail steps and the fourth-
+        # order test sets its grid (tail-free grids: TestTailFreeGrids)
+        for n in (4, 34, 4001):
             calls.clear()
             grid = np.linspace(0.0, 4.0 * math.pi, n)
             Us = propagate(H, grid, 1e-12)
@@ -252,7 +255,7 @@ class TestPropagator:
             # the step grid ignores the samples; a sample costs at most 2
             # times, and the end of the span, a grid node, none
             if step_grid is None:
-                step_grid = times
+                step_grid = times[:-4]      # the steps of its 2 inner samples
             assert np.array_equal(times[:step_grid.size], step_grid)
             assert times.size - step_grid.size <= 2 * (n - 2)
         for k in (1, 1234, 2000, 3999):
@@ -271,16 +274,17 @@ class TestPropagator:
             calls.append(t.copy())
             return spin_hamiltonian(t, laser, kin, bound)
 
-        propagate(H, np.linspace(0.0, 4.0 * math.pi, 33), 1e-12)
-        # rounds of 8, ..., 4096 steps, then the steps of the 4 samples of
-        # 32 that miss the nodes of the 4096-step grid
+        propagate(H, np.linspace(0.0, 4.0 * math.pi, 34), 1e-12)
+        # rounds of 8, ..., 4096 steps, then the steps of the 32 samples
+        # that miss the nodes of the 4096-step grid
         assert [t.size for t in calls] == [16, 32, 64, 128, 256] \
-            + [512] * (1 + 2 + 4 + 8 + 16) + [8]
+            + [512] * (1 + 2 + 4 + 8 + 16) + [64]
         assert calls[0][0] > 0.0 and calls[-1][-1] < 4.0 * math.pi
 
     def test_samples_on_grid_nodes_cost_no_h_times(self):
         # a sample on a node of the finest grid takes U there; span 8 keeps
-        # every node k h exact
+        # every node k h exact, and the sample 8/3, which misses every
+        # node, keeps both runs on the fourth-order test's grid
         laser = LaserParams(eta=0.5, epsilon=0.3)
         kin = modulus_from_params(laser, 1.0)
         bound = BoundStateParams.from_gtildes(6.0, 2.0, g_coupling=0.5)
@@ -290,15 +294,18 @@ class TestPropagator:
             calls.append(t)
             return spin_hamiltonian(t, laser, kin, bound)
 
-        end = propagate(H, [0.0, 8.0], 1e-8)[-1]
+        off = 8.0 / 3.0
+        end = propagate(H, [0.0, off, 8.0], 1e-8)[-1]
         sizes = [np.size(t) for t in calls]
         # the first node of the finest grid, 8 / n (1/2 - sqrt(3)/6)
         n = round(8.0 * (0.5 - math.sqrt(3.0) / 6.0)
                   / min(t.min() for t in calls))
-        # rounds of 8, 16, ..., n steps ask 2 times a step, and no more
-        assert n >= 64 and sum(sizes) == 4 * n - 16
+        # rounds of 8, 16, ..., n steps ask 2 times a step, and the sample
+        # off the nodes 2 more
+        assert n >= 64 and sum(sizes) == 4 * n - 16 + 2
         calls.clear()
-        Us = propagate(H, 8.0 * np.arange(n + 1) / n, 1e-8)
+        Us = propagate(H, np.union1d(8.0 * np.arange(n + 1) / n, [off]),
+                       1e-8)
         assert [np.size(t) for t in calls] == sizes
         assert np.array_equal(Us[-1], end)
 
@@ -355,15 +362,144 @@ class TestPropagator:
         H = lambda t: spin_hamiltonian(t, laser, kin, bound)
         monkeypatch.setattr("laserspin.evolution.MAX_STEPS", 100)
         assert propagate(H, [0.0, 5.0], 1e-6).shape == (2, 4, 4)   # 16 steps
+        # the sample 1 misses every node, so the fourth-order test sets the
+        # grid; [0, 5] alone passes the sixth-order test at 32 steps
         with pytest.raises(IntegratorError,
                            match=r"100 steps on \[0, 5\] do not reach tol"):
-            propagate(H, [0.0, 5.0], 1e-9)                     # 128 steps
+            propagate(H, [0.0, 1.0, 5.0], 1e-9)                # 128 steps
 
 
 def random_unitaries(rng, n):
     """n step propagators exp(-i H) of random Hermitian H, a stack."""
     A = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
     return expm_hermitian(0.5 * (A + A.conj().swapaxes(-1, -2)))
+
+
+class TestTailFreeGrids:
+    """A point whose samples all lie on the coarse nodes of a round takes no
+    tail step, so E_n = polar(U_n + (U_n - U_{n/2}) / 15), sixth order, is
+    accepted there when it moves by at most max(31.5 tol, 4e-15 n) from
+    E_{n/2} at the samples."""
+
+    # the four drives of test_global_error_within_tol, each with its span
+    # and, per grid, the H times of its direct and its composed runs summed
+    # over tol 1e-6, 1e-8, 1e-10 and 1e-12; the grids are 9 samples over
+    # the span, 9 over T and the strobes 0, T, ..., 8 T
+    DRIVES = [
+        pytest.param((0.5, 0.3, 6.0, 2.0, 0.5), 4.0 * math.pi,
+                     {"span": (3776, 5760), "period": (1856, 1856),
+                      "strobes": (30656, 960)}, id="long_elliptic"),
+        pytest.param((0.1, 0.2, 4.0, 1.0, 0.1), 4.0 * math.pi,
+                     {"span": (1856, 1728), "period": (960, 960),
+                      "strobes": (7616, 512)}, id="dense_trace"),
+        pytest.param((0.5, 0.3, 2.0, 2.0, 0.5), 4.0 * math.pi,
+                     {"span": (3776, 2880), "period": (1728, 1728),
+                      "strobes": (15296, 512)}, id="delta0"),
+        pytest.param((0.2, 0.0, 2.0, 0.5, 0.08), 2.0 * math.pi,
+                     {"span": (960, 960), "period": (960, 960),
+                      "strobes": (7616, 512)}, id="factorization")]
+
+    @staticmethod
+    def errors_and_h_times(drive, span):
+        """The worst error / tol against DOP853 over every grid, tol and
+        period, and the H times of each grid as pinned in DRIVES."""
+        from scipy.integrate import solve_ivp
+        H, T, calls = counted_drive(*drive)
+        grids = {"span": np.linspace(0.0, span, 9),
+                 "period": np.linspace(0.0, T, 9),
+                 "strobes": np.arange(9) * T}
+        times = np.union1d(grids["span"], grids["period"])
+        rhs = lambda t, u: (-1j * H(np.array([t]))[0]
+                            @ u.reshape(4, 4)).ravel()
+        ref = solve_ivp(rhs, (0.0, times[-1]), IDENTITY4.ravel() + 0j,
+                        method="DOP853", t_eval=times, rtol=1e-13, atol=1e-13)
+        U_ref = dict(zip(times.tolist(), ref.y.T.reshape(-1, 4, 4)))
+        refs = {name: np.array([U_ref[t] for t in grids[name].tolist()])
+                for name in ("span", "period")}
+        refs["strobes"] = np.array([np.linalg.matrix_power(U_ref[T], m)
+                                    for m in range(9)])
+        worst, h_times = 0.0, {}
+        for name, grid in grids.items():
+            h_times[name] = []
+            for period in (None, T):
+                calls.clear()
+                for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+                    Us = propagate(H, grid, tol, period)
+                    worst = max(worst, np.abs(Us - refs[name]).max() / tol)
+                h_times[name].append(sum(np.size(t) for t in calls))
+            h_times[name] = tuple(h_times[name])
+        return worst, h_times
+
+    @pytest.mark.parametrize("drive, span, h_budgets", DRIVES)
+    def test_error_within_tol_at_the_pinned_h_times(self, drive, span,
+                                                    h_budgets):
+        # measured worst: 0.39 tol, on the long_elliptic span at 1e-12
+        worst, h_times = self.errors_and_h_times(drive, span)
+        assert worst <= 1.0
+        assert h_times == h_budgets
+
+    def test_e_without_the_richardson_denominator_fails(self, monkeypatch):
+        # E = 2 U_n - U_{n/2} moves by about 14 times the plain change on
+        # halving, so it never passes before the fourth-order test does:
+        # every tail-free run takes that test's grid again, at the cost of
+        # the parent's plain path (and 1.26 tol on the 8-period direct
+        # strobes at 1e-12, where roundoff sets that grid)
+        monkeypatch.setattr(evolution, "_RICHARDSON", 1.0)
+        drive, span, h_budgets = self.DRIVES[0].values
+        _, h_times = self.errors_and_h_times(drive, span)
+        for name in ("span", "period", "strobes"):
+            assert h_times[name][0] > h_budgets[name][0]
+
+    def test_a_held_point_carries_its_e(self, monkeypatch):
+        # two tail-free points on the factorization oracle's drive pass the
+        # sixth-order test at 32 steps; under a budget of 40 nodes the
+        # second is held back at the top of that round, starts again from
+        # 16 steps and tests E_32 against the E_16 it carried, as its own
+        # run does, at the cost of the 16-step grid's H times once more
+        monkeypatch.setattr(evolution, "BATCH_MATRICES", 40)
+        records = [linear(0.2, 2.0, 0.5, g) for g in (0.08, 0.02)]
+        drives = DriveTable(*zip(*records))
+        grid = np.linspace(0.0, 2.0 * math.pi, 9)
+        batch_calls, alone_calls = [], []
+
+        def H(t, point):
+            batch_calls.append(t.size)
+            return spin_hamiltonian(t, drives=drives, point=point)
+        batch = propagate_batch(H, [grid] * 2, [1e-8] * 2)
+        for rec, Us in zip(records, batch):
+            def H_alone(t):
+                alone_calls.append(t.size)
+                return spin_hamiltonian(t, *rec)
+            assert np.array_equal(Us, propagate(H_alone, grid, 1e-8))
+        assert sum(alone_calls) == 2 * 2 * (8 + 16 + 32)
+        assert sum(batch_calls) == sum(alone_calls) + 2 * 16
+
+    def test_e_is_unitary_to_roundoff_at_a_loose_tol(self):
+        # before its projection E is off unitarity by about
+        # |U_n - U_{n/2}|^2 / 15: on 8 periods of the Delta = 0 drive at
+        # tol 9e-5 one Newton step left 1.1e-10, above the 1e-12 to which
+        # simulate checks the trace of each sample; two leave roundoff
+        H, T, _ = counted_drive(0.5, 0.3, 2.0, 2.0, 0.5)
+        for grid in (np.arange(9) * T, np.linspace(0.0, 40.0, 3)):
+            Us = propagate(H, grid, 9e-5)
+            defect = Us @ Us.conj().swapaxes(-1, -2) - IDENTITY4
+            assert np.abs(defect).max() <= 1e-14
+
+    def test_points_with_tail_steps_form_no_e(self, monkeypatch):
+        # E is projected as one stack of the samples; no node stack of a
+        # round has 5 matrices
+        exact, stacks = evolution._project, []
+
+        def spy(stack):
+            stacks.append(stack.shape[0])
+            return exact(stack)
+
+        monkeypatch.setattr(evolution, "_project", spy)
+        H, T, _ = counted_drive(0.5, 0.3, 6.0, 2.0, 0.5)
+        propagate(H, [0.0, 1.0, 2.5, 3.0, 5.0], 1e-9)
+        assert 5 not in stacks
+        propagate(H, np.linspace(0.0, 5.0, 5), 1e-9)
+        assert 5 in stacks
 
 
 class TestStepProducts:
