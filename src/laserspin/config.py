@@ -24,8 +24,9 @@ from .spinfield import BoundStateParams
 from .trajectory import LaserParams, modulus_from_params, motion_period
 
 SCHEMA_VERSION = 1
-# samples per scenario; a run peaks at 0.39 kB a sample, 0.57 kB composed
-# (tracemalloc of scenario_csv at 20 001 samples), so stays below 0.6 GB
+# samples per scenario; a run peaks at 0.36 kB a sample direct and 0.37 kB
+# composed, which holds one (N, 4, 4) stack as the direct run does
+# (tracemalloc of scenario_csv at 20 001 samples), so stays below 0.4 GB
 MAX_SAMPLES = 1_000_000
 
 # the keys of each section of a scenario file, each with its type, or

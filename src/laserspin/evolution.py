@@ -16,7 +16,11 @@ U at the nodes of the n/2-step grid moves by at most max(7.5 tol,
 For a fourth-order step the error of the n-step grid is about that
 change / (2^4 - 1) (Richardson; Hairer, Nørsett & Wanner, Solving
 Ordinary Differential Equations I, Sec. II.4), so the accepted grid
-carries about tol / 2 against a tight reference.  The steps of a
+carries about tol / 2 against a tight reference, until roundoff sets
+the grid: once 4e-15 n exceeds 7.5 tol the accepted change is the
+floor, not tol, and the error can pass tol (1.2 tol over 34 samples of
+8 motion periods on the drive of acceptance test 4a at tol 1e-12, the
+grid and error of tol 1e-11, where it is 0.12 tol).  The steps of a
 round are written straight into its nodes, where the prefix product of
 the steps, formed pairwise in 2 log2 n batched matmuls, replaces them;
 the nodes are projected once per halving round by a Newton step of the
@@ -103,17 +107,38 @@ one reversed and shifted, and one run over [0, T/4] gives every sample
 
 with V(r) = V(|r|), conjugated when r < 0.  B and every U(a) are
 samples of that one run, C is symmetric, and C and U(T) are projected
-once each by the polar step, so H is asked for times in [0, T/4] only;
-a run that stays within [0, T] is the direct run unchanged.  The
-samples are composed _CHUNK at a time into their preallocated stack,
-beside the quarter run's own.  Errors add along the products: with e_q
-the error of the quarter run, C carries 2 e_q, U(T) 4 e_q, V(a) about
-2 e_q at most, as U(T/2) does, and U(m T + r) about
-(4 m + 2) e_q <= (4 t / T + 4) e_q.  The quarter run is therefore asked
-for tol T / (4 t_end), the direct run's error budget over a quarter
-period, and delivers about half that (above), so every sample carries
-about (t_end + T) / (2 t_end) tol < tol, while the cost grows only like
-(t_end / T)^(1/4).  The powers U(T)^m are matrix products, never an
+once each by the polar step, so H is asked for times in [0, T/4] only.
+
+Every run given a period whose span exceeds T/4 is composed so, within
+one period too, but for one kind: a run within one period whose samples
+all lie on the nodes of the power-of-two grid of its span with the
+fewest steps that holds them, such as 2^k + 1 evenly spaced samples,
+takes no tail step and so keeps the sixth-order test, and composing
+would make it dearer, so it runs directly, bit for bit the run without
+a period.  On the drive of acceptance test 4a, summed over tol 1e-6,
+1e-8, 1e-10 and 1e-12, 9 samples over half a laser period take 960
+H times direct and would take 5 504 composed, while 11 samples over one
+laser period take 13 568 direct and 5 520 composed; near T/4 composing
+costs more (11 samples over 0.3 laser periods: 3 392 direct, 5 520
+composed).  The quarter run writes U at its samples straight into the
+rows of the result, one per sample of t_grid and a last one for B, the
+rows of one offset share its tail step, and the rows are then composed
+in place, _CHUNK at a time, so a composed run holds one (N, 4, 4)
+stack, as a direct run does: `simulate` over 20 001 samples peaks at
+1.45 stacks over 5 laser periods and at 1.39 direct (tracemalloc), where
+a stack of the quarter run's own beside the result took 2.23.
+
+Errors add along the products: with e_q the error of the quarter run,
+C carries 2 e_q, U(T) 4 e_q, V(a) about 2 e_q at most, as U(T/2) does,
+and U(m T + r) about (4 m + 2) e_q <= (4 t / T + 4) e_q.  The quarter
+run is therefore asked for tol T / (4 max(t_end, T)), the direct run's
+error budget over a quarter period, or over a quarter of the one period
+that holds a shorter run, and delivers about half that (above), so
+every sample carries about (t_end + T) / (2 max(t_end, T)) tol <= tol,
+while the cost grows only like (t_end / T)^(1/4).  Within one period
+the worst error against DOP853 was 0.36 tol, on four drives with 11,
+40 and 101 samples over 0.3, 0.5 and 1 laser periods at tol 1e-6 to
+1e-12.  The powers U(T)^m are matrix products, never an
 eigendecomposition, because at Delta = 0 U(T) has a degenerate triplet
 whose eigenvectors `eig` need not return orthogonal.  All distinct m
 are powered at once, bit by bit: at bit b every power whose m has bit b
@@ -306,23 +331,27 @@ def _magnus4(H_of_t: BatchSource, starts: np.ndarray, lengths: np.ndarray,
 
 def period_tolerance(tol: float, period: float, span: float) -> float:
     """Tolerance of the quarter-period run that composes a run over
-    span > period.
+    span > period / 4.
 
-    tol * period / (4 span), the direct run's error budget over a quarter
-    period: U(T/4) then carries e_q = tol T / (4 span), U(T/2) and U(T)
-    carry 2 e_q and 4 e_q, and a sample at t = m T + r carries about
-    (4 m + 2) e_q <= (t + T) / span tol, of which the halving test
-    delivers about half (module docstring).  Raises DomainError when the
-    half-period budget tol T / (2 span) is not above the floor
-    TOL_BOUNDS[0], so a span of more than tol / 2e-14 periods; the
-    quarter run is then asked for at least 5e-15.  Below 8.5e-15 the
-    accepted change max(7.5 tol, 4e-15 n) is the roundoff term 4e-15 n
-    at every tested n >= 16, so near the floor tol no longer sets the
-    grid, and the quarter run's is the one a run at the floor takes
-    (measured: the same grid at 5e-15, 1e-14 and 2e-14 on three drives).
+    tol * period / (4 max(span, period)), the direct run's error budget
+    over a quarter period, or over a quarter of the one period that holds
+    a shorter span: U(T/4) then carries e_q = tol T / (4 max(span, T)),
+    U(T/2) and U(T) carry 2 e_q and 4 e_q, and a sample at t = m T + r
+    carries about (4 m + 2) e_q <= (t + T) / max(span, T) tol <= 2 tol,
+    of which the halving test delivers about half (module docstring).
+    Raises DomainError when span > period and the half-period budget
+    tol T / (2 span) is not above the floor TOL_BOUNDS[0], so a span of
+    more than tol / 2e-14 periods; a run within one period is asked for
+    tol / 4 > 2.5e-15.  Below 8.5e-15 the accepted change
+    max(7.5 tol, 4e-15 n) is the roundoff term 4e-15 n at every tested
+    n >= 16, so near the floor tol no longer sets the grid of the fourth
+    order test, and the quarter run's is the one a run at the floor
+    takes (measured: the same grid at 5e-15, 1e-14 and 2e-14 on three
+    drives).
     """
+    span = max(span, period)
     tol_half = 0.5 * tol * (period / span)
-    if not tol_half > TOL_BOUNDS[0]:
+    if span > period and not tol_half > TOL_BOUNDS[0]:
         raise DomainError(
             f"{span / period:.6g} periods leave tol * T / (2 t_end) = "
             f"{tol_half:.3g} for half of one, not above {TOL_BOUNDS[0]}")
@@ -339,9 +368,13 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     strictly; the result has shape (len(t_grid), 4, 4).  The uniform
     steps are halved until U moves by at most max(7.5 tol, 4e-15 n),
     which puts the Richardson estimate of the error, that change / 15,
-    at tol / 2 (module docstring), so U is delivered within tol.  A
-    sample costs two H times but no steps, or nothing when it lies on a
-    grid node, to roundoff.  When every sample lies on the nodes of the
+    at tol / 2 (module docstring), so U is delivered within tol as long
+    as 7.5 tol is above 4e-15 n, the roundoff floor of n steps.  Beyond
+    that the floor, not tol, sets the grid, and the error can pass tol:
+    34 evenly spaced samples over 8 motion periods of the drive of
+    acceptance test 4a carry 1.2 tol at tol 1e-12.  A sample costs two
+    H times but no steps, or nothing when it lies on a grid node, to
+    roundoff.  When every sample lies on the nodes of the
     n/2-step grid, no sample needs such a step, and the sixth-order
     E_n = polar(U_n + (U_n - U_{n/2}) / 15) is also accepted once it
     moves by at most max(31.5 tol, 4e-15 n), so samples at multiples
@@ -354,17 +387,20 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
 
     Passing the period T asserts H(t + T) = H(t), H(-t) = H(t)* and
     H(t + T/2) = P H(t) P with P = s3 (x) s3, as `spin_hamiltonian`
-    satisfies (module docstring).  When a sample lies beyond T, only
-    [0, T/4] is integrated, at tol * T / (4 t_grid[-1]), and H is asked
-    for no time outside it: with m = rint(t / T) the nearest multiple,
-    r = t - m T and a = |r|, U(t) = V(r) U(T)^m, where V(a) = U(a) up to
-    T/4 and P U(T/2 - a)* C beyond, V(r) is conjugated when r < 0,
+    satisfies (module docstring).  When a sample lies beyond T/4, only
+    [0, T/4] is integrated, at tol * T / (4 max(t_grid[-1], T))
+    (:func:`period_tolerance`), and H is asked for no time outside it:
+    with m = rint(t / T) the nearest multiple, r = t - m T and a = |r|,
+    U(t) = V(r) U(T)^m, where V(a) = U(a) up to T/4 and
+    P U(T/2 - a)* C beyond, V(r) is conjugated when r < 0,
     C = U(T/4)^T P U(T/4) and U(T) = C C.  Each sample then carries
-    about (t_grid[-1] + T) / (2 t_grid[-1]) tol.  When no sample lies
-    beyond T the result is the one without a period, bit for bit.
-    Raises DomainError when the half-period budget
-    tol * T / (2 t_grid[-1]) is not above the tolerance floor
-    (:func:`period_tolerance`).
+    about (t_grid[-1] + T) / (2 max(t_grid[-1], T)) tol.  The result is
+    the one without a period, bit for bit, when no sample lies beyond
+    T/4, or when none lies beyond T and every sample lies on a node of
+    the power-of-two grid of [0, t_grid[-1]] with the fewest steps that
+    holds them, so that the run takes no tail step.  Raises DomainError
+    when t_grid[-1] > T and the half-period budget
+    tol * T / (2 t_grid[-1]) is not above the tolerance floor.
 
     This is the batch of one of :func:`propagate_batch`.
     """
@@ -387,7 +423,10 @@ def propagate_batch(H_of_t: BatchSource, t_grids: Sequence[Sequence[float]],
     stack, or to one 4x4 matrix when H is constant; each call asks for
     at most 512 times, counted across the batch, in no particular order.
     Each point plans its own grid and tol as :func:`propagate` does: its
-    t_grid, or the quarter-period grid at :func:`period_tolerance`.  All
+    t_grid, or, when it is given a period and its span exceeds a quarter
+    of it (but for a tail-free grid within one period), the quarter-period
+    grid at :func:`period_tolerance`, whose U is gathered into one row per
+    sample of t_grid and composed there in place.  All
     points share the halving round's step count n, each with its own
     h = span / n, and a point leaves the batch at its first passed
     halving test, of U or, when all of its samples lie on the coarse
@@ -413,9 +452,10 @@ def propagate_batch(H_of_t: BatchSource, t_grids: Sequence[Sequence[float]],
     live = np.array([p for p, r in enumerate(results) if r is None],
                     dtype=np.int64)
     inner = _propagate_grid(lambda t, point: H_of_t(t, live[point]),
-                            [grid for grid, _, _ in plans],
-                            [tol for _, tol, _ in plans])
-    for p, Us, (_, _, compose) in zip(live.tolist(), inner, plans):
+                            [grid for grid, _, _, _ in plans],
+                            [tol for _, tol, _, _ in plans],
+                            [rows for _, _, rows, _ in plans])
+    for p, Us, (_, _, _, compose) in zip(live.tolist(), inner, plans):
         results[p] = (Us if compose is None or isinstance(Us, Exception)
                       else compose(Us))
     return results
@@ -423,8 +463,10 @@ def propagate_batch(H_of_t: BatchSource, t_grids: Sequence[Sequence[float]],
 
 def _plan(t_grid: Sequence[float], tol: float, period: float | None):
     """Check one point of :func:`propagate_batch` and return the grid its
-    Magnus steps run on, the tol of that run, and the map from U on that
-    grid to U on t_grid, or None when the two grids are one."""
+    Magnus steps run on, the tol of that run, the sample of that grid
+    behind each row of its result, or None when the rows are the grid's
+    own samples, and the map that turns those rows into U on t_grid in
+    place, or None when they are U on t_grid already."""
     tol = _check_tol(tol)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0.0:
@@ -433,30 +475,45 @@ def _plan(t_grid: Sequence[float], tol: float, period: float | None):
         raise DomainError("time grid must be strictly increasing and finite")
     if period is not None and not (period > 0.0 and math.isfinite(period)):
         raise DomainError(f"period must be positive and finite, got {period}")
-    if period is None or t_grid[-1] <= period:
-        return t_grid, tol, None
+    span = t_grid[-1]
+    # within one period, samples on the nodes of the power-of-two grid of
+    # the span with the fewest steps that holds them take no tail step,
+    # so the direct run keeps its sixth-order test and is the cheaper one
+    coarsest = span / (1 << (t_grid.size - 2).bit_length())
+    if (period is None or span <= 0.25 * period
+            or span <= period and _nodes(t_grid, coarsest)[1].all()):
+        return t_grid, tol, None, None
 
-    tol_quarter = period_tolerance(tol, period, t_grid[-1])
-    half, quarter = 0.5 * period, 0.25 * period
-    # the nearest multiple m of T and the offset a = |t - m T|; roundoff
-    # can put a just beyond T/2, which is taken back to T/2.  V(a) takes
-    # U(a) up to T/4 and U(T/2 - a) beyond it
+    tol_quarter = period_tolerance(tol, period, span)
+    # V(a) takes U(a) up to T/4 and U(T/2 - a) beyond it; the last row is
+    # U(T/4)
+    _, _, a, far = _offsets(t_grid, period)
+    inner, where = np.unique(
+        np.append(np.where(far, 0.5 * period - a, a), 0.25 * period),
+        return_inverse=True)
+    return (inner, tol_quarter, where,
+            lambda Us: _compose(Us, t_grid, period))
+
+
+def _offsets(t_grid: np.ndarray, period: float):
+    """The nearest multiple m of the period to each sample, the offset
+    r = t - m T, a = |r|, which roundoff can put just beyond T/2 and is
+    taken back to T/2, and whether a lies beyond T/4."""
     m = np.rint(t_grid / period)
     r = t_grid - m * period
-    a = np.minimum(np.abs(r), half)
-    far = a > quarter
-    inner, where = np.unique(np.append(np.where(far, half - a, a), quarter),
-                             return_inverse=True)
-    return (inner, tol_quarter,
-            lambda Us: _compose(Us, where[:-1], Us[where[-1]], m, r, far))
+    a = np.minimum(np.abs(r), 0.5 * period)
+    return m, r, a, a > 0.25 * period
 
 
-def _compose(Us: np.ndarray, where: np.ndarray, B: np.ndarray,
-             m: np.ndarray, r: np.ndarray, far: np.ndarray) -> np.ndarray:
-    """U(m T + r) = V(r) U(T)^m from the quarter run Us, whose rows where
-    are U(|r|), or U(T/2 - |r|) where far, and B = U(T/4), filled in
-    _CHUNK samples at a time."""
+def _compose(Us: np.ndarray, t_grid: np.ndarray,
+             period: float) -> np.ndarray:
+    """U(m T + r) = V(r) U(T)^m on t_grid from the rows of the quarter run,
+    U(|r|), or U(T/2 - |r|) beyond T/4, and a last row B = U(T/4): the
+    rows are overwritten in place, _CHUNK samples at a time, and returned
+    without the last."""
+    m, r, _, far = _offsets(t_grid, period)
     P = PAIR[3, 3]
+    B = Us[-1]
     C = _polar_step(B.T @ P @ B)                 # U(T/2) = P C
     # U(T)^m for every distinct m at once, bit by bit, from the projected
     # squares U(T)^(2^b); no eig, which the Delta = 0 triplet defeats
@@ -467,15 +524,15 @@ def _compose(Us: np.ndarray, where: np.ndarray, B: np.ndarray,
         has_bit = (levels >> b & 1).astype(bool)
         powers[has_bit] = _polar_step(powers[has_bit] @ square)
         square = _polar_step(square @ square)
-    out = np.empty((m.size, 4, 4), dtype=complex)
+    out = Us[:-1]
     for i in range(0, m.size, _CHUNK):
         rows = slice(i, i + _CHUNK)
-        V = Us[where[rows]]
+        V = out[rows]
         beyond = far[rows]
         V[beyond] = P @ V[beyond].conj() @ C     # V(a) = P U(T/2 - a)* C
         back = r[rows] < 0.0
         V[back] = V[back].conj()                         # U(-s) = U(s)*
-        np.matmul(V, powers[level_of[rows]], out=out[rows])
+        np.matmul(V, powers[level_of[rows]], out=V)
     return out
 
 
@@ -531,9 +588,13 @@ def _nodes(t_grid: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
-                    tols: list[float]) -> list[np.ndarray | Exception]:
+                    tols: list[float], rows: list[np.ndarray | None],
+                    ) -> list[np.ndarray | Exception]:
     """The Magnus steps of :func:`propagate_batch` over checked grids, one
     per point: U on each grid, or the error that ended that point's run.
+    rows[p] names the sample of t_grids[p] behind each row of that U, or
+    is None for one row per sample; rows that share a sample share its
+    tail step.
 
     A round holds at most BATCH_MATRICES nodes across its points, or the
     nodes of one point: the points beyond that are held back, and run in
@@ -610,7 +671,7 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
                     p = int(active[j])
                     k, on = _nodes(t_grids[p], h[j])
                     off = np.flatnonzero(~on)
-                    results[p] = U[j, k]
+                    results[p] = U[j, k if rows[p] is None else k[rows[p]]]
                     tails.append((p, off, k[off] * h[j],
                                   t_grids[p][off] - k[off] * h[j]))
                 # a point held by that test whose samples all lie on the
@@ -635,7 +696,7 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
                     if p in last and np.abs(E - last[p]).max() <= max(
                             _ACCEPT_CHANGE_6 * tols[p], floor):
                         passed[j] = True
-                        results[p] = E
+                        results[p] = E if rows[p] is None else E[rows[p]]
                     else:
                         extrapolated[p] = E
                 del last
@@ -652,24 +713,53 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
                 break
             n, coarse = 2 * n, U
 
-    # the tail steps of all accepted points, a chunk at a time, each chunk
-    # applied in place to the samples it serves
+    # the tail steps of all accepted points, a chunk at a time, each step
+    # applied in place to the rows of the sample it serves, _CHUNK rows at
+    # a time; a chunk holds every step of a running point between its
+    # first and its last
     if tails:
         tails.sort(key=lambda tail: tail[0])
-        owners, rows, starts, lengths = zip(*tails)
-        points = np.repeat(owners, [r.size for r in rows])
-        rows, starts, lengths = (np.concatenate(column)
-                                 for column in (rows, starts, lengths))
+        owners, offs, starts, lengths = zip(*tails)
+        del tails
+        points = np.repeat(owners, [off.size for off in offs])
+        # each point's rows that take a step, and the index of that step
+        # among all tail steps, in step order
+        targets, first = {}, 0
+        for p, off in zip(owners, offs):
+            dest, step = _tail_rows(off, t_grids[p].size, rows[p])
+            step += first
+            targets[p], first = (dest, step), first + off.size
+        starts, lengths = np.concatenate(starts), np.concatenate(lengths)
 
         def advance(j, steps):
             for p in set(points[j].tolist()):
-                mine = points[j] == p
-                Us, r = results[p], rows[j[mine]]
-                Us[r] = steps[mine] @ Us[r]
+                dest, step = targets[p]
+                lo, hi = np.searchsorted(step, [j[0], j[-1] + 1])
+                Us = results[p]
+                for i in range(lo, hi, _CHUNK):
+                    part = slice(i, min(i + _CHUNK, hi))
+                    r = dest[part]
+                    Us[r] = steps[np.searchsorted(j, step[part])] @ Us[r]
         failed = _magnus4(H_of_t, starts, lengths, points, advance)
         for p, exc in failed.items():
             results[p] = exc
     return results
+
+
+def _tail_rows(off: np.ndarray, size: int, rows: np.ndarray | None,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a result that take a tail step, and the step each
+    takes, an index into off, the samples among size that take one;
+    ordered by step.  rows[i] is the sample behind row i, or rows is None
+    when row i is sample i."""
+    step_of = np.full(size, -1)
+    step_of[off] = np.arange(off.size)
+    if rows is not None:
+        step_of = step_of[rows]
+    dest = np.flatnonzero(step_of >= 0)
+    step = step_of[dest]
+    order = np.argsort(step, kind="stable")
+    return dest[order], step[order]
 
 
 def evolve_von_neumann(rho0: np.ndarray, H_of_t: HamiltonianSource,

@@ -88,8 +88,12 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
 
     H_S is periodic in the motion period, time-reversal symmetric,
     H_S(-t) = H_S(t)*, and shifted by P = s3 (x) s3 over half a period,
-    H_S(t + T/2) = P H_S(t) P, so a run of many periods integrates a
-    quarter of one (see :func:`propagate`).  The columns come from the propagators U
+    H_S(t + T/2) = P H_S(t) P, so a run longer than a quarter period
+    integrates that quarter once and composes every sample from it, at
+    a quarter of tol within one period; of those, only a run within one
+    period whose samples all lie on the nodes of a power-of-two grid of
+    the span, which takes no tail step, is integrated over its whole span
+    (see :func:`propagate`).  The columns come from the propagators U
     and one factor rho0 = R R^+, `evolution._CHUNK` samples at a time,
     with no state formed: B = U R gives the concurrence
     (:func:`concurrence_from_factor`), and G = B^+ B the trace tr G and

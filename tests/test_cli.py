@@ -187,6 +187,23 @@ class TestConfig:
         path = write_config(tmp_path, base_config(t_end=1e5, samples=3))
         assert main(["simulate", "--config", path]) == 0
 
+    def test_a_run_within_one_period_just_above_the_floor(self, monkeypatch):
+        # half a laser period of 11 samples is composed from a quarter
+        # period at tol / 4 = 3.75e-15, below the floor of a scenario's
+        # tol; it loads and runs, and asks H for no time beyond T_m / 4
+        cfg = config_from_dict(base_config(t_end=0.5, samples=11,
+                                           tol=1.5e-14))
+        exact = laserspin.simulate.spin_hamiltonian
+        reach = []
+
+        def counted(t, *args, **kwargs):
+            reach.append(t.max())
+            return exact(t, *args, **kwargs)
+        monkeypatch.setattr("laserspin.simulate.spin_hamiltonian", counted)
+        trace = run_scenario(cfg)
+        assert max(reach) <= 0.25 * cfg.period
+        assert np.all(trace.unitarity_error < 1e-14)
+
 
 _PRODUCT = {"type": "product", "alpha": 0.3, "beta": 0.2}
 _EXPLICIT = {"type": "explicit",
@@ -526,9 +543,9 @@ class TestChunks:
     """Per-sample work runs in chunks of evolution._CHUNK samples, whose size
     changes no bit; a trace holds about one (N, 4, 4) stack."""
 
-    # a direct run within the motion period and a composed one beyond it,
-    # neither a multiple of 256 samples
-    RUNS = {"direct": (0.5, 601), "composed": (3.0, 601)}
+    # a direct run within a quarter motion period and a composed one
+    # beyond it, neither a multiple of 256 samples
+    RUNS = {"direct": (0.2, 601), "composed": (3.0, 601)}
 
     def run(self, t_end, samples):
         cfg = config_from_dict(base_config(
@@ -539,7 +556,7 @@ class TestChunks:
             lambda t: laserspin.spin_hamiltonian(t, cfg.laser, kin, cfg.bound),
             np.linspace(0.0, cfg.span, cfg.samples), cfg.tol,
             motion_period(kin))
-        return cfg.span > motion_period(kin), run_scenario(cfg), Us
+        return cfg.span > 0.25 * motion_period(kin), run_scenario(cfg), Us
 
     @pytest.mark.parametrize("name", RUNS)
     def test_chunk_size_changes_no_bit(self, monkeypatch, name):
@@ -574,10 +591,13 @@ class TestChunks:
                            match=f"^propagated state: {message}$"):
             run_scenario(config_from_dict(base_config(samples=601)))
 
-    @pytest.mark.parametrize("t_end, stacks", [(0.5, 2.0), (5.0, 2.6)])
+    @pytest.mark.parametrize("t_end, stacks",
+                             [(0.5, 2.0), (5.0, 2.6), (5.0, 1.6)])
     def test_a_long_trace_holds_about_one_stack(self, t_end, stacks):
-        # 20 001 samples, direct and composed; a composed run also holds
-        # the stack of its quarter-period run, one U per distinct offset
+        # 20 001 samples, composed within one period and over five; the
+        # quarter-period run writes U straight into the rows of the result
+        # and they are composed there, so a composed run holds one stack,
+        # as a direct run does (measured 1.45 stacks, 1.39 direct)
         cfg = config_from_dict(base_config(t_end=t_end, samples=20001))
         tracemalloc.start()
         try:
@@ -608,8 +628,9 @@ class TestSweep:
             == (tmp_path / "b" / "manifest.json").read_bytes()
 
     # t_end 1.02 laser periods straddles the motion period 4 K(eta): eta 0
-    # (mu = 0) and 0.05 compose their samples from half a period, while
-    # 0.3, 0.5 and 0.9 (moduli of 5 to 7 AGM levels) run directly
+    # (mu = 0) and 0.05 compose their samples from a quarter period, while
+    # 0.3, 0.5 and 0.9 (moduli of 5 to 7 AGM levels), whose 9 samples lie
+    # on the nodes of the 8-step grid within one period, run directly
     STRADDLING_ETAS = [0.0, 0.05, 0.3, 0.5, 0.9]
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])

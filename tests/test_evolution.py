@@ -312,8 +312,9 @@ class TestPropagator:
     # the drives of the long_elliptic and dense_trace benchmark workloads,
     # a Delta = 0 drive and the U drive of the factorization oracle, each
     # with its span and the H times its direct and its composed tol-1e-8
-    # runs may take; the factorization span is shorter than T, so its
-    # composed run is the direct one
+    # runs may take; the factorization span is shorter than T and its 33
+    # samples lie on the nodes of the 32-step grid, so its run with the
+    # period is the direct one
     @pytest.mark.parametrize("drive, span, h_budgets", [
         pytest.param((0.5, 0.3, 6.0, 2.0, 0.5), 4.0 * math.pi, (2040, 560),
                      id="long_elliptic"),
@@ -536,8 +537,9 @@ class TestBatch:
     every point keeps the grid, H times and bits of its own propagate."""
 
     # (eta, eps, gtilde_n, gtilde_p, g, laser periods, samples, tol): a
-    # mu = 0 point, moduli of 4 to 7 AGM levels, direct runs within the
-    # motion period and runs composed from a quarter of it
+    # mu = 0 point, moduli of 4 to 7 AGM levels, runs composed from a
+    # quarter of the motion period, within it (21 samples over 0.7 laser
+    # periods) and beyond it, and a tail-free direct run within it
     POINTS = [(0.0, 0.3, 4.0, 1.0, 0.1, 3.0, 13, 1e-7),
               (0.5, 0.3, 6.0, 2.0, 0.5, 0.7, 21, 1e-6),
               (0.05, 0.0, 4.0, 1.0, 0.1, 1.02, 9, 1e-8),
@@ -829,6 +831,97 @@ class TestPeriodComposition:
         assert not calls
         Us = propagate(H, [0.0, 5e7 * (1.0 - 1e-6) * T], 1e-6, T)
         assert np.abs(Us[-1] @ Us[-1].conj().T - IDENTITY4).max() < 1e-14
+
+
+class TestComposedWithinOnePeriod:
+    """A run given a period whose span exceeds a quarter of it is composed
+    from [0, T/4] at the one-period budget tol / 4, within one period too,
+    unless it stays within one period on a tail-free grid."""
+
+    # the four drives of test_global_error_within_tol and, per grid of
+    # samples x laser periods, the H times of its direct and its composed
+    # run summed over tol 1e-6, 1e-8, 1e-10 and 1e-12; every span lies in
+    # (T/4, T]
+    DRIVES = [
+        pytest.param((0.5, 0.3, 6.0, 2.0, 0.5), {
+            "11x0.3": (3392, 5520), "11x0.5": (6784, 5520),
+            "11x1": (13568, 5520), "40x0.3": (3632, 5752),
+            "40x0.5": (7024, 5752), "40x1": (13808, 5752),
+            "101x0.3": (4096, 6240), "101x0.5": (7488, 6240),
+            "101x1": (14272, 6240)}, id="long_elliptic"),
+        pytest.param((0.1, 0.2, 4.0, 1.0, 0.1), {
+            "11x0.3": (1408, 1488), "11x0.5": (2752, 1488),
+            "11x1": (5504, 1488), "40x0.3": (1648, 1720),
+            "40x0.5": (2992, 1720), "40x1": (5744, 1720),
+            "101x0.3": (2112, 2208), "101x0.5": (3456, 2208),
+            "101x1": (6208, 2208)}, id="dense_trace"),
+        pytest.param((0.5, 0.3, 2.0, 2.0, 0.5), {
+            "11x0.3": (1728, 2768), "11x0.5": (2880, 2768),
+            "11x1": (6784, 2768), "40x0.3": (1968, 3000),
+            "40x0.5": (3120, 3000), "40x1": (7024, 3000),
+            "101x0.3": (2432, 3488), "101x0.5": (3584, 3488),
+            "101x1": (7488, 3488)}, id="delta0"),
+        pytest.param((0.2, 0.0, 2.0, 0.5, 0.08), {
+            "11x0.3": (1408, 1488), "11x0.5": (1728, 1488),
+            "11x1": (3456, 1488), "40x0.3": (1648, 1720),
+            "40x0.5": (1968, 1720), "40x1": (3696, 1720),
+            "101x0.3": (2112, 2208), "101x0.5": (2432, 2208),
+            "101x1": (4160, 2208)}, id="factorization")]
+
+    @pytest.mark.parametrize("drive, h_budgets", DRIVES)
+    def test_error_within_tol_at_the_pinned_h_times(self, drive, h_budgets):
+        # against scipy DOP853; measured worst: 0.36 tol composed, on the
+        # factorization drive's 40 samples over one laser period at 1e-12,
+        # and 0.72 tol direct
+        from scipy.integrate import solve_ivp
+        H, T, calls = counted_drive(*drive)
+        grids = {f"{samples}x{periods:g}":
+                 np.linspace(0.0, 2.0 * math.pi * periods, samples)
+                 for samples in (11, 40, 101) for periods in (0.3, 0.5, 1.0)}
+        times = np.unique(np.concatenate(list(grids.values())))
+        rhs = lambda t, u: (-1j * H(np.array([t]))[0]
+                            @ u.reshape(4, 4)).ravel()
+        ref = solve_ivp(rhs, (0.0, times[-1]), IDENTITY4.ravel() + 0j,
+                        method="DOP853", t_eval=times, rtol=1e-13, atol=1e-13)
+        U_ref = dict(zip(times.tolist(), ref.y.T.reshape(-1, 4, 4)))
+        h_times = {}
+        for name, grid in grids.items():
+            assert 0.25 * T < grid[-1] <= T
+            refs = np.array([U_ref[t] for t in grid.tolist()])
+            h_times[name] = []
+            for period in (None, T):
+                calls.clear()
+                for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+                    Us = propagate(H, grid, tol, period)
+                    assert np.abs(Us - refs).max() <= tol
+                if period is not None:
+                    assert max(t.max() for t in calls) <= 0.25 * T
+                h_times[name].append(sum(np.size(t) for t in calls))
+            h_times[name] = tuple(h_times[name])
+        assert h_times == h_budgets
+
+    # (samples, span / T, composed): within T/4 the run is direct; within
+    # T, 9 and 17 evenly spaced samples lie on the nodes of the 8- and
+    # 16-step grids and run directly, while 11 miss the 16-step grid's
+    # nodes and are composed; beyond T every grid is composed
+    PLANS = [(11, 0.2, False), (11, 0.6, True), (11, 1.0, True),
+             (9, 0.6, False), (9, 1.0, False), (17, 0.6, False),
+             (17, 1.0, False), (9, 1.2, True)]
+
+    @pytest.mark.parametrize("samples, end, composed", PLANS)
+    def test_which_runs_are_composed(self, samples, end, composed):
+        H, T, calls = counted_drive(*TestPeriodComposition.DRIVES[0])
+        times = np.linspace(0.0, end * T, samples)
+        Us = propagate(H, times, 1e-8, T)
+        reach = max(t.max() for t in calls)
+        direct = propagate(H, times, 1e-8)
+        if composed:
+            assert reach <= 0.25 * T
+            assert not np.array_equal(Us, direct)
+            assert np.abs(Us - direct).max() <= 1e-8
+        else:
+            assert reach > 0.75 * end * T
+            assert np.array_equal(Us, direct)
 
 
 class TestTimeReversal:
