@@ -4,7 +4,10 @@
 Runs the antiparallel boundary product state (alpha = 0, beta = 1) under
 an elliptically polarized drive, where the exact evolution crosses the
 separability boundary within a few periods, and writes the concurrence
-trace together with the leading-order growth estimate.  The scenario
+trace.  The leading-order product formula `concurrence_product_analytic`
+is not written beside it: on this drive it reaches 2.22 and reads above
+1, an impossible concurrence, at 136 of the 321 samples, while the state's
+unitary-orbit bound is 0.25 (ROADMAP item 4).  The scenario
 goes through `run_scenario`, so the drive is integrated over a quarter
 of a motion period, every later sample is composed from it by
 periodicity, time reversal and the half-period shift, and the
@@ -35,10 +38,9 @@ def main(out_path="product_entanglement.csv"):
         gamma_z=1.0, initial_state=InitialState("product", alpha=ALPHA,
                                                 beta=BETA),
         t_end=PERIODS, samples=PERIODS * 40 + 1, tol=1e-8))
-    lines = ["t_over_period,concurrence_numeric,concurrence_leading_order"]
-    for t, c, ca in zip(trace.t.tolist(), trace.concurrence_numeric.tolist(),
-                        trace.concurrence_analytic.tolist()):
-        lines.append(f"{t / (2 * math.pi):.6g},{c:.6e},{ca:.6e}")
+    lines = ["t_over_period,concurrence_numeric"]
+    for t, c in zip(trace.t.tolist(), trace.concurrence_numeric.tolist()):
+        lines.append(f"{t / (2 * math.pi):.6g},{c:.6e}")
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {out_path}; peak numeric concurrence "

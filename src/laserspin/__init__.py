@@ -14,17 +14,12 @@ _EXPORTS = {
                      "concurrence_product_analytic",
                      "concurrence_werner_analytic", "density_factor",
                      "product_state",
-                     "q_factor", "unitary_orbit_bound", "werner_state",
+                     "q_factor", "unitary_orbit_bound",
+                     "validate_density_matrix", "werner_state",
                      "wootters_concurrence"),
     "errors": ("ConfigError", "DomainError", "IntegratorError",
                "InvalidStateError"),
-    "evolution": ("euler_representation", "evolve_von_neumann",
-                  "interaction_picture_hamiltonian", "interaction_term",
-                  "local_propagator", "perturbative_delta_rho_werner",
-                  "precession_angle", "propagate", "propagate_batch",
-                  "psi_integral",
-                  "single_spin_propagator", "theta_minus", "time_ordered_X",
-                  "validate_density_matrix"),
+    "evolution": ("evolve_von_neumann", "propagate", "propagate_batch"),
     "spinfield": ("BoundStateParams", "DriveTable", "effective_field",
                   "interaction_hamiltonian", "omega_first_principles",
                   "spin_hamiltonian"),
@@ -33,6 +28,10 @@ _EXPORTS = {
                    "generating_function", "lorentz_residual",
                    "modulus_from_params", "motion_period",
                    "plane_wave_invariant", "vector_potential", "wave_fields"),
+    "validate": ("euler_representation", "interaction_picture_hamiltonian",
+                 "interaction_term", "local_propagator",
+                 "perturbative_delta_rho_werner", "precession_angle",
+                 "psi_integral", "single_spin_propagator", "theta_minus"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -1,4 +1,4 @@
-"""Two-qubit state constructors, Wootters concurrence, analytic references.
+"""Two-qubit states, their checks, Wootters concurrence, analytic references.
 
 The Werner family is implemented as
 
@@ -8,13 +8,17 @@ the singlet-weighted sign convention, which is PSD exactly on
 p in [-1/3, 1] and reproduces C = max(0, (3p - 1)/2).  (With the opposite
 sign the p > 1/3 members would not be states.)
 
+The state checks live beside the states: :func:`validate_density_matrix`
+of a state or a stack, and its trace check :func:`has_unit_trace`.
+
 q_factor and the two concurrence formulas are leading-order analytic
 references used for comparison against the full numeric evolution.  Their
 internal frequency convention (resonances at w_L = 4g) predates the
-exchange normalization H_I = (g/4) sigma.sigma used by the evolution
-module.  Known limits of the product formula (ROADMAP item 4): it does
+exchange normalization H_I = (g/4) sigma.sigma of the propagated
+Hamiltonian.  Known limits of the product formula (ROADMAP item 4): it does
 not depend on eps, omits the exchange-only term and reaches 2.24 on the
-long_elliptic bench scenario (seed 1), above its 0.25 unitary-orbit bound.
+long_elliptic bench scenario (seed 1), above its 0.25 unitary-orbit bound,
+so `simulate` leaves the analytic field of a product state empty.
 """
 
 from __future__ import annotations
@@ -23,9 +27,49 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .evolution import _check_werner, validate_density_matrix
-from .pauli import IDENTITY4, PAIR, SIGMA_DOT_SIGMA
+from .errors import DomainError, InvalidStateError
+from .pauli import IDENTITY4, PAIR, SIGMA_DOT_SIGMA, hermiticity_defect
+
+_TRACE_TOL = 1e-12
+_HERM_TOL = 1e-12
+_PSD_TOL = -1e-10
+
+
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check the two-qubit state invariants, returning rho as complex ndarray.
+
+    rho is a 4x4 matrix or an (N, 4, 4) stack of them.  Raises
+    InvalidStateError unless every entry is finite and every matrix is
+    Hermitian to 1e-12, unit-trace to 1e-12 and PSD to -1e-10; for a
+    stack the message names the first failing sample.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise InvalidStateError(
+            f"density matrix must be 4x4 or a stack of 4x4, got {rho.shape}")
+    InvalidStateError.unless(np.isfinite(rho).all(axis=(-2, -1)),
+                             "density matrix has a non-finite entry")
+    InvalidStateError.unless(hermiticity_defect(rho) <= _HERM_TOL,
+                             "density matrix is not Hermitian")
+    InvalidStateError.unless(
+        has_unit_trace(np.trace(rho, axis1=-2, axis2=-1)),
+        "density matrix trace differs from 1")
+    InvalidStateError.unless(np.linalg.eigvalsh(rho).min(axis=-1) >= _PSD_TOL,
+                             "density matrix has a negative eigenvalue")
+    return rho
+
+
+def has_unit_trace(trace: np.ndarray) -> np.ndarray:
+    """Whether a trace, or each of an array of them, is 1 to 1e-12 in its
+    real and its imaginary part: the trace check of
+    :func:`validate_density_matrix`."""
+    return ((abs(trace.real - 1.0) <= _TRACE_TOL)
+            & (abs(trace.imag) <= _TRACE_TOL))
+
+
+def _check_werner(p: float) -> None:
+    if not (-1.0 / 3.0 <= p <= 1.0):
+        raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
 
 
 def werner_state(p: float) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Density-matrix propagation and the analytic propagator factorization.
+"""Propagators of a two-spin Hamiltonian, and density matrices from them.
 
-Numeric path
+Magnus steps
 ------------
 :func:`propagate` integrates the propagator dU/dt = -i H(t) U (not rho)
 over a time grid and returns the (N, 4, 4) stack of U(t_k), by
@@ -59,8 +59,8 @@ exponential of a Hermitian matrix, so U stays unitary to roundoff and
 rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
 structurally; the halving test's error estimate sets the accuracy.
 :func:`evolve_von_neumann` forms the whole stack of states in one
-broadcast product, and :func:`validate_density_matrix` checks a single
-state or every sample of such a stack; `simulate.run_scenario` forms
+broadcast product, and `entanglement.validate_density_matrix` checks a
+single state or every sample of such a stack; `simulate.run_scenario` forms
 no state at all, but takes each sample's outputs from U R, with
 rho(0) = R R^+.
 
@@ -84,15 +84,12 @@ computed, which costs each of them that grid's H times once more.
 Periodic drives
 ---------------
 H_S(t) depends on t only through sn, cn and dn of u = w'_L t, so it has
-the exact motion period T = 4 K(mu) / w'_L, and so does H'_I.  Bx and Bz
-are even in t and By is odd, so H_S is also time-reversal symmetric,
-H_S(-t) = H_S(t)*, at every eps; so are H'_I and V, because
-sin(theta_minus) and psi are odd and s3(x)s2 - s2(x)s3 is imaginary
-(pinned at 1e-14 for `spin_hamiltonian` at three drives and for
-`interaction_picture_hamiltonian` and `interaction_term`).  H_S also
-shifts by half a period: sn(u + 2K) = -sn u, cn(u + 2K) = -cn u and
-dn(u + 2K) = dn u (DLMF 22.4.3), so Bx and By change sign and Bz does
-not, and with P = s3(x)s3, which leaves s.s alone,
+the exact motion period T = 4 K(mu) / w'_L.  Bx and Bz are even in t and
+By is odd, so H_S is also time-reversal symmetric, H_S(-t) = H_S(t)*,
+at every eps (pinned at 1e-14 for `spin_hamiltonian` at three drives).
+H_S also shifts by half a period: sn(u + 2K) = -sn u, cn(u + 2K) = -cn u
+and dn(u + 2K) = dn u (DLMF 22.4.3), so Bx and By change sign and Bz
+does not, and with P = s3(x)s3, which leaves s.s alone,
 H_S(t + T/2) = P H_S(t) P (pinned at 1e-14 at four drives).  Passing T
 to :func:`propagate` asserts all three, H(t + T) = H(t),
 H(-t) = H(t)* and H(t + T/2) = P H(t) P.  Then U(-s) = U(s)*,
@@ -147,38 +144,6 @@ next bit.  A Newton step of the polar projection after every one of
 these products keeps unitarity at roundoff, so only the phases carry
 the roundoff of the products: 1e-16 m to 4e-16 m against 40-digit
 powers of the same U(T), for m from 10 to 10^5.
-
-Analytic path (linear polarization only)
-----------------------------------------
-Each function below takes a float time (psi for the Eulerian form),
-giving a float or a matrix, or an array of shape S, giving an array of
-shape S or a stack of shape S + the matrix shape.  For eps = 0 the
-single-spin precessions factor out exactly:
-
-    U(t) = W(t) X(t),          W = U^(n) (x) U^(p),
-    U^(i)(t) = exp(i theta^(i)(t) sigma_1 / 2),
-
-with the precession angle the exact integral of the effective field,
-
-    2 theta^(i) = eta (gtilde^(i) + 1) sn(u, mu)
-                  - (eta gamma_z / mu) arcsin(mu sn(u, mu)).
-
-The residual factor obeys dX/dt = -i H'_I X with the closed form
-H'_I = W^+ H_I W, which :func:`time_ordered_X` integrates by
-:func:`propagate` over a whole time grid at once.  For analysis, X
-splits further as X = exp(-i (g/4) psi(t) S) Y(t),
-S = sum_k sigma_k (x) sigma_k and
-psi(t) = int_0^t cos(theta_minus); Y is the time-ordered exponential of
-the rotating-frame coupling
-
-    V(t) = (g/4) [ (1 - cos th_-) s1(x)s1
-                   + sin th_- (cos(g psi) (s3(x)s2 - s2(x)s3)
-                               - sin(g psi) (s1(x)1 - 1(x)s1)) ],
-
-which vanishes identically when the two rescaled gyromagnetic ratios are
-equal.  The factorization oracle of `laserspin validate` checks both
-U = W X against the direct integration of H_S and this split against
-the integration of V over a full period, to 1e-6.
 """
 
 from __future__ import annotations
@@ -188,12 +153,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elliptic import complete_K, jacobi
+from .entanglement import validate_density_matrix
 from .errors import DomainError, IntegratorError, InvalidStateError
-from .pauli import (IDENTITY4, PAIR, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
-                    SIGMA_DOT_SIGMA, hermiticity_defect)
-from .spinfield import BoundStateParams
-from .trajectory import KinematicParams, LaserParams, _asinc
+from .pauli import IDENTITY4, PAIR
 
 HamiltonianSource = Callable[[np.ndarray], np.ndarray]
 # times and the point of each time in, their stack out (propagate_batch)
@@ -201,8 +163,6 @@ BatchSource = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # the tolerances every propagation accepts, exclusive bounds
 TOL_BOUNDS = (1e-14, 1e-4)
-# tolerance of the X factor, well below the 1e-6 gate of U = W X
-X_TOL = 1e-12
 # steps on the finest uniform grid of one integration; 8 192 is the most
 # a test needs
 MAX_STEPS = 2**16
@@ -233,43 +193,6 @@ _GL2 = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 # Also the samples per chunk of all per-sample work: tail steps, composed
 # samples, and simulate's trace columns and CSV rows
 _CHUNK = 256
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-_TRACE_TOL = 1e-12
-_HERM_TOL = 1e-12
-_PSD_TOL = -1e-10
-
-
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check the two-qubit state invariants, returning rho as complex ndarray.
-
-    rho is a 4x4 matrix or an (N, 4, 4) stack of them.  Raises
-    InvalidStateError unless every entry is finite and every matrix is
-    Hermitian to 1e-12, unit-trace to 1e-12 and PSD to -1e-10; for a
-    stack the message names the first failing sample.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
-        raise InvalidStateError(
-            f"density matrix must be 4x4 or a stack of 4x4, got {rho.shape}")
-    InvalidStateError.unless(np.isfinite(rho).all(axis=(-2, -1)),
-                             "density matrix has a non-finite entry")
-    InvalidStateError.unless(hermiticity_defect(rho) <= _HERM_TOL,
-                             "density matrix is not Hermitian")
-    InvalidStateError.unless(
-        has_unit_trace(np.trace(rho, axis1=-2, axis2=-1)),
-        "density matrix trace differs from 1")
-    InvalidStateError.unless(np.linalg.eigvalsh(rho).min(axis=-1) >= _PSD_TOL,
-                             "density matrix has a negative eigenvalue")
-    return rho
-
-
-def has_unit_trace(trace: np.ndarray) -> np.ndarray:
-    """Whether a trace, or each of an array of them, is 1 to 1e-12 in its
-    real and its imaginary part: the trace check of
-    :func:`validate_density_matrix`."""
-    return ((abs(trace.real - 1.0) <= _TRACE_TOL)
-            & (abs(trace.imag) <= _TRACE_TOL))
 
 
 def expm_hermitian(H: np.ndarray) -> np.ndarray:
@@ -277,11 +200,6 @@ def expm_hermitian(H: np.ndarray) -> np.ndarray:
     via eigendecomposition."""
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-
-
-def _check_werner(p: float) -> None:
-    if not (-1.0 / 3.0 <= p <= 1.0):
-        raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
 
 
 def _check_tol(tol: float) -> float:
@@ -782,162 +700,3 @@ def evolve_von_neumann(rho0: np.ndarray, H_of_t: HamiltonianSource,
     Us = propagate(H_of_t, t_grid, tol, period)
     return Us @ rho0 @ Us.conj().swapaxes(-1, -2)
 
-
-# ---------------------------------------------------------------------------
-# analytic factorization, linear polarization
-# ---------------------------------------------------------------------------
-
-def _require_linear(laser: LaserParams) -> None:
-    if laser.epsilon != 0.0:
-        raise DomainError(
-            "the analytic factorization is only available for linear "
-            f"polarization (epsilon = 0), got epsilon = {laser.epsilon}"
-        )
-
-
-def precession_angle(t, which: str, laser: LaserParams,
-                     kin: KinematicParams, bound: BoundStateParams):
-    """Exact accumulated precession angle theta^(i)(t), eps = 0 only.
-
-    This is the running integral of the x-component of the effective
-    field; at gamma_z = 1 it reduces to
-    2 theta = eta (gtilde + 1) sn - arcsin(mu sn).
-    """
-    _require_linear(laser)
-    gt = bound.gtilde(which)
-    eta, gz, mu = laser.eta, kin.gamma_z, kin.mu
-    sn = jacobi(kin.omega_L_prime * t, mu).sn
-    return 0.5 * eta * ((gt + 1.0) * sn - gz * _asinc(mu, sn))
-
-
-def theta_minus(t, laser: LaserParams, kin: KinematicParams,
-                bound: BoundStateParams):
-    """Angle difference theta^(n) - theta^(p) = (eta Delta / 2) sn(u, mu)."""
-    _require_linear(laser)
-    sn = jacobi(kin.omega_L_prime * t, kin.mu).sn
-    return 0.5 * laser.eta * bound.Delta * sn
-
-
-def psi_integral(t, laser: LaserParams, kin: KinematicParams,
-                 bound: BoundStateParams):
-    """psi(t) = int_0^t cos(theta_minus(s)) ds, by composite Gauss-Legendre.
-
-    16 nodes per panel; a panel spans a quarter period of sn divided by
-    1 + eta |Delta| / 2, the amplitude of theta_minus, so that the
-    integrand's oscillations stay resolved at strong drive.  Every time of
-    an array takes the panel count of the largest |t|.
-    """
-    _require_linear(laser)
-    t = np.asarray(t, dtype=float)
-    quarter = float(complete_K(kin.mu)) / kin.omega_L_prime
-    amplitude = 0.5 * abs(laser.eta * bound.Delta)
-    n_panels = max(1, math.ceil(np.abs(t).max() / quarter * (1.0 + amplitude)))
-    half = 0.5 * t / n_panels
-    nodes = half[..., None, None] * (2.0 * np.arange(n_panels)[:, None]
-                                     + 1.0 + _GL_NODES)
-    values = np.cos(theta_minus(nodes, laser, kin, bound))
-    return half * np.sum(values @ _GL_WEIGHTS, axis=-1)
-
-
-def _matrix_axes(x) -> np.ndarray:
-    """x with two trailing unit axes, to scale constant matrices."""
-    return np.asarray(x, dtype=float)[..., None, None]
-
-
-def single_spin_propagator(t, which: str, laser: LaserParams,
-                           kin: KinematicParams,
-                           bound: BoundStateParams) -> np.ndarray:
-    """U^(i)(t) = exp(i theta^(i) sigma_1 / 2), eps = 0 only."""
-    th = precession_angle(_matrix_axes(t), which, laser, kin, bound)
-    return np.cos(0.5 * th) * SIGMA0 + 1j * np.sin(0.5 * th) * SIGMA1
-
-
-def local_propagator(t, laser: LaserParams, kin: KinematicParams,
-                     bound: BoundStateParams) -> np.ndarray:
-    """W(t) = U^(n)(t) (x) U^(p)(t)."""
-    un = single_spin_propagator(t, "n", laser, kin, bound)
-    up = single_spin_propagator(t, "p", laser, kin, bound)
-    return (un[..., :, None, :, None] * up[..., None, :, None, :]).reshape(
-        un.shape[:-2] + (4, 4))
-
-
-def interaction_picture_hamiltonian(t, laser: LaserParams,
-                                    kin: KinematicParams,
-                                    bound: BoundStateParams) -> np.ndarray:
-    """H'_I(t) = W^+(t) H_I W(t), in closed form.
-
-    Rotating both spins about x by their respective angles leaves the
-    s1(x)s1 part alone and mixes the rest through theta_minus:
-
-        H'_I = (g/4) [ s1(x)s1 + cos th_- (s2(x)s2 + s3(x)s3)
-                       + sin th_- (s3(x)s2 - s2(x)s3) ].
-    """
-    g = bound.g_coupling
-    thm = theta_minus(_matrix_axes(t), laser, kin, bound)
-    return (g / 4.0) * (PAIR[1, 1] + np.cos(thm) * (PAIR[2, 2] + PAIR[3, 3])
-                        + np.sin(thm) * SIGMA_32)
-
-
-def euler_representation(psi) -> np.ndarray:
-    """Closed form of exp(i psi sum_k sigma_k (x) sigma_k).
-
-    exp(i psi S) = (1/2) e^{i psi} + (1/2) e^{-i psi} [cos 2psi
-    + i S sin 2psi]; eigenvalues e^{i psi} (x3) and e^{-3 i psi}.
-    """
-    psi = _matrix_axes(psi)
-    if not np.isfinite(psi).all():
-        raise DomainError(
-            f"psi must be finite, got {psi[~np.isfinite(psi)][0]}")
-    return (0.5 * np.exp(1j * psi) * IDENTITY4
-            + 0.5 * np.exp(-1j * psi)
-            * (np.cos(2.0 * psi) * IDENTITY4
-               + 1j * np.sin(2.0 * psi) * SIGMA_DOT_SIGMA))
-
-
-def interaction_term(t, laser: LaserParams, kin: KinematicParams,
-                     bound: BoundStateParams) -> np.ndarray:
-    """Rotating-frame coupling V(t) whose ordered exponential is Y(t).
-
-    Identically zero when Delta = 0.  psi(t) is integrated afresh on
-    every call.
-    """
-    g = bound.g_coupling
-    t = _matrix_axes(t)
-    thm = theta_minus(t, laser, kin, bound)
-    psi = psi_integral(t, laser, kin, bound)
-    return (g / 4.0) * ((1.0 - np.cos(thm)) * PAIR[1, 1]
-                        + np.sin(thm) * (np.cos(g * psi) * SIGMA_32
-                                         - np.sin(g * psi) * SIGMA_10))
-
-
-def time_ordered_X(t_grid: Sequence[float], laser: LaserParams,
-                   kin: KinematicParams, bound: BoundStateParams) -> np.ndarray:
-    """Interaction-picture factor X of U = W X on a time grid, eps = 0 only.
-
-    t_grid follows the rules of :func:`propagate` and the result is the
-    (len(t_grid), 4, 4) stack.  Integrates dX/dt = -i H'_I X, X(0) = 1,
-    with the closed-form :func:`interaction_picture_hamiltonian` in one
-    :func:`propagate` run at tolerance 1e-12.
-    """
-    _require_linear(laser)
-    H = lambda s: interaction_picture_hamiltonian(s, laser, kin, bound)
-    return propagate(H, t_grid, X_TOL)
-
-
-def perturbative_delta_rho_werner(t: float, p: float, laser: LaserParams,
-                                  bound: BoundStateParams) -> np.ndarray:
-    """Leading-order state change of a Werner state under the laser.
-
-    Equals i [V(t), rho_W] with the leading-order inputs
-    theta_minus = (eta Delta / 2) sin(w_L t) and psi = t:
-
-        delta rho = -(p g / 4) sin(th_-) [cos(g t) (s1(x)1 - 1(x)s1)
-                                          + sin(g t) (s3(x)s2 - s2(x)s3)].
-
-    Traceless and Hermitian; vanishes at t = 0 and for p = 0.
-    """
-    _check_werner(p)
-    g = bound.g_coupling
-    thm = 0.5 * laser.eta * bound.Delta * math.sin(laser.omega_L * t)
-    return (-(p * g / 4.0) * math.sin(thm)
-            * (math.cos(g * t) * SIGMA_10 + math.sin(g * t) * SIGMA_32))

@@ -23,12 +23,11 @@ import numpy as np
 from .config import STATE_KEYS, ScenarioConfig
 from . import evolution
 from .entanglement import (concurrence_from_factor,
-                           concurrence_product_analytic,
                            concurrence_werner_analytic, density_factor,
-                           unitary_orbit_bound)
+                           has_unit_trace, unitary_orbit_bound,
+                           validate_density_matrix)
 from .errors import ConfigError, IntegratorError, InvalidStateError
-from .evolution import (BATCH_MATRICES, has_unit_trace, propagate_batch,
-                        validate_density_matrix)
+from .evolution import BATCH_MATRICES, propagate_batch
 from .pauli import IDENTITY4
 from .spinfield import DriveTable, spin_hamiltonian
 from .trajectory import modulus_from_params
@@ -42,7 +41,8 @@ SWEEPABLE = {"eta": "laser", "epsilon": "laser", "p": "werner",
 
 class Trace(NamedTuple):
     """The CSV columns of a run, one (N,) array per sample time; the
-    analytic column is None for an explicit initial state."""
+    analytic column is None but for a Werner initial state (`entanglement`
+    says why not for a product state)."""
 
     t: np.ndarray
     concurrence_numeric: np.ndarray
@@ -69,18 +69,6 @@ def rows_to_csv(trace: Trace) -> str:
                                          else "%.12g" % analytic, *rest)
                              for t, numeric, analytic, *rest in zip(*columns)))
     return "".join(parts)
-
-
-def _analytic_column(cfg: ScenarioConfig,
-                     t_grid: np.ndarray) -> np.ndarray | None:
-    state = cfg.initial_state
-    if state.kind == "werner":
-        return np.full(t_grid.shape, concurrence_werner_analytic(state.p))
-    if state.kind == "product":
-        return concurrence_product_analytic(
-            t_grid, state.alpha, state.beta, cfg.laser.eta,
-            cfg.bound.g_coupling, cfg.bound.Delta, cfg.laser.omega_L)
-    return None
 
 
 def run_scenario(cfg: ScenarioConfig) -> Trace:
@@ -209,8 +197,11 @@ def _trace(cfg: ScenarioConfig, rho0: np.ndarray, t_grid: np.ndarray,
                               f"unitary-orbit bound {bound:.6g} of the initial "
                               f"state at t = {float(t_grid[k])}")
 
-    return Trace(t_grid, concurrence, _analytic_column(cfg, t_grid), purity,
-                 trace_error, unitarity_error)
+    state = cfg.initial_state
+    analytic = (np.full(t_grid.shape, concurrence_werner_analytic(state.p))
+                if state.kind == "werner" else None)
+    return Trace(t_grid, concurrence, analytic, purity, trace_error,
+                 unitarity_error)
 
 
 def scenario_csv(cfg: ScenarioConfig) -> str:

@@ -1,4 +1,5 @@
-"""Built-in oracle runs behind `laserspin validate`.
+"""Built-in oracle runs behind `laserspin validate`, and the analytic
+eps = 0 reference that three of them check.
 
 Each oracle re-derives its expected values through an independent route
 (quadrature, brute-force products, direct commutators) and reports the
@@ -9,6 +10,40 @@ numeric concurrence with the analytic formula.  An oracle reports one
 row per check, its deviation beside its own gate, and passes when every
 row is below its gate.  A deliberate modulus perturbation can be
 injected to prove the Lorentz oracle actually bites.
+
+Analytic path (linear polarization only)
+----------------------------------------
+The reference of the factorization, euler and commutator oracles, which
+`simulate` never takes.  Each function takes a float time (psi for the
+Eulerian form), giving a float or a matrix, or an array of shape S,
+giving an array of shape S or a stack of shape S + the matrix shape.
+For eps = 0 the single-spin precessions factor out exactly:
+
+    U(t) = W(t) X(t),          W = U^(n) (x) U^(p),
+    U^(i)(t) = exp(i theta^(i)(t) sigma_1 / 2),
+
+with the precession angle the exact integral of the effective field,
+
+    2 theta^(i) = eta (gtilde^(i) + 1) sn(u, mu)
+                  - (eta gamma_z / mu) arcsin(mu sn(u, mu)).
+
+The residual factor obeys dX/dt = -i H'_I X with the closed form
+H'_I = W^+ H_I W, which the factorization oracle integrates at tol
+1e-12 by `propagate_batch`.  For analysis, X splits further as
+X = exp(-i (g/4) psi(t) S) Y(t), S = sum_k sigma_k (x) sigma_k and
+psi(t) = int_0^t cos(theta_minus); Y is the time-ordered exponential of
+the rotating-frame coupling
+
+    V(t) = (g/4) [ (1 - cos th_-) s1(x)s1
+                   + sin th_- (cos(g psi) (s3(x)s2 - s2(x)s3)
+                               - sin(g psi) (s1(x)1 - 1(x)s1)) ],
+
+which vanishes identically when the two rescaled gyromagnetic ratios are
+equal.  H'_I and V share the motion period of H_S and its time-reversal
+symmetry, H(-t) = H(t)*, because sin(theta_minus) and psi are odd and
+s3(x)s2 - s2(x)s3 is imaginary (pinned at 1e-14).  The factorization
+oracle checks both U = W X against the direct integration of H_S and
+this split against the integration of V over a full period, to 1e-6.
 """
 
 from __future__ import annotations
@@ -20,19 +55,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import InitialState, ScenarioConfig
-from .elliptic import jacobi
-from .entanglement import werner_state
-from .errors import ConfigError
-from .evolution import (X_TOL, euler_representation,
-                        interaction_picture_hamiltonian, interaction_term,
-                        local_propagator, perturbative_delta_rho_werner,
-                        propagate, propagate_batch, psi_integral)
-from .pauli import PAIR, SIGMA_10, SIGMA_32, SIGMA_DOT_SIGMA
+from .elliptic import complete_K, jacobi
+from .entanglement import (_check_werner, concurrence_product_analytic,
+                           werner_state)
+from .errors import ConfigError, DomainError
+from .evolution import propagate, propagate_batch
+from .pauli import (IDENTITY4, PAIR, SIGMA0, SIGMA1, SIGMA_10, SIGMA_32,
+                    SIGMA_DOT_SIGMA)
 from .simulate import run_scenario
 from .spinfield import BoundStateParams, DriveTable, spin_hamiltonian
-from .trajectory import (KinematicParams, LaserParams, lorentz_residual,
-                         modulus_from_params, motion_period,
-                         plane_wave_invariant)
+from .trajectory import (KinematicParams, LaserParams, _asinc,
+                         lorentz_residual, modulus_from_params,
+                         motion_period, plane_wave_invariant)
 
 
 class Check(NamedTuple):
@@ -67,10 +101,165 @@ def _fixture_bound(g_coupling: float = 0.1) -> BoundStateParams:
     return BoundStateParams.from_gtildes(4.0, 1.0, g_coupling=g_coupling)
 
 
+# --- composite Gauss-Legendre ------------------------------------------------
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL24 = np.polynomial.legendre.leggauss(24)
+
+
+def _gauss_legendre(integrand, x: np.ndarray, n_panels: int, rule):
+    """int_0^x integrand, elementwise over an array x, on n_panels equal
+    panels per x, each by the Gauss-Legendre rule (nodes, weights) of
+    [-1, 1]; integrand maps an array of abscissae to its values."""
+    nodes, weights = rule
+    half = 0.5 * x / n_panels
+    s = half[..., None, None] * (2.0 * np.arange(n_panels)[:, None]
+                                 + 1.0 + nodes)
+    return half * np.sum(integrand(s) @ weights, axis=-1)
+
+
+# --- analytic factorization, linear polarization ------------------------------
+
+def _require_linear(laser: LaserParams) -> None:
+    if laser.epsilon != 0.0:
+        raise DomainError(
+            "the analytic factorization is only available for linear "
+            f"polarization (epsilon = 0), got epsilon = {laser.epsilon}"
+        )
+
+
+def precession_angle(t, which: str, laser: LaserParams,
+                     kin: KinematicParams, bound: BoundStateParams):
+    """Exact accumulated precession angle theta^(i)(t), eps = 0 only.
+
+    This is the running integral of the x-component of the effective
+    field; at gamma_z = 1 it reduces to
+    2 theta = eta (gtilde + 1) sn - arcsin(mu sn).
+    """
+    _require_linear(laser)
+    gt = bound.gtilde(which)
+    eta, gz, mu = laser.eta, kin.gamma_z, kin.mu
+    sn = jacobi(kin.omega_L_prime * t, mu).sn
+    return 0.5 * eta * ((gt + 1.0) * sn - gz * _asinc(mu, sn))
+
+
+def theta_minus(t, laser: LaserParams, kin: KinematicParams,
+                bound: BoundStateParams):
+    """Angle difference theta^(n) - theta^(p) = (eta Delta / 2) sn(u, mu)."""
+    _require_linear(laser)
+    sn = jacobi(kin.omega_L_prime * t, kin.mu).sn
+    return 0.5 * laser.eta * bound.Delta * sn
+
+
+def psi_integral(t, laser: LaserParams, kin: KinematicParams,
+                 bound: BoundStateParams):
+    """psi(t) = int_0^t cos(theta_minus(s)) ds, by composite Gauss-Legendre.
+
+    16 nodes per panel; a panel spans a quarter period of sn divided by
+    1 + eta |Delta| / 2, the amplitude of theta_minus, so that the
+    integrand's oscillations stay resolved at strong drive.  Every time of
+    an array takes the panel count of the largest |t|.
+    """
+    _require_linear(laser)
+    t = np.asarray(t, dtype=float)
+    quarter = float(complete_K(kin.mu)) / kin.omega_L_prime
+    amplitude = 0.5 * abs(laser.eta * bound.Delta)
+    n_panels = max(1, math.ceil(np.abs(t).max() / quarter * (1.0 + amplitude)))
+    return _gauss_legendre(
+        lambda s: np.cos(theta_minus(s, laser, kin, bound)), t, n_panels, _GL16)
+
+
+def _matrix_axes(x) -> np.ndarray:
+    """x with two trailing unit axes, to scale constant matrices."""
+    return np.asarray(x, dtype=float)[..., None, None]
+
+
+def single_spin_propagator(t, which: str, laser: LaserParams,
+                           kin: KinematicParams,
+                           bound: BoundStateParams) -> np.ndarray:
+    """U^(i)(t) = exp(i theta^(i) sigma_1 / 2), eps = 0 only."""
+    th = precession_angle(_matrix_axes(t), which, laser, kin, bound)
+    return np.cos(0.5 * th) * SIGMA0 + 1j * np.sin(0.5 * th) * SIGMA1
+
+
+def local_propagator(t, laser: LaserParams, kin: KinematicParams,
+                     bound: BoundStateParams) -> np.ndarray:
+    """W(t) = U^(n)(t) (x) U^(p)(t)."""
+    un = single_spin_propagator(t, "n", laser, kin, bound)
+    up = single_spin_propagator(t, "p", laser, kin, bound)
+    return (un[..., :, None, :, None] * up[..., None, :, None, :]).reshape(
+        un.shape[:-2] + (4, 4))
+
+
+def interaction_picture_hamiltonian(t, laser: LaserParams,
+                                    kin: KinematicParams,
+                                    bound: BoundStateParams) -> np.ndarray:
+    """H'_I(t) = W^+(t) H_I W(t), in closed form.
+
+    Rotating both spins about x by their respective angles leaves the
+    s1(x)s1 part alone and mixes the rest through theta_minus:
+
+        H'_I = (g/4) [ s1(x)s1 + cos th_- (s2(x)s2 + s3(x)s3)
+                       + sin th_- (s3(x)s2 - s2(x)s3) ].
+    """
+    g = bound.g_coupling
+    thm = theta_minus(_matrix_axes(t), laser, kin, bound)
+    return (g / 4.0) * (PAIR[1, 1] + np.cos(thm) * (PAIR[2, 2] + PAIR[3, 3])
+                        + np.sin(thm) * SIGMA_32)
+
+
+def euler_representation(psi) -> np.ndarray:
+    """Closed form of exp(i psi sum_k sigma_k (x) sigma_k).
+
+    exp(i psi S) = (1/2) e^{i psi} + (1/2) e^{-i psi} [cos 2psi
+    + i S sin 2psi]; eigenvalues e^{i psi} (x3) and e^{-3 i psi}.
+    """
+    psi = _matrix_axes(psi)
+    if not np.isfinite(psi).all():
+        raise DomainError(
+            f"psi must be finite, got {psi[~np.isfinite(psi)][0]}")
+    return (0.5 * np.exp(1j * psi) * IDENTITY4
+            + 0.5 * np.exp(-1j * psi)
+            * (np.cos(2.0 * psi) * IDENTITY4
+               + 1j * np.sin(2.0 * psi) * SIGMA_DOT_SIGMA))
+
+
+def interaction_term(t, laser: LaserParams, kin: KinematicParams,
+                     bound: BoundStateParams) -> np.ndarray:
+    """Rotating-frame coupling V(t) whose ordered exponential is Y(t).
+
+    Identically zero when Delta = 0.  psi(t) is integrated afresh on
+    every call.
+    """
+    g = bound.g_coupling
+    t = _matrix_axes(t)
+    thm = theta_minus(t, laser, kin, bound)
+    psi = psi_integral(t, laser, kin, bound)
+    return (g / 4.0) * ((1.0 - np.cos(thm)) * PAIR[1, 1]
+                        + np.sin(thm) * (np.cos(g * psi) * SIGMA_32
+                                         - np.sin(g * psi) * SIGMA_10))
+
+
+def perturbative_delta_rho_werner(t: float, p: float, laser: LaserParams,
+                                  bound: BoundStateParams) -> np.ndarray:
+    """Leading-order state change of a Werner state under the laser.
+
+    Equals i [V(t), rho_W] with the leading-order inputs
+    theta_minus = (eta Delta / 2) sin(w_L t) and psi = t:
+
+        delta rho = -(p g / 4) sin(th_-) [cos(g t) (s1(x)1 - 1(x)s1)
+                                          + sin(g t) (s3(x)s2 - s2(x)s3)].
+
+    Traceless and Hermitian; vanishes at t = 0 and for p = 0.
+    """
+    _check_werner(p)
+    g = bound.g_coupling
+    thm = 0.5 * laser.eta * bound.Delta * math.sin(laser.omega_L * t)
+    return (-(p * g / 4.0) * math.sin(thm)
+            * (math.cos(g * t) * SIGMA_10 + math.sin(g * t) * SIGMA_32))
+
+
 # --- elliptic inversion oracle ---------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
 
 def incomplete_first_kind(phi, mu: float):
     """F(phi, mu) = int_0^phi dtheta / sqrt(1 - mu^2 sin^2 theta).
@@ -81,11 +270,9 @@ def incomplete_first_kind(phi, mu: float):
     """
     phi = np.asarray(phi, dtype=float)
     n_panels = max(1, math.ceil(np.abs(phi).max() / (math.pi / 8.0)))
-    half = 0.5 * phi / n_panels
-    theta = half[..., None, None] * (2.0 * np.arange(n_panels)[:, None]
-                                     + 1.0 + _GL_NODES)
-    values = 1.0 / np.sqrt(1.0 - (mu * np.sin(theta)) ** 2)
-    return half * np.sum(values @ _GL_WEIGHTS, axis=-1)
+    return _gauss_legendre(
+        lambda theta: 1.0 / np.sqrt(1.0 - (mu * np.sin(theta)) ** 2),
+        phi, n_panels, _GL24)
 
 
 def oracle_elliptic() -> OracleResult:
@@ -130,6 +317,8 @@ def oracle_lorentz(mu_error: float = 0.0) -> OracleResult:
 
 # tolerance of the numeric U and Y runs, well below the 1e-6 gate
 _FACTORIZATION_TOL = 1e-8
+# tolerance of the X runs, well below the 1e-6 gate of U = W X
+_X_TOL = 1e-12
 
 
 def oracle_factorization() -> OracleResult:
@@ -153,7 +342,7 @@ def oracle_factorization() -> OracleResult:
         lambda t, point: spin_hamiltonian(t, drives=drives, point=point),
         grids, tols)
     all_Xs = propagate_batch(_per_point(interaction_picture_hamiltonian,
-                                        points), grids, [X_TOL] * len(points))
+                                        points), grids, [_X_TOL] * len(points))
     all_Ys = propagate_batch(_per_point(interaction_term, points), grids, tols)
     worst_u = worst_x = 0.0
     for a, Us, Xs, Ys in zip(points, all_Us, all_Xs, all_Ys):
@@ -224,16 +413,17 @@ def oracle_commutator() -> OracleResult:
 # --- full-evolution concurrence oracle ----------------------------------------
 
 def oracle_concurrence() -> OracleResult:
-    """Concurrence traces of `run_scenario` against their analytic columns,
+    """Concurrence traces of `run_scenario` against analytic references,
     and a Werner trace against its closed form in U.
 
     Each check runs a drive at gtildes (4, 4 - Delta), g = 0.1.  Werner
     p = 0.8 over one laser period of a linearly polarized drive stays
-    within 10 eta^2 of (3p - 1)/2.  The product state (0.999, 0.001) runs
-    two laser periods, past the motion period 4 K(0.3), so its later
-    samples are composed from a quarter period: at Delta = 3 it tracks the
-    leading-order formula within 10 eta^2, and at Delta = 0, where the
-    analytic column is 0, the deviation is max C.  Werner p = 0.8 over
+    within 10 eta^2 of its analytic column, (3p - 1)/2.  The product state
+    (0.999, 0.001) runs two laser periods, past the motion period
+    4 K(0.3), so its later samples are composed from a quarter period: at
+    Delta = 3 it tracks `concurrence_product_analytic` at the trace's
+    times within 10 eta^2, and at Delta = 0, where that formula is 0, the
+    deviation is max C.  Werner p = 0.8 over
     two laser periods at eps 0.3 matches, to roundoff,
     C = max(0, p |psi^T (s2 (x) s2) psi| - (1 - p)/2) with psi = U|s>,
     U from :func:`propagate` on the run's grid: rho_W = (1 - p)/4 I +
@@ -243,13 +433,16 @@ def oracle_concurrence() -> OracleResult:
     werner = InitialState("werner", p=0.8)
     product = InitialState("product", alpha=0.999, beta=0.001)
     analytic = lambda cfg, trace: trace.concurrence_analytic
+    formula = lambda cfg, trace: concurrence_product_analytic(
+        trace.t, product.alpha, product.beta, cfg.laser.eta,
+        cfg.bound.g_coupling, cfg.bound.Delta, cfg.laser.omega_L)
     # label, initial state, eta, eps, Delta, laser periods, samples, gate,
     # reference
     checks = (("werner dev", werner, 0.05, 0.0, 3.0, 1.0, 40,
                10.0 * 0.05 * 0.05, analytic),
               ("tracking dev", product, 0.3, 0.0, 3.0, 2.0, 80,
-               10.0 * 0.3 * 0.3, analytic),
-              ("null max C", product, 0.3, 0.0, 0.0, 2.0, 80, 1e-10, analytic),
+               10.0 * 0.3 * 0.3, formula),
+              ("null max C", product, 0.3, 0.0, 0.0, 2.0, 80, 1e-10, formula),
               ("werner closed form", werner, 0.3, 0.3, 3.0, 2.0, 80, 1e-12,
                _werner_closed_form))
     rows = []

@@ -457,14 +457,17 @@ class TestRunScenario:
                       - trace.concurrence_numeric).max() > 1e-3
 
     def test_explicit_state_has_empty_analytic_column(self):
+        # and so has a product state, whose leading-order formula can
+        # exceed 1
         m = [[[0.25, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
              for i in range(4)]
-        cfg = config_from_dict(base_config(
-            initial_state={"type": "explicit", "matrix": m}))
-        trace = run_scenario(cfg)
-        assert trace.concurrence_analytic is None
-        csv = scenario_csv(cfg)
-        assert ",," in csv.splitlines()[1]  # empty analytic field
+        for state in ({"type": "explicit", "matrix": m},
+                      {"type": "product", "alpha": 0.0, "beta": 1.0}):
+            cfg = config_from_dict(base_config(initial_state=state))
+            trace = run_scenario(cfg)
+            assert trace.concurrence_analytic is None
+            csv = scenario_csv(cfg)
+            assert ",," in csv.splitlines()[1]  # empty analytic field
 
     def test_csv_format(self):
         csv = scenario_csv(config_from_dict(base_config(samples=3)))
@@ -1292,10 +1295,11 @@ class TestMainExitCodes:
 
     def test_factorization_oracle_batches_its_x_and_y_runs(self,
                                                            monkeypatch):
-        # one batch each for U, X and Y, no run of one point; X keeps the
-        # bits of time_ordered_X, and Y those of its own propagate run
+        # one batch each for U, X and Y, no run of one point; X and Y keep
+        # the bits of their own propagate runs
         from laserspin import validate
-        from laserspin.evolution import interaction_term, time_ordered_X
+        from laserspin.validate import (interaction_picture_hamiltonian,
+                                        interaction_term)
         exact, batches = validate.propagate_batch, []
 
         def spy(H_of_t, t_grids, tols, periods=None):
@@ -1315,7 +1319,9 @@ class TestMainExitCodes:
             laser = LaserParams(eta=0.2, epsilon=0.0)
             point = (laser, modulus_from_params(laser, 1.0),
                      BoundStateParams.from_gtildes(2.0, 0.5, g))
-            assert np.array_equal(batches[1][p], time_ordered_X(times, *point))
+            assert np.array_equal(batches[1][p], propagate(
+                lambda t: interaction_picture_hamiltonian(t, *point), times,
+                1e-12))
             assert np.array_equal(batches[2][p], propagate(
                 lambda t: interaction_term(t, *point), times, 1e-8))
 
@@ -1347,6 +1353,17 @@ class TestMainExitCodes:
         code = "import sys, laserspin.cli; print('laserspin.validate' in " \
                "sys.modules)"
         assert run_python(["-c", code]) == "False"
+
+    def test_layer_import_loads_no_upper_layer(self):
+        # the propagator needs no drive, trajectory or oracle, and the
+        # states and their checks need no propagator
+        for module, upper in (
+                ("evolution", ("elliptic", "spinfield", "trajectory",
+                               "validate")),
+                ("entanglement", ("evolution",))):
+            code = (f"import sys, laserspin.{module}; print(sorted(m for m "
+                    f"in {upper!r} if 'laserspin.' + m in sys.modules))")
+            assert run_python(["-c", code]) == "[]", module
 
     def test_cli_runs_blas_on_one_thread(self):
         code = ("import os, laserspin.cli; "

@@ -16,9 +16,9 @@ from laserspin import (BoundStateParams, DomainError, DriveTable,
                        product_state, propagate, psi_integral, q_factor,
                        single_spin_propagator,
                        spin_hamiltonian,
-                       theta_minus, time_ordered_X, validate_density_matrix,
+                       theta_minus, validate_density_matrix,
                        werner_state, wootters_concurrence)
-from laserspin import evolution
+from laserspin import evolution, validate
 from laserspin.evolution import (_polar_step, _prefix_product, expm_hermitian,
                                 propagate_batch)
 from laserspin.pauli import (IDENTITY4, PAIR, SIGMA0, SIGMA1, SIGMA_10,
@@ -32,6 +32,15 @@ def linear(eta, gtilde_n, gtilde_p, g):
     kin = modulus_from_params(laser, 1.0)
     bound = BoundStateParams.from_gtildes(gtilde_n, gtilde_p, g_coupling=g)
     return laser, kin, bound
+
+
+def time_ordered_X(t_grid, laser, kin, bound):
+    """X of U = W X on a time grid: dX/dt = -i H'_I X, X(0) = 1, integrated
+    with the closed-form H'_I in one propagate run at tol 1e-12, the tol of
+    the factorization oracle's X batch."""
+    H = lambda s: validate.interaction_picture_hamiltonian(s, laser, kin,
+                                                           bound)
+    return propagate(H, t_grid, 1e-12)
 
 
 class TestStateValidation:
@@ -1062,15 +1071,14 @@ class TestPrecessionAngles:
                 == pytest.approx(ref, abs=1e-12)
 
     def test_psi_integral_makes_one_jacobi_call(self, monkeypatch):
-        import laserspin.evolution
-        exact = laserspin.evolution.jacobi
+        exact = validate.jacobi
         shapes = []
 
         def counting(u, mu):
             shapes.append(np.shape(u))
             return exact(u, mu)
 
-        monkeypatch.setattr(laserspin.evolution, "jacobi", counting)
+        monkeypatch.setattr(validate, "jacobi", counting)
         laser, kin, bound = linear(0.2, 2.0, 0.5, 0.1)   # Delta = 1.5
         psi_integral(2.0 * math.pi, laser, kin, bound)
         assert len(shapes) == 1 and len(shapes[0]) == 2
@@ -1214,7 +1222,7 @@ class TestTimeOrderedX:
         def counted(*args):
             calls.append(args[0])
             return closed_form(*args)
-        monkeypatch.setattr("laserspin.evolution.interaction_picture_hamiltonian",
+        monkeypatch.setattr("laserspin.validate.interaction_picture_hamiltonian",
                             counted)
         grid = np.linspace(0.0, 2.0 * math.pi, 9)
         Xs = time_ordered_X(grid, laser, kin, bound)
