@@ -19,7 +19,8 @@ _EXPORTS = {
                      "wootters_concurrence"),
     "errors": ("ConfigError", "DomainError", "IntegratorError",
                "InvalidStateError"),
-    "evolution": ("evolve_von_neumann", "propagate", "propagate_batch"),
+    "evolution": ("propagate", "propagate_batch"),
+    "simulate": ("evolve_von_neumann",),
     "spinfield": ("BoundStateParams", "DriveTable", "effective_field",
                   "interaction_hamiltonian", "omega_first_principles",
                   "spin_hamiltonian"),

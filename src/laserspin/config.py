@@ -99,23 +99,23 @@ class ScenarioConfig:
 
     def _check_periods(self) -> None:
         """A run beyond one motion period integrates a quarter of that
-        period at the `period_tolerance` of tol; reject a t_end that puts
-        the half-period budget on the floor, or a time span that is not
-        finite."""
+        period at the `period_tolerance` of tol; reject a time span that
+        is not finite, or a t_end that puts the half-period budget on the
+        floor."""
         try:
             period = self.period
         except DomainError:
             return      # reported as a physics-domain error by the run
         span = self.span
+        if not math.isfinite(span):
+            raise ConfigError(f"t_end = {self.t_end} laser periods at omega_L "
+                              f"= {self.laser.omega_L} span {span} time units")
         if span > period:
             try:
                 period_tolerance(self.tol, period, span)
             except DomainError as exc:
                 raise ConfigError(f"t_end = {self.t_end} laser periods at "
                                   f"tol = {self.tol}: {exc}") from None
-        if not math.isfinite(span):
-            raise ConfigError(f"t_end = {self.t_end} laser periods at omega_L "
-                              f"= {self.laser.omega_L} span {span} time units")
 
 
 def _take(mapping: dict, context: str, keys: dict) -> dict:

@@ -1,4 +1,4 @@
-"""Propagators of a two-spin Hamiltonian, and density matrices from them.
+"""Propagators of a two-spin Hamiltonian.
 
 Magnus steps
 ------------
@@ -58,11 +58,9 @@ times per call, in no particular order.  Every factor is the
 exponential of a Hermitian matrix, so U stays unitary to roundoff and
 rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
 structurally; the halving test's error estimate sets the accuracy.
-:func:`evolve_von_neumann` forms the whole stack of states in one
-broadcast product, and `entanglement.validate_density_matrix` checks a
-single state or every sample of such a stack; `simulate.run_scenario` forms
-no state at all, but takes each sample's outputs from U R, with
-rho(0) = R R^+.
+`simulate.evolve_von_neumann` forms the whole stack of states in one
+broadcast product, and `simulate.run_scenario` forms no state at all,
+but takes each sample's outputs from U R, with rho(0) = R R^+.
 
 :func:`propagate_batch` runs a batch of such propagations, the points
 of a sweep or of an oracle grid, at once, and :func:`propagate` is its
@@ -106,24 +104,16 @@ with V(r) = V(|r|), conjugated when r < 0.  B and every U(a) are
 samples of that one run, C is symmetric, and C and U(T) are projected
 once each by the polar step, so H is asked for times in [0, T/4] only.
 
-Every run given a period whose span exceeds T/4 is composed so, within
-one period too, but for one kind: a run within one period whose samples
-all lie on the nodes of the power-of-two grid of its span with the
-fewest steps that holds them, such as 2^k + 1 evenly spaced samples,
-takes no tail step and so keeps the sixth-order test, and composing
-would make it dearer, so it runs directly, bit for bit the run without
-a period.  On the drive of acceptance test 4a, summed over tol 1e-6,
-1e-8, 1e-10 and 1e-12, 9 samples over half a laser period take 960
-H times direct and would take 5 504 composed, while 11 samples over one
-laser period take 13 568 direct and 5 520 composed; near T/4 composing
-costs more (11 samples over 0.3 laser periods: 3 392 direct, 5 520
-composed).  The quarter run writes U at its samples straight into the
-rows of the result, one per sample of t_grid and a last one for B, the
-rows of one offset share its tail step, and the rows are then composed
-in place, _CHUNK at a time, so a composed run holds one (N, 4, 4)
-stack, as a direct run does: `simulate` over 20 001 samples peaks at
-1.45 stacks over 5 laser periods and at 1.39 direct (tracemalloc), where
-a stack of the quarter run's own beside the result took 2.23.
+A run whose span lies beyond the reach of its period is composed so,
+within one period too; a run within reach runs directly, bit for bit
+the run without a period (:func:`_plan` states the rule).  The quarter
+run writes U at its samples straight into the rows of the result, one
+per sample of t_grid and a last one for B, the rows of one offset share
+its tail step, and the rows are then composed in place, _CHUNK at a
+time, so a composed run holds one (N, 4, 4) stack, as a direct run
+does: `simulate` over 20 001 samples peaks at 1.45 stacks over 5 laser
+periods and at 1.39 direct (tracemalloc), where a stack of the quarter
+run's own beside the result took 2.23.
 
 Errors add along the products: with e_q the error of the quarter run,
 C carries 2 e_q, U(T) 4 e_q, V(a) about 2 e_q at most, as U(T/2) does,
@@ -153,8 +143,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entanglement import validate_density_matrix
-from .errors import DomainError, IntegratorError, InvalidStateError
+from .errors import DomainError, IntegratorError
 from .pauli import IDENTITY4, PAIR
 
 HamiltonianSource = Callable[[np.ndarray], np.ndarray]
@@ -248,8 +237,8 @@ def _magnus4(H_of_t: BatchSource, starts: np.ndarray, lengths: np.ndarray,
 
 
 def period_tolerance(tol: float, period: float, span: float) -> float:
-    """Tolerance of the quarter-period run that composes a run over
-    span > period / 4.
+    """Tolerance of the quarter-period run that composes a run over a span
+    beyond the reach of the period (:func:`_plan`).
 
     tol * period / (4 max(span, period)), the direct run's error budget
     over a quarter period, or over a quarter of the one period that holds
@@ -305,19 +294,16 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
 
     Passing the period T asserts H(t + T) = H(t), H(-t) = H(t)* and
     H(t + T/2) = P H(t) P with P = s3 (x) s3, as `spin_hamiltonian`
-    satisfies (module docstring).  When a sample lies beyond T/4, only
-    [0, T/4] is integrated, at tol * T / (4 max(t_grid[-1], T))
-    (:func:`period_tolerance`), and H is asked for no time outside it:
-    with m = rint(t / T) the nearest multiple, r = t - m T and a = |r|,
-    U(t) = V(r) U(T)^m, where V(a) = U(a) up to T/4 and
-    P U(T/2 - a)* C beyond, V(r) is conjugated when r < 0,
-    C = U(T/4)^T P U(T/4) and U(T) = C C.  Each sample then carries
-    about (t_grid[-1] + T) / (2 max(t_grid[-1], T)) tol.  The result is
-    the one without a period, bit for bit, when no sample lies beyond
-    T/4, or when none lies beyond T and every sample lies on a node of
-    the power-of-two grid of [0, t_grid[-1]] with the fewest steps that
-    holds them, so that the run takes no tail step.  Raises DomainError
-    when t_grid[-1] > T and the half-period budget
+    satisfies (module docstring).  When t_grid[-1] lies beyond the reach
+    of T (:func:`_plan`), only [0, T/4] is integrated, at
+    tol * T / (4 max(t_grid[-1], T)) (:func:`period_tolerance`), and H is
+    asked for no time outside it: with m = rint(t / T) the nearest
+    multiple, r = t - m T and a = |r|, U(t) = V(r) U(T)^m, where
+    V(a) = U(a) up to T/4 and P U(T/2 - a)* C beyond, V(r) is conjugated
+    when r < 0, C = U(T/4)^T P U(T/4) and U(T) = C C.  Each sample then
+    carries about (t_grid[-1] + T) / (2 max(t_grid[-1], T)) tol.  Within
+    reach the result is the one without a period, bit for bit.  Raises
+    DomainError when t_grid[-1] > T and the half-period budget
     tol * T / (2 t_grid[-1]) is not above the tolerance floor.
 
     This is the batch of one of :func:`propagate_batch`.
@@ -341,11 +327,11 @@ def propagate_batch(H_of_t: BatchSource, t_grids: Sequence[Sequence[float]],
     stack, or to one 4x4 matrix when H is constant; each call asks for
     at most 512 times, counted across the batch, in no particular order.
     Each point plans its own grid and tol as :func:`propagate` does: its
-    t_grid, or, when it is given a period and its span exceeds a quarter
-    of it (but for a tail-free grid within one period), the quarter-period
-    grid at :func:`period_tolerance`, whose U is gathered into one row per
-    sample of t_grid and composed there in place.  All
-    points share the halving round's step count n, each with its own
+    t_grid, or, when it is given a period and its span lies beyond the
+    reach of it (:func:`_plan`), the quarter-period grid at
+    :func:`period_tolerance`, whose U is gathered into one row per sample
+    of t_grid and composed there in place.  All points share the halving
+    round's step count n, each with its own
     h = span / n, and a point leaves the batch at its first passed
     halving test, of U or, when all of its samples lie on the coarse
     nodes and so need no tail step, of the sixth-order E at its samples
@@ -384,7 +370,28 @@ def _plan(t_grid: Sequence[float], tol: float, period: float | None):
     Magnus steps run on, the tol of that run, the sample of that grid
     behind each row of its result, or None when the rows are the grid's
     own samples, and the map that turns those rows into U on t_grid in
-    place, or None when they are U on t_grid already."""
+    place, or None when they are U on t_grid already.
+
+    The one route rule: a run given a period T runs directly on t_grid
+    while its span is within reach of T, and beyond reach it is composed
+    from the quarter-period run at :func:`period_tolerance`, tol / 4
+    within one period.  A run without a period runs directly.  Reach is
+    T on a tail-free grid, whose samples all lie on the nodes of the
+    power-of-two grid of the span with the fewest steps that holds them,
+    such as 2^k + 1 evenly spaced samples: its direct run takes no tail
+    step and keeps the sixth-order test.  On any other grid, reach is
+    4^(-4/5) T = 0.330 T, where the direct run and the quarter run cost
+    the same steps: the fourth-order test takes n ~ s^(5/4) tol^(-1/4)
+    steps over a span s (global error ~ s h^4; Blanes, Casas, Oteo &
+    Ros, Phys. Rep. 470, 151 (2009)), and 4 (s / T)^(5/4) = 1.  Summed
+    over tol 1e-6, 1e-8, 1e-10 and 1e-12, on the drive of acceptance test
+    4a and three others with 11, 40 and 101 samples, the direct run cost
+    at most the composed one from 0.26 T to 0.36 T (11 samples over 0.3
+    laser periods, 0.284 T: 3 392 H times against 5 520), and more from
+    0.38-0.40 T up (11 samples over one laser period: 13 568 against
+    5 520).  On the 4a drive, 9 tail-free samples over half a laser
+    period take 960 H times directly and would take 5 504 composed.
+    """
     tol = _check_tol(tol)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0.0:
@@ -394,12 +401,11 @@ def _plan(t_grid: Sequence[float], tol: float, period: float | None):
     if period is not None and not (period > 0.0 and math.isfinite(period)):
         raise DomainError(f"period must be positive and finite, got {period}")
     span = t_grid[-1]
-    # within one period, samples on the nodes of the power-of-two grid of
-    # the span with the fewest steps that holds them take no tail step,
-    # so the direct run keeps its sixth-order test and is the cheaper one
+    # 0 for a lone sample at 0, which no grid needs to hold
     coarsest = span / (1 << (t_grid.size - 2).bit_length())
-    if (period is None or span <= 0.25 * period
-            or span <= period and _nodes(t_grid, coarsest)[1].all()):
+    reach = math.inf if period is None else period * (
+        1.0 if coarsest and _nodes(t_grid, coarsest)[1].all() else 4.0 ** -0.8)
+    if span <= reach:
         return t_grid, tol, None, None
 
     tol_quarter = period_tolerance(tol, period, span)
@@ -678,25 +684,4 @@ def _tail_rows(off: np.ndarray, size: int, rows: np.ndarray | None,
     step = step_of[dest]
     order = np.argsort(step, kind="stable")
     return dest[order], step[order]
-
-
-def evolve_von_neumann(rho0: np.ndarray, H_of_t: HamiltonianSource,
-                       t_grid: Sequence[float], tol: float = 1e-9,
-                       period: float | None = None) -> np.ndarray:
-    """Solve d rho/dt = -i [H(t), rho] on the given time grid, with H_of_t
-    an (m,) array of times in, their (m, 4, 4) stack out (:func:`propagate`).
-
-    Returns the (len(t_grid), 4, 4) stack of density matrices, one per
-    grid time (the first grid time must be 0 and yields the validated
-    initial state, a single 4x4 matrix).  The states are rho0 conjugated
-    with the stack of propagators in one broadcast product, so trace and
-    spectrum are preserved structurally.  period, the period of H, is
-    passed to :func:`propagate`.
-    """
-    rho0 = validate_density_matrix(rho0)
-    if rho0.ndim != 2:
-        raise InvalidStateError(
-            f"initial state must be one 4x4 matrix, got {rho0.shape}")
-    Us = propagate(H_of_t, t_grid, tol, period)
-    return Us @ rho0 @ Us.conj().swapaxes(-1, -2)
 

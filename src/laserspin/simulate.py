@@ -1,4 +1,4 @@
-"""Scenario execution: concurrence traces, CSV output, parameter sweeps.
+"""Scenario execution: states, concurrence traces, CSV output, sweeps.
 
 Every sweep point is an independent pure computation; the CSV bytes of a
 point depend only on its configuration, never on scheduling, which makes
@@ -27,7 +27,7 @@ from .entanglement import (concurrence_from_factor,
                            has_unit_trace, unitary_orbit_bound,
                            validate_density_matrix)
 from .errors import ConfigError, IntegratorError, InvalidStateError
-from .evolution import BATCH_MATRICES, propagate_batch
+from .evolution import BATCH_MATRICES, propagate, propagate_batch
 from .pauli import IDENTITY4
 from .spinfield import DriveTable, spin_hamiltonian
 from .trajectory import modulus_from_params
@@ -71,19 +71,31 @@ def rows_to_csv(trace: Trace) -> str:
     return "".join(parts)
 
 
+def evolve_von_neumann(rho0: np.ndarray, H_of_t: evolution.HamiltonianSource,
+                       t_grid: Sequence[float], tol: float = 1e-9,
+                       period: float | None = None) -> np.ndarray:
+    """Solve d rho/dt = -i [H(t), rho] on a time grid from 0: the
+    (len(t_grid), 4, 4) stack U rho0 U^+ of the propagators U of
+    :func:`propagate`, to which H_of_t and period are passed, in one
+    broadcast product, so trace and spectrum are preserved structurally.
+    rho0 must be one valid 4x4 density matrix."""
+    rho0 = validate_density_matrix(rho0)
+    InvalidStateError.unless(rho0.ndim == 2, "initial state must be one 4x4 "
+                             f"matrix, got {rho0.shape}")
+    Us = propagate(H_of_t, t_grid, tol, period)
+    return Us @ rho0 @ Us.conj().swapaxes(-1, -2)
+
+
 def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Evolve the configured initial state and return its CSV columns.
 
     H_S is periodic in the motion period, time-reversal symmetric,
     H_S(-t) = H_S(t)*, and shifted by P = s3 (x) s3 over half a period,
-    H_S(t + T/2) = P H_S(t) P, so a run longer than a quarter period
-    integrates that quarter once and composes every sample from it, at
-    a quarter of tol within one period; of those, only a run within one
-    period whose samples all lie on the nodes of a power-of-two grid of
-    the span, which takes no tail step, is integrated over its whole span
-    (see :func:`propagate`).  The columns come from the propagators U
-    and one factor rho0 = R R^+, `evolution._CHUNK` samples at a time,
-    with no state formed: B = U R gives the concurrence
+    H_S(t + T/2) = P H_S(t) P, so a run beyond the reach of the period
+    (`evolution._plan`) integrates a quarter period once and composes
+    every sample from it (see :func:`propagate`).  The columns come from
+    the propagators U and one factor rho0 = R R^+, `evolution._CHUNK`
+    samples at a time, with no state formed: B = U R gives the concurrence
     (:func:`concurrence_from_factor`), and G = B^+ B the trace tr G and
     the purity tr G^2 of rho = B B^+.  Raises IntegratorError, naming
     the first such sample, when a propagated state has a non-finite

@@ -18,6 +18,7 @@ from laserspin import (BoundStateParams, LaserParams, modulus_from_params,
 from laserspin.cli import main
 from laserspin.config import config_from_dict, load_config
 from laserspin.errors import ConfigError, DomainError, IntegratorError
+from laserspin.evolution import _plan
 from laserspin.simulate import (CSV_HEADER, apply_sweep_value, rows_to_csv,
                                 run_scenario, run_sweep, scenario_csv)
 
@@ -180,9 +181,11 @@ class TestConfig:
         path = write_config(tmp_path, base_config(t_end=edge * (1.0 + 1e-6)))
         assert main(["simulate", "--config", path]) == 2
         assert "not above 1e-14" in capsys.readouterr().err
-        for t_end in (1e300, 1.7e308):
-            with pytest.raises(ConfigError, match="not above 1e-14"):
-                config_from_dict(base_config(t_end=t_end))
+        with pytest.raises(ConfigError, match="not above 1e-14"):
+            config_from_dict(base_config(t_end=1e300))
+        # 1.7e308 laser periods overflow the span, which is named first
+        with pytest.raises(ConfigError, match="span inf time units"):
+            config_from_dict(base_config(t_end=1.7e308))
         # 1e5 periods leave 5e-12 and run in about a second
         path = write_config(tmp_path, base_config(t_end=1e5, samples=3))
         assert main(["simulate", "--config", path]) == 0
@@ -418,6 +421,17 @@ class TestExtremeButFiniteNumbers:
         err = capsys.readouterr().err
         assert "t_end = 2.0" in err and "omega_L = 5e-324" in err
 
+    def test_infinite_span_beyond_a_finite_period_exits_2(self, tmp_path,
+                                                          capsys):
+        # the motion period stays finite, so the span is named before the
+        # period budget it would leave at 0
+        raw = readme_config(("laser", "omega_L"), 1e-300)
+        raw["t_end"] = 1e10
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) \
+            == 2
+        assert "omega_L = 1e-300 span inf time units" \
+            in capsys.readouterr().err
+
 
 class TestRunScenario:
     def test_frozen_dynamics_keeps_initial_concurrence(self):
@@ -546,7 +560,7 @@ class TestChunks:
     """Per-sample work runs in chunks of evolution._CHUNK samples, whose size
     changes no bit; a trace holds about one (N, 4, 4) stack."""
 
-    # a direct run within a quarter motion period and a composed one
+    # a direct run within reach of the motion period and a composed one
     # beyond it, neither a multiple of 256 samples
     RUNS = {"direct": (0.2, 601), "composed": (3.0, 601)}
 
@@ -555,11 +569,11 @@ class TestChunks:
             laser={"eta": 0.3, "epsilon": 0.3, "omega_L": 1.0},
             t_end=t_end, samples=samples))
         kin = modulus_from_params(cfg.laser, cfg.gamma_z)
+        grid, T = np.linspace(0.0, cfg.span, cfg.samples), motion_period(kin)
         Us = laserspin.propagate(
             lambda t: laserspin.spin_hamiltonian(t, cfg.laser, kin, cfg.bound),
-            np.linspace(0.0, cfg.span, cfg.samples), cfg.tol,
-            motion_period(kin))
-        return cfg.span > 0.25 * motion_period(kin), run_scenario(cfg), Us
+            grid, cfg.tol, T)
+        return _plan(grid, cfg.tol, T)[3] is not None, run_scenario(cfg), Us
 
     @pytest.mark.parametrize("name", RUNS)
     def test_chunk_size_changes_no_bit(self, monkeypatch, name):
@@ -1243,6 +1257,52 @@ class TestMainExitCodes:
         assert main(["validate", "--filter", "concurrence"]) == 1
         assert "[FAIL] concurrence" in capsys.readouterr().out
 
+    def test_werner_analytic_row_catches_a_column_error(self, monkeypatch,
+                                                        capsys):
+        # 0.03 added to the analytic column (3p - 1)/2 puts the Werner
+        # row, at 8.7e-5 unpatched, beyond its 10 eta^2 = 0.025 gate
+        from laserspin import simulate
+        kernel = simulate.concurrence_werner_analytic
+        monkeypatch.setattr(simulate, "concurrence_werner_analytic",
+                            lambda p: kernel(p) + 0.03)
+        from laserspin.validate import oracle_concurrence
+        row, = (c for c in oracle_concurrence().checks
+                if c.label == "werner dev")
+        assert not row.passed and row.deviation == pytest.approx(0.03,
+                                                                 abs=1e-3)
+        assert main(["validate", "--filter", "concurrence"]) == 1
+        assert capsys.readouterr().out.startswith(
+            "[FAIL] concurrence: werner dev 3.009e-02 (gate 0.025)")
+
+    def test_euler_oracle_catches_a_flipped_exchange_term(self, monkeypatch,
+                                                          capsys):
+        # i S sin 2psi with the sign of S flipped moves exp(i psi S) by
+        # |sin 2psi|, against a roundoff gate of 1e-12
+        from laserspin import validate
+        from laserspin.pauli import SIGMA_DOT_SIGMA
+        exact = validate.euler_representation
+
+        def flipped(psi):
+            a = np.asarray(psi, dtype=float)[..., None, None]
+            return exact(psi) - (1j * np.exp(-1j * a) * np.sin(2.0 * a)
+                                 * SIGMA_DOT_SIGMA)
+        monkeypatch.setattr(validate, "euler_representation", flipped)
+        assert not validate.oracle_euler().passed
+        assert main(["validate", "--filter", "euler"]) == 1
+        assert "[FAIL] euler" in capsys.readouterr().out
+
+    def test_commutator_oracle_catches_a_relative_error(self, monkeypatch,
+                                                        capsys):
+        # delta rho_W off by 1e-9 of itself moves its largest entry by
+        # 1.8e-12, beyond the roundoff gate of 1e-12
+        from laserspin import validate
+        exact = validate.perturbative_delta_rho_werner
+        monkeypatch.setattr(validate, "perturbative_delta_rho_werner",
+                            lambda *args: exact(*args) * (1.0 + 1e-9))
+        assert not validate.oracle_commutator().passed
+        assert main(["validate", "--filter", "commutator"]) == 1
+        assert "[FAIL] commutator" in capsys.readouterr().out
+
     def test_elliptic_oracle_catches_a_quarter_period_error(self,
                                                             monkeypatch,
                                                             capsys):
@@ -1355,11 +1415,11 @@ class TestMainExitCodes:
         assert run_python(["-c", code]) == "False"
 
     def test_layer_import_loads_no_upper_layer(self):
-        # the propagator needs no drive, trajectory or oracle, and the
-        # states and their checks need no propagator
+        # the propagator needs no drive, trajectory, state or oracle, and
+        # the states and their checks need no propagator
         for module, upper in (
-                ("evolution", ("elliptic", "spinfield", "trajectory",
-                               "validate")),
+                ("evolution", ("elliptic", "entanglement", "spinfield",
+                               "trajectory", "validate")),
                 ("entanglement", ("evolution",))):
             code = (f"import sys, laserspin.{module}; print(sorted(m for m "
                     f"in {upper!r} if 'laserspin.' + m in sys.modules))")

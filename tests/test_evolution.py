@@ -843,38 +843,39 @@ class TestPeriodComposition:
 
 
 class TestComposedWithinOnePeriod:
-    """A run given a period whose span exceeds a quarter of it is composed
-    from [0, T/4] at the one-period budget tol / 4, within one period too,
-    unless it stays within one period on a tail-free grid."""
+    """A run given a period whose span lies beyond its reach, 4^(-4/5) T,
+    or T on a tail-free grid (evolution._plan), is composed from [0, T/4]
+    at the one-period budget tol / 4, within one period too."""
 
     # the four drives of test_global_error_within_tol and, per grid of
-    # samples x laser periods, the H times of its direct and its composed
-    # run summed over tol 1e-6, 1e-8, 1e-10 and 1e-12; every span lies in
-    # (T/4, T]
+    # samples x laser periods, the H times of its run without and with the
+    # period summed over tol 1e-6, 1e-8, 1e-10 and 1e-12; every span lies
+    # in (T/4, T], and the spans of 0.3 laser periods, 0.28-0.30 T, within
+    # reach, so their runs with the period are the direct ones
     DRIVES = [
         pytest.param((0.5, 0.3, 6.0, 2.0, 0.5), {
-            "11x0.3": (3392, 5520), "11x0.5": (6784, 5520),
-            "11x1": (13568, 5520), "40x0.3": (3632, 5752),
+            "11x0.3": (3392, 3392), "11x0.5": (6784, 5520),
+            "11x1": (13568, 5520), "40x0.3": (3632, 3632),
             "40x0.5": (7024, 5752), "40x1": (13808, 5752),
-            "101x0.3": (4096, 6240), "101x0.5": (7488, 6240),
+            "101x0.3": (4096, 4096), "101x0.5": (7488, 6240),
             "101x1": (14272, 6240)}, id="long_elliptic"),
         pytest.param((0.1, 0.2, 4.0, 1.0, 0.1), {
-            "11x0.3": (1408, 1488), "11x0.5": (2752, 1488),
-            "11x1": (5504, 1488), "40x0.3": (1648, 1720),
+            "11x0.3": (1408, 1408), "11x0.5": (2752, 1488),
+            "11x1": (5504, 1488), "40x0.3": (1648, 1648),
             "40x0.5": (2992, 1720), "40x1": (5744, 1720),
-            "101x0.3": (2112, 2208), "101x0.5": (3456, 2208),
+            "101x0.3": (2112, 2112), "101x0.5": (3456, 2208),
             "101x1": (6208, 2208)}, id="dense_trace"),
         pytest.param((0.5, 0.3, 2.0, 2.0, 0.5), {
-            "11x0.3": (1728, 2768), "11x0.5": (2880, 2768),
-            "11x1": (6784, 2768), "40x0.3": (1968, 3000),
+            "11x0.3": (1728, 1728), "11x0.5": (2880, 2768),
+            "11x1": (6784, 2768), "40x0.3": (1968, 1968),
             "40x0.5": (3120, 3000), "40x1": (7024, 3000),
-            "101x0.3": (2432, 3488), "101x0.5": (3584, 3488),
+            "101x0.3": (2432, 2432), "101x0.5": (3584, 3488),
             "101x1": (7488, 3488)}, id="delta0"),
         pytest.param((0.2, 0.0, 2.0, 0.5, 0.08), {
-            "11x0.3": (1408, 1488), "11x0.5": (1728, 1488),
-            "11x1": (3456, 1488), "40x0.3": (1648, 1720),
+            "11x0.3": (1408, 1408), "11x0.5": (1728, 1488),
+            "11x1": (3456, 1488), "40x0.3": (1648, 1648),
             "40x0.5": (1968, 1720), "40x1": (3696, 1720),
-            "101x0.3": (2112, 2208), "101x0.5": (2432, 2208),
+            "101x0.3": (2112, 2112), "101x0.5": (2432, 2208),
             "101x1": (4160, 2208)}, id="factorization")]
 
     @pytest.mark.parametrize("drive, h_budgets", DRIVES)
@@ -897,25 +898,28 @@ class TestComposedWithinOnePeriod:
         for name, grid in grids.items():
             assert 0.25 * T < grid[-1] <= T
             refs = np.array([U_ref[t] for t in grid.tolist()])
+            composed = evolution._plan(grid, 1e-8, T)[3] is not None
             h_times[name] = []
             for period in (None, T):
                 calls.clear()
                 for tol in (1e-6, 1e-8, 1e-10, 1e-12):
                     Us = propagate(H, grid, tol, period)
                     assert np.abs(Us - refs).max() <= tol
-                if period is not None:
+                if period is not None and composed:
                     assert max(t.max() for t in calls) <= 0.25 * T
                 h_times[name].append(sum(np.size(t) for t in calls))
             h_times[name] = tuple(h_times[name])
         assert h_times == h_budgets
 
-    # (samples, span / T, composed): within T/4 the run is direct; within
-    # T, 9 and 17 evenly spaced samples lie on the nodes of the 8- and
-    # 16-step grids and run directly, while 11 miss the 16-step grid's
-    # nodes and are composed; beyond T every grid is composed
-    PLANS = [(11, 0.2, False), (11, 0.6, True), (11, 1.0, True),
-             (9, 0.6, False), (9, 1.0, False), (17, 0.6, False),
-             (17, 1.0, False), (9, 1.2, True)]
+    # (samples, span / T, composed): 11 samples miss the 16-step grid's
+    # nodes, so they run directly up to 4^(-4/5) T = 0.33 T and are
+    # composed beyond; within T, 9 and 17 evenly spaced samples lie on the
+    # nodes of the 8- and 16-step grids and run directly; beyond T every
+    # grid is composed
+    PLANS = [(11, 0.2, False), (11, 0.3, False), (11, 0.35, True),
+             (11, 0.6, True), (11, 1.0, True), (9, 0.6, False),
+             (9, 1.0, False), (17, 0.6, False), (17, 1.0, False),
+             (9, 1.2, True)]
 
     @pytest.mark.parametrize("samples, end, composed", PLANS)
     def test_which_runs_are_composed(self, samples, end, composed):
