@@ -18,15 +18,16 @@ from functools import cached_property
 
 import numpy as np
 
+from .entanglement import product_state, werner_state
 from .errors import ConfigError, DomainError
 from .evolution import TOL_BOUNDS, period_tolerance
 from .spinfield import BoundStateParams
 from .trajectory import LaserParams, modulus_from_params, motion_period
 
 SCHEMA_VERSION = 1
-# samples per scenario; a run peaks at 0.36 kB a sample direct and 0.37 kB
-# composed, which holds one (N, 4, 4) stack as the direct run does
-# (tracemalloc of scenario_csv at 20 001 samples), so stays below 0.4 GB
+# samples per scenario; a run holds one (N, 4, 4) stack, composed or not
+# (`evolution._compose`), and peaks at 0.37 kB a sample (tracemalloc of
+# scenario_csv at 20 001 samples), so stays below 0.4 GB
 MAX_SAMPLES = 1_000_000
 
 # the keys of each section of a scenario file, each with its type, or
@@ -57,7 +58,6 @@ class InitialState:
     matrix: tuple | None = None
 
     def build(self) -> np.ndarray:
-        from .entanglement import product_state, werner_state
         if self.kind == "werner":
             return werner_state(self.p)
         if self.kind == "product":
@@ -98,10 +98,8 @@ class ScenarioConfig:
         return motion_period(modulus_from_params(self.laser, self.gamma_z))
 
     def _check_periods(self) -> None:
-        """A run beyond one motion period integrates a quarter of that
-        period at the `period_tolerance` of tol; reject a time span that
-        is not finite, or a t_end that puts the half-period budget on the
-        floor."""
+        """Reject a time span that is not finite, or a t_end whose budget
+        `period_tolerance` puts on the tolerance floor."""
         try:
             period = self.period
         except DomainError:

@@ -1,139 +1,17 @@
-"""Propagators of a two-spin Hamiltonian.
+"""Propagators of a two-spin Hamiltonian: fourth-order Magnus steps
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) over a time
+grid, composed over the motion period of a periodic drive.  Every factor
+is the exponential of a Hermitian matrix, so U stays unitary to roundoff.
 
-Magnus steps
-------------
-:func:`propagate` integrates the propagator dU/dt = -i H(t) U (not rho)
-over a time grid and returns the (N, 4, 4) stack of U(t_k), by
-fourth-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-151 (2009)): over an interval of length h, with H1 and H2 the values of
-H at its two Gauss-Legendre nodes, U_step = exp(-i K) with
-
-    K = h/2 (H1 + H2) + i sqrt(3) h^2/12 [H1, H2].
-
-The steps are uniform over the whole span: n = 8, 16, ... steps, until
-U at the nodes of the n/2-step grid moves by at most max(7.5 tol,
-4e-15 n) when the step is halved; 4e-15 n is the roundoff of n steps.
-For a fourth-order step the error of the n-step grid is about that
-change / (2^4 - 1) (Richardson; Hairer, Nørsett & Wanner, Solving
-Ordinary Differential Equations I, Sec. II.4), so the accepted grid
-carries about tol / 2 against a tight reference, until roundoff sets
-the grid: once 4e-15 n exceeds 7.5 tol the accepted change is the
-floor, not tol, and the error can pass tol (1.2 tol over 34 samples of
-8 motion periods on the drive of acceptance test 4a at tol 1e-12, the
-grid and error of tol 1e-11, where it is 0.12 tol).  The steps of a
-round are written straight into its nodes, where the prefix product of
-the steps, formed pairwise in 2 log2 n batched matmuls, replaces them;
-the nodes are projected once per halving round by a Newton step of the
-polar projection.  Each sample off the grid nodes then takes one more
-step, from the node before it, applied in place _CHUNK = 256 samples
-at a time; a sample on a node, or within roundoff of it,
-8 eps max(t/h, 1), takes U there.
-
-Sixth order comes from the same rounds where no sample needs a tail
-step.  When all samples lie on the nodes of the n/2-step grid, the
-Richardson extrapolation E_n = polar(U_n + (U_n - U_{n/2}) / 15) cancels
-the fourth-order error term, so E_n is sixth order, and its error is
-about |E_n - E_{n/2}| / (2^6 - 1).  From n = 32 on, such a point that
-the first test holds is accepted when E moves by at most
-max(31.5 tol, 4e-15 n) at its samples, and its samples take E_n.  E is
-formed at the samples only, from the difference U_n - U_{n/2} that the
-first test leaves in the coarse buffer, and polar stands for two Newton
-steps of the projection: the sum is off unitarity by about
-|U_n - U_{n/2}|^2 / 15, which one step left at 1.1e-10 at tol 9e-5.
-The second test runs beside the first, so it adds no round, and a point
-the first test accepts keeps its grid and bits.  A point with a tail
-step keeps the first test only and forms no E: its tail step is fourth
-order, and on a grid 4 times coarser its local error grows about
-4^5-fold, which the estimate of E does not see.  On tail-free grids of
-four drives at tol 1e-6 to 1e-12 the worst error against DOP853 was
-0.39 tol.  190 strobes at multiples of the motion period on the drive
-of acceptance test 4a (eta 0.5, eps 0.3, g 0.5, Delta 4) took 112
-H times instead of 496 at tol 1e-6, and 240 instead of 2 032 at 1e-9.
-So a run holds its (N, 4, 4) stack of U, the E of its samples and
-temporaries of one chunk beside the nodes of its rounds.
-
-A Hamiltonian source maps an (m,) array of times to their
-(m, 4, 4) stack, or to one constant 4x4, and is asked for at most 512
-times per call, in no particular order.  Every factor is the
-exponential of a Hermitian matrix, so U stays unitary to roundoff and
-rho(t) = U rho(0) U^+ keeps Hermiticity, trace and positivity
-structurally; the halving test's error estimate sets the accuracy.
-`simulate.evolve_von_neumann` forms the whole stack of states in one
-broadcast product, and `simulate.run_scenario` forms no state at all,
-but takes each sample's outputs from U R, with rho(0) = R R^+.
-
-:func:`propagate_batch` runs a batch of such propagations, the points
-of a sweep or of an oracle grid, at once, and :func:`propagate` is its
-batch of one.  Its source maps an (m,) array of times and an (m,) array
-of the points they belong to, so that one call serves every point and
-ragged sets of times fit; the 512 times per call are counted across the
-batch.  Each point plans its own grid and tol (below), all points share
-the halving round's n, each with its own h = span / n, and a point
-leaves the batch at its first passed halving test; the tail steps of
-all samples run together at the end.  So each round asks H once per 512
-times for the whole batch, while each point keeps the grid, the H
-times and the bits of its own run, and a point that fails ends only its
-own run.  A round holds at most BATCH_MATRICES = MAX_STEPS + 1 nodes
-across its points, or the nodes of one point, so that a batch never
-needs more memory for its rounds than one run on the finest grid: the
-points beyond that wait, and start again from the last grid they
-computed, which costs each of them that grid's H times once more.
-
-Periodic drives
----------------
-H_S(t) depends on t only through sn, cn and dn of u = w'_L t, so it has
-the exact motion period T = 4 K(mu) / w'_L.  Bx and Bz are even in t and
-By is odd, so H_S is also time-reversal symmetric, H_S(-t) = H_S(t)*,
-at every eps (pinned at 1e-14 for `spin_hamiltonian` at three drives).
-H_S also shifts by half a period: sn(u + 2K) = -sn u, cn(u + 2K) = -cn u
-and dn(u + 2K) = dn u (DLMF 22.4.3), so Bx and By change sign and Bz
-does not, and with P = s3(x)s3, which leaves s.s alone,
-H_S(t + T/2) = P H_S(t) P (pinned at 1e-14 at four drives).  Passing T
-to :func:`propagate` asserts all three, H(t + T) = H(t),
-H(-t) = H(t)* and H(t + T/2) = P H(t) P.  Then U(-s) = U(s)*,
-U(s + T/2) = P U(s) P U(T/2), so the second quarter period is the first
-one reversed and shifted, and one run over [0, T/4] gives every sample
-(Floquet; Shirley, Phys. Rev. 138, B979 (1965)):
-
-    C = B^T P B,               B = U(T/4),
-    U(T/2) = P C,              U(T) = C C,
-    V(a) = U(a) for a <= T/4,  V(a) = P U(T/2 - a)* C for T/4 < a <= T/2,
-    U(m T + r) = V(r) U(T)^m,  m = rint(t / T),  |r| <= T/2,
-
-with V(r) = V(|r|), conjugated when r < 0.  B and every U(a) are
-samples of that one run, C is symmetric, and C and U(T) are projected
-once each by the polar step, so H is asked for times in [0, T/4] only.
-
-A run whose span lies beyond the reach of its period is composed so,
-within one period too; a run within reach runs directly, bit for bit
-the run without a period (:func:`_plan` states the rule).  The quarter
-run writes U at its samples straight into the rows of the result, one
-per sample of t_grid and a last one for B, the rows of one offset share
-its tail step, and the rows are then composed in place, _CHUNK at a
-time, so a composed run holds one (N, 4, 4) stack, as a direct run
-does: `simulate` over 20 001 samples peaks at 1.45 stacks over 5 laser
-periods and at 1.39 direct (tracemalloc), where a stack of the quarter
-run's own beside the result took 2.23.
-
-Errors add along the products: with e_q the error of the quarter run,
-C carries 2 e_q, U(T) 4 e_q, V(a) about 2 e_q at most, as U(T/2) does,
-and U(m T + r) about (4 m + 2) e_q <= (4 t / T + 4) e_q.  The quarter
-run is therefore asked for tol T / (4 max(t_end, T)), the direct run's
-error budget over a quarter period, or over a quarter of the one period
-that holds a shorter run, and delivers about half that (above), so
-every sample carries about (t_end + T) / (2 max(t_end, T)) tol <= tol,
-while the cost grows only like (t_end / T)^(1/4).  Within one period
-the worst error against DOP853 was 0.36 tol, on four drives with 11,
-40 and 101 samples over 0.3, 0.5 and 1 laser periods at tol 1e-6 to
-1e-12.  The powers U(T)^m are matrix products, never an
-eigendecomposition, because at Delta = 0 U(T) has a degenerate triplet
-whose eigenvectors `eig` need not return orthogonal.  All distinct m
-are powered at once, bit by bit: at bit b every power whose m has bit b
-set takes one factor U(T)^(2^b), and that factor is squared for the
-next bit.  A Newton step of the polar projection after every one of
-these products keeps unitarity at roundoff, so only the phases carry
-the roundoff of the products: 1e-16 m to 4e-16 m against 40-digit
-powers of the same U(T), for m from 10 to 10^5.
+Each rule is stated once, in the docstring of the function that enforces
+it: the contracts in :func:`propagate` and :func:`propagate_batch`, and
+that of a Hamiltonian source in the latter; the route of a run, direct
+or composed, in :func:`_plan`; the error budget of a composed run in
+:func:`period_tolerance`; the Magnus step in :func:`_magnus4`; the
+halving rounds, their tests and roundoff floor, the node budget and the
+tail steps in :func:`_propagate_grid`; the composition and its Floquet
+powers in :func:`_compose`; and the symmetries of H_S that a period
+asserts in `spinfield.spin_hamiltonian`.
 """
 
 from __future__ import annotations
@@ -155,32 +33,25 @@ TOL_BOUNDS = (1e-14, 1e-4)
 # steps on the finest uniform grid of one integration; 8 192 is the most
 # a test needs
 MAX_STEPS = 2**16
-# 4x4 matrices in one stack of a batch: the nodes of a halving round
-# across its points (:func:`_propagate_grid`), and the samples of the
-# points of a sweep batch, which simulate._sweep_point cuts to fit; the
-# nodes of the finest grid of one run, 16 MB
+# 4x4 matrices in one stack of a batch: the node budget of a halving round
+# (:func:`_propagate_grid`), and the samples of a sweep batch, which
+# simulate._sweep_point cuts to fit; the nodes of the finest grid of one
+# run, 16 MB
 BATCH_MATRICES = MAX_STEPS + 1
-# the accepted change of U under halving, in units of tol: for a
-# fourth-order step the fine grid's error is about change / (2^4 - 1)
-# (Hairer, Nørsett & Wanner, Solving ODEs I, II.4), so 7.5 tol delivers
-# about tol / 2; 15 tol measured up to 0.975 tol against DOP853
+# the accepted change of U and of E under halving, in units of tol, and
+# the Richardson divisor 2^4 - 1 (:func:`_propagate_grid`)
 _ACCEPT_CHANGE = 7.5
-# E_n = polar(U_n + (U_n - U_{n/2}) / (2^4 - 1)), the Richardson
-# extrapolation of the fourth-order step, is sixth order, so its error is
-# about its change under halving / (2^6 - 1), and a change of 31.5 tol
-# delivers about tol / 2
 _RICHARDSON = 15.0
 _ACCEPT_CHANGE_6 = 31.5
-# a sample within 8 eps max(t/h, 1) of a node k h lies on it
-_SNAP = 8.0 * np.finfo(float).eps
+_SNAP = 8.0 * np.finfo(float).eps               # :func:`_nodes`
 # the two Gauss-Legendre nodes of [0, 1]
 _GL2 = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
-# intervals per H call, so at most 512 times per call, which the H-call
-# contract states; batched 4x4 matmul and eigh cost a flat 0.5 and 5-6 us
-# per matrix from 256 to 32 768 matrices, on one thread, and one call for a
-# whole grid of 512 to 65 536 steps was no faster (6-10 us a step either way).
-# Also the samples per chunk of all per-sample work: tail steps, composed
-# samples, and simulate's trace columns and CSV rows
+# intervals per H call, so at most 512 times per call
+# (:func:`propagate_batch`); batched 4x4 matmul and eigh cost a flat 0.5
+# and 5-6 us per matrix from 256 to 32 768 matrices, on one thread, and one
+# call for a whole grid of 512 to 65 536 steps was no faster (6-10 us a
+# step either way).  Also the samples per chunk of all per-sample work:
+# tail steps, composed samples, and simulate's trace columns and CSV rows
 _CHUNK = 256
 
 
@@ -238,23 +109,27 @@ def _magnus4(H_of_t: BatchSource, starts: np.ndarray, lengths: np.ndarray,
 
 def period_tolerance(tol: float, period: float, span: float) -> float:
     """Tolerance of the quarter-period run that composes a run over a span
-    beyond the reach of the period (:func:`_plan`).
+    beyond the reach of the period T (:func:`_plan`):
+    tol T / (4 max(span, T)).
 
-    tol * period / (4 max(span, period)), the direct run's error budget
-    over a quarter period, or over a quarter of the one period that holds
-    a shorter span: U(T/4) then carries e_q = tol T / (4 max(span, T)),
-    U(T/2) and U(T) carry 2 e_q and 4 e_q, and a sample at t = m T + r
-    carries about (4 m + 2) e_q <= (t + T) / max(span, T) tol <= 2 tol,
-    of which the halving test delivers about half (module docstring).
-    Raises DomainError when span > period and the half-period budget
-    tol T / (2 span) is not above the floor TOL_BOUNDS[0], so a span of
+    The error budget: errors add along the products of :func:`_compose`.
+    With e_q the error of B = U(T/4), C carries 2 e_q, U(T) 4 e_q, V(a)
+    about 2 e_q at most, and a sample at t = m T + r about
+    (4 m + 2) e_q <= (t + T) / max(span, T) tol <= 2 tol, of which the
+    halving test delivers about half (:func:`_propagate_grid`).  So the
+    quarter run takes the direct run's budget over a quarter period, or
+    over a quarter of the one period that holds a shorter span, and its
+    cost grows only like (span / T)^(1/4).  Within one period the worst
+    error against DOP853 was 0.36 tol, on four drives with 11, 40 and 101
+    samples over 0.3, 0.5 and 1 laser periods at tol 1e-6 to 1e-12.
+
+    The floor: raises DomainError when span > T and the half-period
+    budget tol T / (2 span) is not above TOL_BOUNDS[0], so for a span of
     more than tol / 2e-14 periods; a run within one period is asked for
-    tol / 4 > 2.5e-15.  Below 8.5e-15 the accepted change
-    max(7.5 tol, 4e-15 n) is the roundoff term 4e-15 n at every tested
-    n >= 16, so near the floor tol no longer sets the grid of the fourth
-    order test, and the quarter run's is the one a run at the floor
-    takes (measured: the same grid at 5e-15, 1e-14 and 2e-14 on three
-    drives).
+    tol / 4 > 2.5e-15.  Below 8.5e-15 the roundoff floor of
+    :func:`_propagate_grid` sets the grid at every n >= 16, so the
+    quarter run near the floor takes the grid of a run at the floor
+    (measured: the same grid at 5e-15, 1e-14 and 2e-14 on three drives).
     """
     span = max(span, period)
     tol_half = 0.5 * tol * (period / span)
@@ -270,41 +145,23 @@ def propagate(H_of_t: HamiltonianSource, t_grid: Sequence[float],
     """Propagators U(t_k) of dU/dt = -i H(t) U, U(0) = 1, on a time grid.
 
     H_of_t maps an (m,) array of times to their (m, 4, 4) stack, or to
-    one 4x4 matrix when H is constant; each call asks for at most 512
-    times, in no particular order.  t_grid must start at 0 and increase
-    strictly; the result has shape (len(t_grid), 4, 4).  The uniform
-    steps are halved until U moves by at most max(7.5 tol, 4e-15 n),
-    which puts the Richardson estimate of the error, that change / 15,
-    at tol / 2 (module docstring), so U is delivered within tol as long
-    as 7.5 tol is above 4e-15 n, the roundoff floor of n steps.  Beyond
-    that the floor, not tol, sets the grid, and the error can pass tol:
-    34 evenly spaced samples over 8 motion periods of the drive of
-    acceptance test 4a carry 1.2 tol at tol 1e-12.  A sample costs two
-    H times but no steps, or nothing when it lies on a grid node, to
-    roundoff.  When every sample lies on the nodes of the
-    n/2-step grid, no sample needs such a step, and the sixth-order
-    E_n = polar(U_n + (U_n - U_{n/2}) / 15) is also accepted once it
-    moves by at most max(31.5 tol, 4e-15 n), so samples at multiples
-    of t_grid[-1] / 2^i, or strobes at multiples of the period, often
-    stop one to three halvings sooner.  Samples off those nodes keep the
-    fourth-order test, because their tail steps are fourth order.
+    one 4x4 matrix when H is constant, as :func:`propagate_batch` asks.
+    t_grid must start at 0 and increase strictly; the result has shape
+    (len(t_grid), 4, 4).  U carries about tol / 2 against a tight
+    reference, or tol at most when composed (:func:`period_tolerance`),
+    but where the roundoff floor of :func:`_propagate_grid` sets the grid.
     Raises IntegratorError when the step size underflows or MAX_STEPS
     steps do not pass the halving test, and DomainError when a Magnus
     exponent is not finite (H overflows).
 
     Passing the period T asserts H(t + T) = H(t), H(-t) = H(t)* and
     H(t + T/2) = P H(t) P with P = s3 (x) s3, as `spin_hamiltonian`
-    satisfies (module docstring).  When t_grid[-1] lies beyond the reach
-    of T (:func:`_plan`), only [0, T/4] is integrated, at
-    tol * T / (4 max(t_grid[-1], T)) (:func:`period_tolerance`), and H is
-    asked for no time outside it: with m = rint(t / T) the nearest
-    multiple, r = t - m T and a = |r|, U(t) = V(r) U(T)^m, where
-    V(a) = U(a) up to T/4 and P U(T/2 - a)* C beyond, V(r) is conjugated
-    when r < 0, C = U(T/4)^T P U(T/4) and U(T) = C C.  Each sample then
-    carries about (t_grid[-1] + T) / (2 max(t_grid[-1], T)) tol.  Within
-    reach the result is the one without a period, bit for bit.  Raises
-    DomainError when t_grid[-1] > T and the half-period budget
-    tol * T / (2 t_grid[-1]) is not above the tolerance floor.
+    satisfies.  A run beyond the reach of T (:func:`_plan`) integrates
+    [0, T/4] only, at :func:`period_tolerance`, asks H for no time
+    outside it and composes every sample from it (:func:`_compose`); a
+    run within reach is the run without a period, bit for bit.  Raises
+    DomainError when the span puts the budget of :func:`period_tolerance`
+    on the tolerance floor.
 
     This is the batch of one of :func:`propagate_batch`.
     """
@@ -322,27 +179,20 @@ def propagate_batch(H_of_t: BatchSource, t_grids: Sequence[Sequence[float]],
     """:func:`propagate` for a batch of points, each with its own grid, tol
     and period (None for none), in one run.
 
-    H_of_t maps an (m,) array of times and an (m,) integer array of the
-    points they belong to, indices into t_grids, to their (m, 4, 4)
-    stack, or to one 4x4 matrix when H is constant; each call asks for
-    at most 512 times, counted across the batch, in no particular order.
-    Each point plans its own grid and tol as :func:`propagate` does: its
-    t_grid, or, when it is given a period and its span lies beyond the
-    reach of it (:func:`_plan`), the quarter-period grid at
-    :func:`period_tolerance`, whose U is gathered into one row per sample
-    of t_grid and composed there in place.  All points share the halving
-    round's step count n, each with its own
-    h = span / n, and a point leaves the batch at its first passed
-    halving test, of U or, when all of its samples lie on the coarse
-    nodes and so need no tail step, of the sixth-order E at its samples
-    (:func:`propagate`).  So a halving round, and the tail steps of every
-    sample, ask H once per 512 times for the whole batch, while each
-    point's grid, H times and bits are those of its own
-    :func:`propagate`; a point held back by the node budget of a round
-    (module docstring) asks for one of its grids twice.  Returns, per
-    point, its (len(t_grid), 4, 4) stack, or the DomainError or
-    IntegratorError its :func:`propagate` raises, while the other points
-    run on.  An exception raised by H_of_t ends the whole batch.
+    The contract of a Hamiltonian source: H_of_t maps an (m,) array of
+    times and an (m,) integer array of the points they belong to, indices
+    into t_grids, to their (m, 4, 4) stack, or to one 4x4 matrix when H
+    is constant.  Each call asks for at most 512 times, counted across
+    the batch, in no particular order, so one call serves every point and
+    ragged sets of times fit.
+
+    Each point plans its own run (:func:`_plan`), and the rounds and tail
+    steps of all points run together (:func:`_propagate_grid`), while each
+    keeps the grid and bits of its own :func:`propagate`, and its H times
+    but for the node budget.  Returns, per point, its (len(t_grid), 4, 4)
+    stack, or the DomainError or IntegratorError its :func:`propagate`
+    raises, while the other points run on.  An exception raised by H_of_t
+    ends the whole batch.
     """
     if periods is None:
         periods = [None] * len(t_grids)
@@ -367,30 +217,33 @@ def propagate_batch(H_of_t: BatchSource, t_grids: Sequence[Sequence[float]],
 
 def _plan(t_grid: Sequence[float], tol: float, period: float | None):
     """Check one point of :func:`propagate_batch` and return the grid its
-    Magnus steps run on, the tol of that run, the sample of that grid
-    behind each row of its result, or None when the rows are the grid's
-    own samples, and the map that turns those rows into U on t_grid in
-    place, or None when they are U on t_grid already.
+    Magnus steps run on, the tol of that run, the samples of that grid
+    behind the rows of its result (slice(None) for the grid's own), and
+    the map that turns those rows into U on t_grid in place, or None.
 
     The one route rule: a run given a period T runs directly on t_grid
     while its span is within reach of T, and beyond reach it is composed
-    from the quarter-period run at :func:`period_tolerance`, tol / 4
-    within one period.  A run without a period runs directly.  Reach is
-    T on a tail-free grid, whose samples all lie on the nodes of the
-    power-of-two grid of the span with the fewest steps that holds them,
-    such as 2^k + 1 evenly spaced samples: its direct run takes no tail
-    step and keeps the sixth-order test.  On any other grid, reach is
-    4^(-4/5) T = 0.330 T, where the direct run and the quarter run cost
-    the same steps: the fourth-order test takes n ~ s^(5/4) tol^(-1/4)
-    steps over a span s (global error ~ s h^4; Blanes, Casas, Oteo &
-    Ros, Phys. Rep. 470, 151 (2009)), and 4 (s / T)^(5/4) = 1.  Summed
-    over tol 1e-6, 1e-8, 1e-10 and 1e-12, on the drive of acceptance test
-    4a and three others with 11, 40 and 101 samples, the direct run cost
-    at most the composed one from 0.26 T to 0.36 T (11 samples over 0.3
-    laser periods, 0.284 T: 3 392 H times against 5 520), and more from
-    0.38-0.40 T up (11 samples over one laser period: 13 568 against
-    5 520).  On the 4a drive, 9 tail-free samples over half a laser
-    period take 960 H times directly and would take 5 504 composed.
+    (:func:`_compose`) from the quarter-period run at
+    :func:`period_tolerance`; a run without a period runs directly.
+    Reach is T on a tail-free grid, whose samples all lie on the nodes of
+    the power-of-two grid of the span with the fewest steps that holds
+    them, such as 2^k + 1 evenly spaced samples: its direct run takes no
+    tail step and keeps the sixth-order test of :func:`_propagate_grid`;
+    on the 4a drive, 9 tail-free samples over half a laser period take
+    960 H times directly and would take 5 504 composed.  On any other
+    grid, reach is 4^(-4/5) T = 0.330 T, where the direct run and the
+    quarter run cost the same steps: the fourth-order test takes
+    n ~ s^(5/4) tol^(-1/4) steps over a span s (global error ~ s h^4),
+    and 4 (s / T)^(5/4) = 1.  Summed over tol 1e-6, 1e-8, 1e-10 and
+    1e-12, on the drive of acceptance test 4a and three others with 11,
+    40 and 101 samples, the direct run cost at most the composed one
+    from 0.26 T to 0.36 T (11 samples over 0.3 laser periods, 0.284 T:
+    3 392 H times against 5 520), and more from 0.38-0.40 T up (11
+    samples over one laser period: 13 568 against 5 520).  A dense trace
+    within one period gains no H times by composition, as nearly every
+    sample keeps an offset, and a tail step, of its own: 4 001 samples
+    over one laser period take 8 048 H times either way, in 18 H calls
+    composed against 19 direct.
     """
     tol = _check_tol(tol)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -406,11 +259,10 @@ def _plan(t_grid: Sequence[float], tol: float, period: float | None):
     reach = math.inf if period is None else period * (
         1.0 if coarsest and _nodes(t_grid, coarsest)[1].all() else 4.0 ** -0.8)
     if span <= reach:
-        return t_grid, tol, None, None
+        return t_grid, tol, slice(None), None
 
     tol_quarter = period_tolerance(tol, period, span)
-    # V(a) takes U(a) up to T/4 and U(T/2 - a) beyond it; the last row is
-    # U(T/4)
+    # the rows of :func:`_compose`
     _, _, a, far = _offsets(t_grid, period)
     inner, where = np.unique(
         np.append(np.where(far, 0.5 * period - a, a), 0.25 * period),
@@ -431,16 +283,41 @@ def _offsets(t_grid: np.ndarray, period: float):
 
 def _compose(Us: np.ndarray, t_grid: np.ndarray,
              period: float) -> np.ndarray:
-    """U(m T + r) = V(r) U(T)^m on t_grid from the rows of the quarter run,
-    U(|r|), or U(T/2 - |r|) beyond T/4, and a last row B = U(T/4): the
-    rows are overwritten in place, _CHUNK samples at a time, and returned
-    without the last."""
+    """U on t_grid from the rows of the quarter run, U(|r|), or
+    U(T/2 - |r|) beyond T/4, and a last row B = U(T/4): the rows are
+    overwritten in place, _CHUNK samples at a time, and returned without
+    the last.
+
+    The symmetries of H_S (`spinfield.spin_hamiltonian`) give
+    U(-s) = U(s)* and U(s + T/2) = P U(s) P U(T/2), so the second quarter
+    period is the first one reversed and shifted, and one run over
+    [0, T/4] gives every sample (Floquet; Shirley, Phys. Rev. 138, B979
+    (1965)):
+
+        C = B^T P B,               U(T/2) = P C,     U(T) = C C,
+        V(a) = U(a) for a <= T/4,  V(a) = P U(T/2 - a)* C for a > T/4,
+        U(m T + r) = V(r) U(T)^m,  m = rint(t / T),  |r| <= T/2,
+
+    with V(r) = V(|r|), conjugated when r < 0.  C is symmetric, and C and
+    U(T) are projected once each by :func:`_polar_step`.  As the rows are
+    the result, a composed run holds one (N, 4, 4) stack, as a direct run
+    does: `simulate` over 20 001 samples and 5 laser periods peaks at
+    1.45 stacks (tracemalloc).
+
+    The Floquet powers U(T)^m are matrix products, never an
+    eigendecomposition, because at Delta = 0 U(T) has a degenerate
+    triplet whose eigenvectors `eig` need not return orthogonal.  All
+    distinct m are powered at once, bit by bit: at bit b every power
+    whose m has bit b set takes one factor U(T)^(2^b), which is then
+    squared.  A polar step after each product keeps unitarity at
+    roundoff, so only the phases carry the roundoff of the products:
+    1e-16 m to 4e-16 m against 40-digit powers of the same U(T), for m
+    from 10 to 10^5.
+    """
     m, r, _, far = _offsets(t_grid, period)
     P = PAIR[3, 3]
     B = Us[-1]
     C = _polar_step(B.T @ P @ B)                 # U(T/2) = P C
-    # U(T)^m for every distinct m at once, bit by bit, from the projected
-    # squares U(T)^(2^b); no eig, which the Delta = 0 triplet defeats
     levels, level_of = np.unique(m.astype(np.int64), return_inverse=True)
     powers = np.broadcast_to(IDENTITY4, (levels.size, 4, 4)).copy()
     square = _polar_step(C @ C)                  # U(T)^(2^b) at bit b
@@ -512,19 +389,58 @@ def _nodes(t_grid: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
-                    tols: list[float], rows: list[np.ndarray | None],
+                    tols: list[float], rows: list[np.ndarray | slice],
                     ) -> list[np.ndarray | Exception]:
     """The Magnus steps of :func:`propagate_batch` over checked grids, one
     per point: U on each grid, or the error that ended that point's run.
-    rows[p] names the sample of t_grids[p] behind each row of that U, or
-    is None for one row per sample; rows that share a sample share its
-    tail step.
+    rows[p] indexes the samples of t_grids[p] behind the rows of that U,
+    slice(None) for one row per sample; rows that share a sample share
+    its tail step.
 
-    A round holds at most BATCH_MATRICES nodes across its points, or the
-    nodes of one point: the points beyond that are held back, and run in
-    a later group of rounds that starts at the last grid they computed
-    and does not test it again; the E of its samples waits with it, so
-    that its next test is the one of its own run.
+    The halving test.  The steps are uniform, n = 8, 16, ... of them with
+    h = span / n for every point of a round, until U at the nodes of the
+    n/2-step grid moves by at most max(7.5 tol, 4e-15 n) when the step is
+    halved.  For a fourth-order step the error of the n-step grid is about
+    that change / (2^4 - 1) (Richardson; Hairer, Nørsett & Wanner, Solving
+    Ordinary Differential Equations I, Sec. II.4), so 7.5 tol delivers
+    about tol / 2; 15 tol measured up to 0.975 tol against DOP853.  The
+    roundoff floor 4e-15 n, the roundoff of n steps, sets the grid once it
+    exceeds 7.5 tol, and the error can then pass tol: 34 evenly spaced
+    samples over 8 motion periods of the drive of acceptance test 4a carry
+    1.2 tol at tol 1e-12, the grid and the error of tol 1e-11 (0.12 tol
+    there).  The steps of a round (:func:`_magnus4`) are written straight
+    into its nodes, their prefix product (:func:`_prefix_product`)
+    replaces them there, and the nodes are projected (:func:`_polar_step`).
+
+    The sixth-order test of tail-free samples.  When all of a point's
+    samples lie on the nodes of the n/2-step grid, the Richardson
+    extrapolation E_n = polar(U_n + (U_n - U_{n/2}) / 15) at its samples
+    is sixth order, with an error of about |E_n - E_{n/2}| / (2^6 - 1).
+    So from n = 32 on the point also passes when E moves by at most
+    max(31.5 tol, 4e-15 n), for about tol / 2, and its samples take E_n.
+    E is formed from the difference U_n - U_{n/2} that the halving test
+    leaves in the coarse buffer, and takes two polar steps: the sum is off
+    unitarity by about |U_n - U_{n/2}|^2 / 15, which one left at 1.1e-10
+    at tol 9e-5.  The test adds no round, and a point the halving test
+    passes keeps its grid and bits.  On tail-free grids of four drives at
+    tol 1e-6 to 1e-12 the worst error against DOP853 was 0.39 tol, and
+    190 strobes at multiples of the motion period on the 4a drive take
+    112 H times at tol 1e-6, against 496 by the halving test alone.  A
+    point with a tail step keeps the halving test only: its tail step is
+    fourth order, and on a grid 4 times coarser its local error grows
+    about 4^5-fold, which the estimate of E does not see.
+
+    The node budget.  A round holds at most BATCH_MATRICES nodes across
+    its points, or the nodes of one point: the points beyond that are
+    held back, and run in a later group of rounds that starts at the last
+    grid they computed, whose H times they pay again, and does not test
+    it again; the E of its samples waits with it, so that its next test
+    is the one of its own run.
+
+    The tail steps.  A sample on a node of the passed grid (:func:`_nodes`)
+    takes U there, any other one more step from the node before it; those
+    of all points run together at the end, each applied in place to the
+    rows of its sample, _CHUNK rows at a time.
     """
     results = [IDENTITY4[None].copy() if t_grid.size == 1 else None
                for t_grid in t_grids]
@@ -556,9 +472,7 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
                         f"step size underflow at t = 0 (h = {hp:.3e})")
                 active, h = active[~under], h[~under]
                 coarse = None if coarse is None else coarse[~under]
-            # the steps go straight into the nodes and are scanned there
-            # in place, so the round keeps no stack beside U and the
-            # coarse U
+            # the steps go into the nodes, so no stack lies beside U
             U = np.empty((active.size, n + 1, 4, 4), dtype=complex)
             U[:, 0] = IDENTITY4
             nodes = U.reshape(-1, 4, 4)
@@ -582,27 +496,22 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
             del nodes
             err = np.full(active.size, math.inf)
             if coarse is not None:
-                # the global roundoff of n steps floors the attainable change;
-                # the difference overwrites the coarse U, which is dropped
-                # after the tests
+                # the difference overwrites the coarse U, dropped after the
+                # tests
                 err = np.abs(np.subtract(U[:, ::2], coarse, out=coarse)
                              ).max(axis=(1, 2, 3))
                 floor = 4e-15 * n
                 passed = err <= np.maximum(_ACCEPT_CHANGE * tols[active], floor)
                 # U at the node at or before each sample, copied out of
-                # the round; the samples off the nodes take one more step
+                # the round
                 for j in np.flatnonzero(passed).tolist():
                     p = int(active[j])
                     k, on = _nodes(t_grids[p], h[j])
                     off = np.flatnonzero(~on)
-                    results[p] = U[j, k if rows[p] is None else k[rows[p]]]
+                    results[p] = U[j, k[rows[p]]]
                     tails.append((p, off, k[off] * h[j],
                                   t_grids[p][off] - k[off] * h[j]))
-                # a point held by that test whose samples all lie on the
-                # coarse nodes takes no tail step, so the Richardson
-                # extrapolation of U_n and U_{n/2} serves it there: E_n,
-                # formed from their difference in the coarse buffer, passes
-                # at the samples by the sixth-order estimate
+                # the sixth-order test of the tail-free points it held
                 last = {p: extrapolated.pop(p)
                         for p in active.tolist() if p in extrapolated}
                 for j in np.flatnonzero(
@@ -614,13 +523,11 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
                     E = coarse[j, k]
                     E /= _RICHARDSON
                     E += U[j, 2 * k]
-                    # off unitarity by about |U_n - U_{n/2}|^2 / 15, which
-                    # two Newton steps take to roundoff
                     _project(_project(E))
                     if p in last and np.abs(E - last[p]).max() <= max(
                             _ACCEPT_CHANGE_6 * tols[p], floor):
                         passed[j] = True
-                        results[p] = E if rows[p] is None else E[rows[p]]
+                        results[p] = E[rows[p]]
                     else:
                         extrapolated[p] = E
                 del last
@@ -637,17 +544,14 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
                 break
             n, coarse = 2 * n, U
 
-    # the tail steps of all accepted points, a chunk at a time, each step
-    # applied in place to the rows of the sample it serves, _CHUNK rows at
-    # a time; a chunk holds every step of a running point between its
+    # a chunk of tail steps holds every step of a running point between its
     # first and its last
     if tails:
         tails.sort(key=lambda tail: tail[0])
         owners, offs, starts, lengths = zip(*tails)
         del tails
         points = np.repeat(owners, [off.size for off in offs])
-        # each point's rows that take a step, and the index of that step
-        # among all tail steps, in step order
+        # per point, its rows that take a step and the index of that step
         targets, first = {}, 0
         for p, off in zip(owners, offs):
             dest, step = _tail_rows(off, t_grids[p].size, rows[p])
@@ -670,16 +574,14 @@ def _propagate_grid(H_of_t: BatchSource, t_grids: list[np.ndarray],
     return results
 
 
-def _tail_rows(off: np.ndarray, size: int, rows: np.ndarray | None,
+def _tail_rows(off: np.ndarray, size: int, rows: np.ndarray | slice,
                ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a result that take a tail step, and the step each
     takes, an index into off, the samples among size that take one;
-    ordered by step.  rows[i] is the sample behind row i, or rows is None
-    when row i is sample i."""
+    ordered by step.  rows indexes the samples behind the rows."""
     step_of = np.full(size, -1)
     step_of[off] = np.arange(off.size)
-    if rows is not None:
-        step_of = step_of[rows]
+    step_of = step_of[rows]
     dest = np.flatnonzero(step_of >= 0)
     step = step_of[dest]
     order = np.argsort(step, kind="stable")

@@ -89,11 +89,8 @@ def evolve_von_neumann(rho0: np.ndarray, H_of_t: evolution.HamiltonianSource,
 def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Evolve the configured initial state and return its CSV columns.
 
-    H_S is periodic in the motion period, time-reversal symmetric,
-    H_S(-t) = H_S(t)*, and shifted by P = s3 (x) s3 over half a period,
-    H_S(t + T/2) = P H_S(t) P, so a run beyond the reach of the period
-    (`evolution._plan`) integrates a quarter period once and composes
-    every sample from it (see :func:`propagate`).  The columns come from
+    The propagators come from :func:`propagate` given the drive's motion
+    period, so `evolution._plan` sets the route.  The columns come from
     the propagators U and one factor rho0 = R R^+, `evolution._CHUNK`
     samples at a time, with no state formed: B = U R gives the concurrence
     (:func:`concurrence_from_factor`), and G = B^+ B the trace tr G and
@@ -116,11 +113,10 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
 
 def run_batch(cfgs: Sequence[ScenarioConfig]) -> list[Trace | Exception]:
     """:func:`run_scenario` for each scenario of cfgs, propagated as one
-    batch (:func:`propagate_batch`): each halving round and the tail steps
-    ask `spin_hamiltonian` once for every point still running.  The caller
-    sizes the batch: :func:`_sweep_point` gives it one point, or points of
-    at most `evolution.BATCH_MATRICES` samples in all, the bound of each
-    of a batch's stacks.
+    batch (:func:`propagate_batch`).  The caller sizes the batch:
+    :func:`_sweep_point` gives it one point, or points of at most
+    `evolution.BATCH_MATRICES` samples in all, the bound of each of a
+    batch's stacks.
 
     Returns, per scenario, the Trace of its :func:`run_scenario`, bit for
     bit, or the exception that it raises; a failed point does not stop

@@ -217,10 +217,15 @@ def spin_hamiltonian(t, laser=None, kin=None, bound=None, *,
     scenario, and each element has the bits of a call with its own
     records.  Either form alone is accepted, else TypeError.
 
-    Periodic in the motion period T, time-reversal symmetric,
-    H_S(-t) = H_S(t)*, and shifted by P = s3 (x) s3 over half a period,
-    H_S(t + T/2) = P H_S(t) P, as `evolution.propagate` assumes given
-    the period.
+    The symmetries that `evolution.propagate` asserts when given the
+    period.  H_S depends on t only through sn, cn and dn of u = w'_L t,
+    so it has the exact motion period T = 4 K(mu) / w'_L.  Bx and Bz are
+    even in t and By is odd, so H_S is time-reversal symmetric,
+    H_S(-t) = H_S(t)*, at every eps (pinned at 1e-14 at three drives).
+    sn(u + 2K) = -sn u, cn(u + 2K) = -cn u and dn(u + 2K) = dn u (DLMF
+    22.4.3), so over half a period Bx and By change sign and Bz does not,
+    and with P = s3 (x) s3, which leaves sigma . sigma alone,
+    H_S(t + T/2) = P H_S(t) P (pinned at 1e-14 at four drives).
     """
     given = [x is not None for x in (laser, kin, bound, drives, point)]
     if given == [True, True, True, False, False]:

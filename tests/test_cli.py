@@ -1108,6 +1108,22 @@ class TestMainExitCodes:
         assert str(out_dir) in err and "Traceback" not in err
         assert ran == []
 
+    @pytest.mark.parametrize("eta", [0.1, 1.5])
+    def test_sweep_point_path_on_a_directory_is_2(self, tmp_path, capsys,
+                                                  eta):
+        # point_000.csv is a directory: an ok point (eta 0.1) cannot write
+        # its CSV there, and a failed one (eta 1.5, so mu >= 1) cannot
+        # remove it
+        path = write_config(tmp_path, base_config(samples=3))
+        out_dir = tmp_path / "sw"
+        (out_dir / "point_000.csv").mkdir(parents=True)
+        assert main(["sweep", "--config", path, "--param", "eta",
+                     "--values", str(eta), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert "point_000.csv" in err and "Traceback" not in err
+        assert not (out_dir / "manifest.json").exists()
+
     def test_sweep_bad_values_is_2(self, tmp_path):
         path = write_config(tmp_path, base_config(samples=5))
         assert main(["sweep", "--config", path, "--param", "eta",
@@ -1165,7 +1181,7 @@ class TestMainExitCodes:
         assert main(["validate", "--filter", "concurrence"]) == 0
         line = capsys.readouterr().out
         assert line.startswith("[PASS] concurrence")
-        for label in ("werner dev", "tracking dev", "null max C",
+        for label in ("werner dev", "symmetry max C", "null max C",
                       "werner closed form"):
             assert label in line
 
@@ -1173,7 +1189,7 @@ class TestMainExitCodes:
     VALIDATE_GATES = {
         "lorentz": {"residual": 1e-6, "invariant drift": 1e-8},
         "factorization": {"U vs W X": 1e-6, "X vs S Y": 1e-6},
-        "concurrence": {"werner dev": 0.025, "tracking dev": 0.9,
+        "concurrence": {"werner dev": 0.025, "symmetry max C": 1e-10,
                         "null max C": 1e-10, "werner closed form": 1e-12}}
 
     def test_validate_prints_each_check_beside_its_gate(self, monkeypatch,
@@ -1204,8 +1220,8 @@ class TestMainExitCodes:
                                               rel=1e-12)
 
     def test_a_failing_check_fails_its_line(self, monkeypatch, capsys):
-        # a Werner deviation of 0.5, within the loosest gate of the oracle
-        # (0.9) but not its own (0.025), while the other checks pass
+        # a Werner deviation of 0.5, beyond its own gate (0.025), fails the
+        # line, while the product rows pass
         from laserspin import validate
         scenario = validate.run_scenario
 
@@ -1220,7 +1236,7 @@ class TestMainExitCodes:
         assert main(["validate", "--filter", "concurrence"]) == 1
         line = capsys.readouterr().out
         assert line.startswith("[FAIL] concurrence: werner dev 5.00")
-        assert "(gate 0.025); tracking dev 0.000e+00 (gate 0.9)" in line
+        assert "(gate 0.025); symmetry max C 0.000e+00 (gate 1e-10)" in line
 
     def test_concurrence_oracle_composes_periods(self, monkeypatch):
         # the product checks and the closed-form Werner check span two
@@ -1256,6 +1272,20 @@ class TestMainExitCodes:
                                                                  rel=1e-3)
         assert main(["validate", "--filter", "concurrence"]) == 1
         assert "[FAIL] concurrence" in capsys.readouterr().out
+
+    def test_product_rows_catch_a_concurrence_error(self, monkeypatch,
+                                                    capsys):
+        # at eps 0 the Sx symmetry keeps C of the product state at 0, so
+        # 1e-9 added by the run path's kernel fails both rows' 1e-10 gate
+        from laserspin import simulate
+        kernel = simulate.concurrence_from_factor
+        monkeypatch.setattr(simulate, "concurrence_from_factor",
+                            lambda B: kernel(B) + 1e-9)
+        assert main(["validate", "--filter", "concurrence"]) == 1
+        line = capsys.readouterr().out
+        assert line.startswith("[FAIL] concurrence")
+        for label in ("symmetry max C", "null max C"):
+            assert f"{label} 1.000e-09 (gate 1e-10)" in line
 
     def test_werner_analytic_row_catches_a_column_error(self, monkeypatch,
                                                         capsys):
@@ -1339,6 +1369,15 @@ class TestMainExitCodes:
         assert main(["validate", "--filter", "factorization"]) == 1
         rows = factorization_rows(capsys.readouterr().out)
         assert rows["U vs W X"] < 1e-6 < rows["X vs S Y"]
+
+    def test_factorization_oracle_raises_a_failed_propagation(self,
+                                                              monkeypatch):
+        from laserspin import validate
+        failure = IntegratorError("no grid passes the halving test")
+        monkeypatch.setattr(validate, "propagate_batch",
+                            lambda H_of_t, t_grids, tols: [failure] * 8)
+        with pytest.raises(IntegratorError, match="^no grid passes"):
+            validate.oracle_factorization()
 
     def test_factorization_oracle_batches_its_u_runs(self, monkeypatch):
         # the eight U runs of H_S share each halving round's H call

@@ -68,6 +68,20 @@ class TestModulus:
         with pytest.raises(DomainError):
             modulus_from_params(LaserParams(eta=0.1, epsilon=0.0), -0.2)
 
+    @pytest.mark.parametrize("gamma_z, mu, message", [
+        (0.0, 0.3, "^gamma_z must be > 0, got 0.0$"),
+        (-1.0, 0.3, "^gamma_z must be > 0, got -1.0$"),
+        (1.0, -0.1, r"^modulus must satisfy 0 <= mu < 1, got -0.1$"),
+        (1.0, 1.0, r"^modulus must satisfy 0 <= mu < 1, got 1.0$")])
+    def test_kinematics_reject_fields_off_their_domain(self, gamma_z, mu,
+                                                       message):
+        with pytest.raises(DomainError, match=message):
+            KinematicParams(gamma_z=gamma_z, mu=mu, omega_L_prime=1.0)
+
+    def test_field_amplitude_rejects_zero_charge(self):
+        with pytest.raises(DomainError, match="zero charge"):
+            field_amplitude(LaserParams(eta=0.5, epsilon=0.3), 2.0, 0.0)
+
 
 class TestPosition:
     @given(eta=ETAS, eps=EPSS, gz=GAMMAS)
